@@ -12,8 +12,9 @@
 //   --full          include keccak-3 and dom-4 (long: minutes, and LIL on
 //                   keccak-3 is intractable — it times out by design)
 //   --quick         the CI set: level-1 gadgets plus the level-2 rows
-//                   (dom-2, keccak-2) so both sides of the portfolio's
-//                   decision boundary stay covered
+//                   (dom-2, keccak-2), so both the few-share gadgets and
+//                   the keccak rows with large forbidden regions stay
+//                   covered
 //   --timeout S     per-(gadget, engine) wall-clock budget, default 120 s
 //   --gadget NAME   run a single benchmark gadget
 
@@ -39,7 +40,7 @@ struct RunResult {
   double convolution = 0.0;   // phase breakout (Fig. 6)
   double verification = 0.0;
   double base = 0.0;
-  std::string engine_chosen;  // resolved engine ("MAPI", ...; portfolio-aware)
+  std::string engine_chosen;  // resolved engine ("MAPI", ...; auto = DIRECT)
   verify::VerifyResult result;
 };
 
@@ -67,9 +68,7 @@ inline RunResult run_gadget(const std::string& name,
     out.base = out.result.stats.timers.get("base");
     out.convolution = out.result.stats.timers.get("convolution");
     out.verification = out.result.stats.timers.get("verification");
-    out.engine_chosen = verify::engine_name(
-        out.result.stats.portfolio.active ? out.result.stats.portfolio.chosen
-                                          : engine);
+    out.engine_chosen = verify::engine_name(verify::resolve_engine(engine));
     out.ran = true;
     runs.push_back(std::move(out));
     if (runs.back().timed_out || runs.back().seconds > 0.2) break;
@@ -82,8 +81,8 @@ inline RunResult run_gadget(const std::string& name,
 }
 
 /// The gadget list of Table I, filtered by the --quick/--full flags.  The
-/// quick set deliberately spans the portfolio's decision boundary: scan-
-/// friendly small gadgets AND the ADD-friendly keccak rows.
+/// quick set spans both regimes of the paper's comparison: small gadgets
+/// AND the keccak rows whose forbidden regions make LIL slow.
 inline std::vector<std::string> select_gadgets(const CliArgs& args) {
   if (auto g = args.value("gadget")) return {*g};
   std::vector<std::string> names{"ti-1",   "trichina-1", "isw-1", "dom-1",

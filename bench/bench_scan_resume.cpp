@@ -5,10 +5,12 @@
 // pay the basis build + artifact save; the delta is exactly what
 // checkpointing adds — the claim protocol, the per-shard SANIPAR writes
 // and the assembler merge (the one-shot path folds in memory, so finalize
-// re-reads nothing).  That tax must stay single-digit percent on
-// compute-bound jobs; the structural floor measures ~2-5% here, and the
+// re-reads nothing).  That tax is per-combination bookkeeping, so its
+// share depends on how fast the scan itself is: ~2-5% under MAPI, 5-25%
+// under the default DIRECT engine, whose scan is 3-4x faster.  The
 // committed BENCH_scan.json baseline records one representative run
-// (wall-clock ratios on a shared machine wander a few points either way).
+// (wall-clock ratios on a shared machine wander several points either
+// way).
 //
 // Exact, machine-independent columns CI diffs row for row: the verdict,
 // the shard plan size, the drained combination count and the checkpoint

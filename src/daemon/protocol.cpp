@@ -76,10 +76,9 @@ Request parse_request(const std::string& line) {
 
   verify::VerifyOptions& o = r.options;
   o.notion = notion_from(root->get_string("notion", "sni"));
-  const std::string engine = root->get_string("engine", "mapi");
+  const std::string engine = root->get_string("engine", "auto");
   if (engine == "auto")
-    // The portfolio front-end is not a registry entry: it resolves to one
-    // of the registered engines per gadget, inside the verifier.
+    // Not a registry entry: the verifier resolves it to DIRECT.
     o.engine = verify::EngineKind::kAuto;
   else if (const verify::BackendInfo* info = verify::backend_by_name(engine))
     o.engine = info->kind;
@@ -87,7 +86,7 @@ Request parse_request(const std::string& line) {
     throw std::invalid_argument("unknown engine '" + engine +
                                 "' (registered engines: " +
                                 verify::backend_name_list() +
-                                ", or 'auto' for the portfolio)");
+                                ", or 'auto' for the default)");
   // "order" defaults to 0 here (= "use the gadget's design order"); the
   // server resolves it once it knows the gadget, mirroring the CLI.
   o.order = checked_int(*root, "order", 0, 0, 64);

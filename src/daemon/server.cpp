@@ -448,11 +448,8 @@ void Server::Impl::run_job(const JobPtr& job) {
       // The storeless path still warm-starts nothing but still honors the
       // per-request token: run the cold pipeline by hand so the token
       // reaches verify_basis.
-      circuit::Unfolded unfolded =
-          circuit::unfold(job->gadget, job->request.options.cache_bits,
-                          job->request.options.var_order);
-      if (job->request.options.sift_after_unfold)
-        unfolded.manager->reorder_sift();
+      const circuit::Unfolded unfolded =
+          verify::unfold_for(job->gadget, job->request.options);
       verify::ObservableSet observables = verify::build_observables(
           job->gadget, unfolded, job->request.options.probes);
       result = verify::verify_basis(

@@ -14,16 +14,12 @@
 #include "verify/basis.h"
 #include "verify/engine.h"
 #include "verify/observables.h"
-#include "verify/portfolio.h"
 
 namespace sani::store {
 
 verify::BasisNeeds needs_for_engine(verify::EngineKind engine) {
-  // A portfolio artifact carries every engine's material, so whichever
-  // engine the cost model picks — now or on a later warm start — runs from
-  // the same stored Basis.
-  if (engine == verify::EngineKind::kAuto) return verify::all_engine_needs();
-  const verify::BackendInfo& info = verify::backend_info(engine);
+  const verify::BackendInfo& info =
+      verify::backend_info(verify::resolve_engine(engine));
   verify::BasisNeeds needs;
   needs.spectra = info.needs_spectra;
   needs.lil = info.needs_lil;
@@ -167,15 +163,8 @@ verify::VerifyResult verify_with_store(const circuit::Gadget& gadget,
   if (basis) {
     if (outcome) outcome->hit = true;
   } else {
-    // Cold path: exactly verify::verify's pipeline, plus a best-effort save
-    // (including the portfolio's adaptive unfolding-manager size).
-    const int unfold_bits =
-        options.engine == verify::EngineKind::kAuto
-            ? verify::suggest_unfold_cache_bits(gadget, options.cache_bits)
-            : options.cache_bits;
-    circuit::Unfolded unfolded =
-        circuit::unfold(gadget, unfold_bits, options.var_order);
-    if (options.sift_after_unfold) unfolded.manager->reorder_sift();
+    // Cold path: exactly verify::verify's pipeline, plus a best-effort save.
+    const circuit::Unfolded unfolded = verify::unfold_for(gadget, options);
     verify::ObservableSet observables =
         verify::build_observables(gadget, unfolded, options.probes);
     basis = verify::build_basis(unfolded, observables, options.engine);

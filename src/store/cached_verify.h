@@ -40,9 +40,8 @@ class CancelToken;
 
 namespace sani::store {
 
-/// Engine -> BasisNeeds from the backend registry (kAuto = the union of
-/// every engine's needs, so the artifact serves whichever engine the
-/// portfolio picks later).  Shared by the artifact keying and the scan
+/// Engine -> BasisNeeds from the backend registry (kAuto resolves to
+/// DIRECT first).  Shared by the artifact keying and the scan
 /// planner/worker basis-coverage checks (store/scan.h).
 verify::BasisNeeds needs_for_engine(verify::EngineKind engine);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -30,7 +31,6 @@
 #include "verify/engine.h"
 #include "verify/observables.h"
 #include "verify/partial.h"
-#include "verify/portfolio.h"
 
 namespace sani::store {
 
@@ -72,9 +72,7 @@ std::shared_ptr<const verify::Basis> resolve_basis(
     if (basis && basis_covers(*basis, needs)) return basis;
   }
   const circuit::Gadget gadget = circuit::parse_ilang_string(m.canonical_ilang);
-  circuit::Unfolded unfolded =
-      circuit::unfold(gadget, m.options.cache_bits, m.options.var_order);
-  if (m.options.sift_after_unfold) unfolded.manager->reorder_sift();
+  const circuit::Unfolded unfolded = verify::unfold_for(gadget, m.options);
   const verify::ObservableSet observables =
       verify::build_observables(gadget, unfolded, m.options.probes);
   const verify::BasisNeeds built = union_needs(m.needs, needs);
@@ -130,13 +128,7 @@ ScanDir plan_scan(const circuit::Gadget& gadget, const std::string& label,
   if (basis) {
     if (outcome) outcome->basis_hit = true;
   } else {
-    const int unfold_bits =
-        options.engine == verify::EngineKind::kAuto
-            ? verify::suggest_unfold_cache_bits(gadget, options.cache_bits)
-            : options.cache_bits;
-    circuit::Unfolded unfolded =
-        circuit::unfold(gadget, unfold_bits, options.var_order);
-    if (options.sift_after_unfold) unfolded.manager->reorder_sift();
+    const circuit::Unfolded unfolded = verify::unfold_for(gadget, options);
     const verify::ObservableSet observables =
         verify::build_observables(gadget, unfolded, options.probes);
     basis = verify::build_basis(unfolded, observables, options.engine);
@@ -148,9 +140,10 @@ ScanDir plan_scan(const circuit::Gadget& gadget, const std::string& label,
   m.label = label.empty() ? gadget.netlist.name() : label;
   m.canonical_ilang = ilang;
   m.basis_key = basis_key;
-  // The manifest's engine is always concrete: resolve the portfolio now so
-  // every worker and the finalizer agree on the canonical report shape.
-  m.options = verify::resolve_portfolio(*basis, options, nullptr);
+  // The manifest's engine is always concrete, so every worker and the
+  // finalizer agree on the canonical report shape.
+  m.options = options;
+  m.options.engine = verify::resolve_engine(options.engine);
   m.options = worker_options(m, verify::EngineKind::kAuto);
   m.needs = needs;
   m.num_observables = basis->size();
@@ -246,20 +239,24 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
     snap.live_nodes = obs::Metrics::instance().gauge("dd.live_nodes").value();
     return snap;
   };
-  std::atomic<bool> sampling{false};
+  // The sampler waits on a condition variable rather than sleeping, so
+  // stopping it at the end of the scan costs no wait-out of a sleep slice.
+  std::mutex sampler_mutex;
+  std::condition_variable sampler_wake;
+  bool sampling = false;
   std::thread sampler;
   if (options.telemetry_interval_seconds > 0.0) {
     write_worker_snapshot(scan.dir(), make_snapshot());
-    sampling.store(true);
+    sampling = true;
     sampler = std::thread([&] {
-      const auto slice = std::chrono::milliseconds(50);
-      double waited = 0.0;
-      while (sampling.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(slice);
-        waited += 0.05;
-        if (waited < options.telemetry_interval_seconds) continue;
-        waited = 0.0;
+      const auto interval =
+          std::chrono::duration<double>(options.telemetry_interval_seconds);
+      std::unique_lock<std::mutex> lock(sampler_mutex);
+      const auto stopped = [&] { return !sampling; };
+      while (!sampler_wake.wait_for(lock, interval, stopped)) {
+        lock.unlock();
         write_worker_snapshot(scan.dir(), make_snapshot());
+        lock.lock();
       }
     });
   }
@@ -360,7 +357,11 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
   if (options.progress) options.progress->stop();
 
   if (sampler.joinable()) {
-    sampling.store(false);
+    {
+      std::lock_guard<std::mutex> lock(sampler_mutex);
+      sampling = false;
+    }
+    sampler_wake.notify_one();
     sampler.join();
     // Final snapshot so the last shards this worker finished are visible
     // immediately (the sampler may have just slept through them).

@@ -8,7 +8,8 @@
 // points mirror the `sani scan` CLI:
 //
 //   plan_scan      — prepare (or load) the Basis, resolve the engine
-//                    portfolio, fix the shard plan, write the manifest.
+//                    (auto -> DIRECT), fix the shard plan, write the
+//                    manifest.
 //                    Idempotent: re-planning the same job reopens the same
 //                    directory, checkpoints intact.
 //   run_scan_worker — claim-and-run until the manifest drains (or a shard

@@ -52,10 +52,11 @@ std::uint64_t combination_rank(int n, const std::vector<int>& combo) {
   int prev = -1;
   for (int i = 0; i < k; ++i) {
     // Combinations starting with a smaller value at position i (and any
-    // admissible tail) all precede this one.
-    for (int v = prev + 1; v < combo[static_cast<std::size_t>(i)]; ++v)
-      rank += binomial(n - 1 - v, k - 1 - i);
-    prev = combo[static_cast<std::size_t>(i)];
+    // admissible tail) all precede this one: the sum over prev < v < c of
+    // C(n-1-v, k-1-i), which telescopes (hockey stick) to two binomials.
+    const int c = combo[static_cast<std::size_t>(i)];
+    rank += binomial(n - 1 - prev, k - i) - binomial(n - c, k - i);
+    prev = c;
   }
   return rank;
 }

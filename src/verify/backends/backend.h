@@ -47,8 +47,12 @@ struct BackendContext {
   int order = 1;  // full-depth rows are never reused; the memo skips them
 };
 
-/// Per-combination inputs of the row check, provided by the RowCheck layer.
+/// Per-combination inputs of the row check.  The Driver fills `checker` and
+/// `row` itself; the region fields come from the RowCheck layer and are
+/// only filled for engines whose registry entry has needs_region.
 struct RowCheckQuery {
+  const Checker* checker = nullptr;         // DIRECT
+  const RowContext* row = nullptr;          // DIRECT
   dd::Bdd violation_region;                 // ADD backends
   const ForbiddenRegion* region = nullptr;  // scan backends
   std::uint64_t* coefficients = nullptr;    // region lookups are counted here

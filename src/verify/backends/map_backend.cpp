@@ -9,10 +9,10 @@ namespace sani::verify {
 using spectral::FlatRowSet;
 using spectral::FlatSpectrum;
 
-MapBackend::MapBackend(const BackendContext& ctx, bool use_add)
+MapBackend::MapBackend(const BackendContext& ctx, Check check)
     : basis_(ctx.basis),
       manager_(ctx.manager),
-      use_add_(use_add),
+      check_(check),
       timers_(*ctx.timers),
       coefficients_(*ctx.coefficients),
       order_(ctx.order),
@@ -86,31 +86,43 @@ std::optional<Mask> MapBackend::check_rows(const RowCheckQuery& q) {
   obs::Span span("add_check");
   const RowSet& top = *stack_.back().rows;
   for (std::size_t r = 0; r < top.row_count(); ++r) {
-    if (use_add_) {
-      // The paper's MAPI step: W as an ADD, multiplied against the
-      // violation region T; a nonzero product is a witness.
-      dd::Add w = spectral::flat_to_add(
-          *manager_, basis_->vars.num_vars, top.row_masks(r),
-          top.row_coeffs(r), top.row_size(r), &add_scratch_,
-          arena_.stats_ptr());
-      dd::Bdd hit = w.nonzero() & q.violation_region;
-      Mask alpha;
-      if (hit.any_sat(&alpha)) return alpha;
-    } else {
-      // MAP verification = product of W with the materialized relation
-      // vector T: every forbidden coordinate is a binary search in the
-      // sorted row.
-      if (q.region->empty()) continue;
-      const Mask* masks = top.row_masks(r);
-      const std::int64_t* coeffs = top.row_coeffs(r);
-      const std::size_t n = top.row_size(r);
-      Mask witness;
-      if (q.region->find_violation(
-              [&](const Mask& a) {
-                return spectral::flat_at(masks, coeffs, n, a) != 0;
-              },
-              &witness, q.coefficients))
-        return witness;
+    const Mask* masks = top.row_masks(r);
+    const std::int64_t* coeffs = top.row_coeffs(r);
+    const std::size_t n = top.row_size(r);
+    switch (check_) {
+      case Check::kDirect:
+        // Every stored coefficient is nonzero, so W.T is nonzero iff one of
+        // them lies in the forbidden region; the sorted order makes the
+        // first hit the canonical witness.
+        for (std::size_t i = 0; i < n; ++i)
+          if (q.checker->coefficient_violates(masks[i], *q.row))
+            return masks[i];
+        break;
+      case Check::kAdd: {
+        // The paper's MAPI step: W as an ADD, multiplied against the
+        // violation region T; a nonzero product is a witness.
+        dd::Add w = spectral::flat_to_add(*manager_, basis_->vars.num_vars,
+                                          masks, coeffs, n, &add_scratch_,
+                                          arena_.stats_ptr());
+        dd::Bdd hit = w.nonzero() & q.violation_region;
+        Mask alpha;
+        if (hit.any_sat(&alpha)) return alpha;
+        break;
+      }
+      case Check::kRegion: {
+        // MAP verification = product of W with the materialized relation
+        // vector T: every forbidden coordinate is a binary search in the
+        // sorted row.
+        if (q.region->empty()) break;
+        Mask witness;
+        if (q.region->find_violation(
+                [&](const Mask& a) {
+                  return spectral::flat_at(masks, coeffs, n, a) != 0;
+                },
+                &witness, q.coefficients))
+          return witness;
+        break;
+      }
     }
   }
   return std::nullopt;

@@ -1,16 +1,21 @@
 #pragma once
-// Flat-spectrum backend (MAP and MAPI engines).
+// Flat-spectrum backend (MAP, MAPI and DIRECT engines).
 //
 // Convolution runs on the shared Basis' flat sorted spectra through a
 // ConvolutionArena: cross products are emitted into reusable scratch,
 // sorted, and collapsed into per-depth row-set slots, so the steady-state
 // combination scan performs zero heap allocations (ArenaStats makes the
-// claim testable).  Verification is either the scan product with the
-// materialized ForbiddenRegion, each coordinate resolved by binary search
-// over the sorted row (MAP), or the paper's symbolic ADD product (MAPI;
-// needs the manager).  For MAPI the Driver has already thawed the Basis'
-// frozen base-spectrum ADDs into the manager, so the per-row ADD rebuilds
-// hit a warm unique table.
+// claim testable).  The three engines differ only in the verification step:
+//
+//  * DIRECT — one pass over each row's nonzero coefficients, each tested
+//    with Checker::coefficient_violates; the witness is the first violating
+//    mask of the first violating row (the smallest in FlatSpectrum order).
+//    No region, no manager, no cap on the number of share coordinates.
+//  * MAP — the scan product with the materialized ForbiddenRegion, each
+//    coordinate resolved by binary search over the sorted row.
+//  * MAPI — the paper's symbolic ADD product (needs the manager).  The
+//    Driver has already thawed the Basis' frozen base-spectrum ADDs into
+//    the manager, so the per-row ADD rebuilds hit a warm unique table.
 
 #include "spectral/flat_spectrum.h"
 #include "verify/backends/backend.h"
@@ -20,7 +25,9 @@ namespace sani::verify {
 
 class MapBackend : public Backend {
  public:
-  MapBackend(const BackendContext& ctx, bool use_add);
+  enum class Check : std::uint8_t { kDirect, kRegion, kAdd };
+
+  MapBackend(const BackendContext& ctx, Check check);
 
   void prepare() override;
   void push(const std::vector<int>& path) override;
@@ -46,7 +53,7 @@ class MapBackend : public Backend {
 
   std::shared_ptr<const Basis> basis_;
   dd::Manager* manager_;  // MAPI verification only
-  bool use_add_;
+  Check check_;
   PhaseTimers& timers_;
   std::uint64_t& coefficients_;
   int order_;

@@ -15,15 +15,19 @@ std::unique_ptr<Backend> make_lil(const BackendContext& ctx) {
 }
 
 std::unique_ptr<Backend> make_map(const BackendContext& ctx) {
-  return std::make_unique<MapBackend>(ctx, /*use_add=*/false);
+  return std::make_unique<MapBackend>(ctx, MapBackend::Check::kRegion);
 }
 
 std::unique_ptr<Backend> make_mapi(const BackendContext& ctx) {
-  return std::make_unique<MapBackend>(ctx, /*use_add=*/true);
+  return std::make_unique<MapBackend>(ctx, MapBackend::Check::kAdd);
 }
 
 std::unique_ptr<Backend> make_fujita(const BackendContext& ctx) {
   return std::make_unique<FujitaBackend>(ctx);
+}
+
+std::unique_ptr<Backend> make_direct(const BackendContext& ctx) {
+  return std::make_unique<MapBackend>(ctx, MapBackend::Check::kDirect);
 }
 
 }  // namespace
@@ -32,20 +36,29 @@ const std::vector<BackendInfo>& backend_registry() {
   static const std::vector<BackendInfo> registry = {
       {EngineKind::kLIL, "lil",
        "list-of-lists convolution + list-scan verification [11]",
-       /*needs_thaw=*/false, /*needs_spectra=*/true, /*needs_lil=*/true,
-       /*frozen_fns=*/false, /*frozen_spectra=*/false, &make_lil},
+       /*needs_region=*/true, /*needs_thaw=*/false, /*needs_spectra=*/true,
+       /*needs_lil=*/true, /*frozen_fns=*/false, /*frozen_spectra=*/false,
+       &make_lil},
       {EngineKind::kMAP, "map",
        "hash-map convolution + map-scan verification",
-       /*needs_thaw=*/false, /*needs_spectra=*/true, /*needs_lil=*/false,
-       /*frozen_fns=*/false, /*frozen_spectra=*/false, &make_map},
+       /*needs_region=*/true, /*needs_thaw=*/false, /*needs_spectra=*/true,
+       /*needs_lil=*/false, /*frozen_fns=*/false, /*frozen_spectra=*/false,
+       &make_map},
       {EngineKind::kMAPI, "mapi",
        "hash-map convolution + ADD verification (the paper's method)",
-       /*needs_thaw=*/true, /*needs_spectra=*/true, /*needs_lil=*/false,
-       /*frozen_fns=*/false, /*frozen_spectra=*/true, &make_mapi},
+       /*needs_region=*/true, /*needs_thaw=*/true, /*needs_spectra=*/true,
+       /*needs_lil=*/false, /*frozen_fns=*/false, /*frozen_spectra=*/true,
+       &make_mapi},
       {EngineKind::kFUJITA, "fujita",
        "per-combination Fujita transform + ADD verification",
-       /*needs_thaw=*/true, /*needs_spectra=*/false, /*needs_lil=*/false,
-       /*frozen_fns=*/true, /*frozen_spectra=*/false, &make_fujita},
+       /*needs_region=*/true, /*needs_thaw=*/true, /*needs_spectra=*/false,
+       /*needs_lil=*/false, /*frozen_fns=*/true, /*frozen_spectra=*/false,
+       &make_fujita},
+      {EngineKind::kDIRECT, "direct",
+       "flat convolution + one coefficient-check pass per row (default)",
+       /*needs_region=*/false, /*needs_thaw=*/false, /*needs_spectra=*/true,
+       /*needs_lil=*/false, /*frozen_fns=*/false, /*frozen_spectra=*/false,
+       &make_direct},
   };
   return registry;
 }

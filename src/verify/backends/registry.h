@@ -18,8 +18,12 @@ namespace sani::verify {
 
 struct BackendInfo {
   EngineKind kind;
-  const char* name;     // CLI spelling ("lil", "map", "mapi", "fujita")
+  const char* name;     // CLI spelling ("lil", "map", "mapi", "fujita",
+                        // "direct")
   const char* summary;  // one-line description for --help / errors
+  bool needs_region;    // verification reads RowCheck's per-signature
+                        // region or predicate; false = the backend tests
+                        // each coefficient against the Checker directly
   bool needs_thaw;      // verification multiplies against predicate BDDs:
                         // the Driver creates a private dd::Manager and thaws
                         // the Basis' frozen forest into it (no unfolding
@@ -41,7 +45,7 @@ const BackendInfo& backend_info(EngineKind kind);
 /// Registry entry with CLI name `name`, or nullptr if unknown.
 const BackendInfo* backend_by_name(const std::string& name);
 
-/// "lil, map, mapi, fujita" — for usage text and error messages.
+/// "lil, map, mapi, fujita, direct" — for usage text and error messages.
 std::string backend_name_list();
 
 }  // namespace sani::verify

@@ -100,27 +100,10 @@ std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
   return basis;
 }
 
-BasisNeeds all_engine_needs() {
-  BasisNeeds needs;
-  needs.spectra = false;
-  for (const BackendInfo& info : backend_registry()) {
-    needs.spectra = needs.spectra || info.needs_spectra;
-    needs.lil = needs.lil || info.needs_lil;
-    needs.frozen_fns = needs.frozen_fns || info.frozen_fns;
-    needs.frozen_spectra = needs.frozen_spectra || info.frozen_spectra;
-  }
-  return needs;
-}
-
 std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
                                          const ObservableSet& observables,
                                          EngineKind engine) {
-  // The portfolio resolves its engine from predictors computed over the
-  // built Basis, so a kAuto build must serve whichever engine wins: carry
-  // the union of every backend's needs.
-  if (engine == EngineKind::kAuto)
-    return build_basis(unfolded, observables, all_engine_needs());
-  const BackendInfo& info = backend_info(engine);
+  const BackendInfo& info = backend_info(resolve_engine(engine));
   BasisNeeds needs;
   needs.spectra = info.needs_spectra;
   needs.lil = info.needs_lil;

@@ -1,10 +1,12 @@
 #pragma once
 // Spectral security conditions (per-coefficient and set-level).
 //
-// Shared by the scan engines (LIL/MAP iterate coefficients directly) and by
-// the driver's set-level union pass.  The ADD engines express the same
-// per-coefficient conditions as predicate BDDs (predicate.h); tests assert
-// the two formulations agree coefficient-by-coefficient.
+// Shared by the DIRECT engine (which tests every nonzero coefficient of a
+// row with coefficient_violates), the paper's scan engines (LIL/MAP
+// enumerate a ForbiddenRegion) and the driver's set-level union pass.  The
+// ADD engines express the same per-coefficient conditions as predicate BDDs
+// (predicate.h); tests assert the formulations agree coefficient by
+// coefficient.
 
 #include <set>
 #include <string>

@@ -17,6 +17,7 @@ Driver::Driver(std::shared_ptr<const Basis> basis,
                const VerifyOptions& options, sched::CancelToken* cancel)
     : basis_(std::move(basis)),
       options_(options),
+      needs_region_(backend_info(options.engine).needs_region),
       manager_(backend_info(options.engine).needs_thaw
                    ? std::make_unique<dd::Manager>(basis_->vars.num_vars,
                                                    options.cache_bits)
@@ -214,7 +215,10 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
 
 std::optional<Driver::CheckFailure> Driver::check_current_impl() {
   const RowContext row = context_for_path();
-  RowCheckQuery q = rowcheck_.query(row, &stats_.coefficients);
+  RowCheckQuery q;
+  if (needs_region_) q = rowcheck_.query(row, &stats_.coefficients);
+  q.checker = &rowcheck_.checker();
+  q.row = &row;
 
   if (auto alpha = backend_->check_rows(q)) {
     return CheckFailure{*alpha,

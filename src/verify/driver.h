@@ -192,6 +192,7 @@ class Driver {
 
   std::shared_ptr<const Basis> basis_;
   const VerifyOptions& options_;
+  bool needs_region_;  // the backend reads RowCheck::query's region
   std::unique_ptr<dd::Manager> manager_;  // ADD engines: private thaw target
   double thaw_seconds_ = 0.0;
   std::vector<dd::Add> thawed_;  // handles over the thawed frozen roots

@@ -20,15 +20,11 @@ VerifyResult verify_basis(std::shared_ptr<const Basis> basis,
   if (options.order < 1)
     throw std::invalid_argument("verify: order must be >= 1");
   if (options.engine == EngineKind::kAuto) {
-    // Resolve the portfolio choice before any engine-dependent construction:
-    // the Driver holds the options by reference and the backend registry has
-    // no kAuto entry, so an unresolved kAuto must never reach either.
-    PortfolioStats pstats;
-    const VerifyOptions resolved = resolve_portfolio(*basis, options, &pstats);
-    VerifyResult result =
-        verify_basis(std::move(basis), resolved, cancel, ctx);
-    result.stats.portfolio = pstats;
-    return result;
+    // Resolve before any engine-dependent construction: the Driver holds
+    // the options by reference and the backend registry has no kAuto entry.
+    VerifyOptions resolved = options;
+    resolved.engine = resolve_engine(options.engine);
+    return verify_basis(std::move(basis), resolved, cancel, ctx);
   }
   if (options.jobs != 1) {
     // The Basis is manager-independent for every engine (the ADD engines'
@@ -76,18 +72,22 @@ VerifyResult verify_prepared(const circuit::Unfolded& unfolded,
   return verify_prepared(unfolded, observables, options);
 }
 
+circuit::Unfolded unfold_for(const circuit::Gadget& gadget,
+                             const VerifyOptions& options) {
+  // DIRECT verifies without a manager, so only the unfolding needs one:
+  // size its table from the netlist.  The paper's engines keep the
+  // configured size (their baseline columns stay comparable).
+  const int bits = resolve_engine(options.engine) == EngineKind::kDIRECT
+                       ? suggest_unfold_cache_bits(gadget, options.cache_bits)
+                       : options.cache_bits;
+  circuit::Unfolded unfolded = circuit::unfold(gadget, bits, options.var_order);
+  if (options.sift_after_unfold) unfolded.manager->reorder_sift();
+  return unfolded;
+}
+
 VerifyResult verify(const circuit::Gadget& gadget,
                     const VerifyOptions& options) {
-  // Under the portfolio the unfolding manager is right-sized too — before a
-  // Basis exists, from netlist structure alone.  Forced engines keep the
-  // configured size (the baseline columns stay comparable).
-  const int unfold_bits =
-      options.engine == EngineKind::kAuto
-          ? suggest_unfold_cache_bits(gadget, options.cache_bits)
-          : options.cache_bits;
-  circuit::Unfolded unfolded =
-      circuit::unfold(gadget, unfold_bits, options.var_order);
-  if (options.sift_after_unfold) unfolded.manager->reorder_sift();
+  const circuit::Unfolded unfolded = unfold_for(gadget, options);
   ObservableSet obs = build_observables(gadget, unfolded, options.probes);
   return verify_prepared(unfolded, obs, options);
 }

@@ -4,17 +4,19 @@
 // Pipeline: unfold the circuit (probes as BDDs) -> enumerate combinations of
 // outputs/probes up to size d -> compute the Walsh spectrum of every
 // XOR-combination (convolution of base spectra, or a direct Fujita
-// transform) -> test the interference predicate.  Four interchangeable
-// engines implement the representation choices compared in Tables I/II:
+// transform) -> test the interference predicate.  Five interchangeable
+// engines: the production default and the four representation choices the
+// paper compares in Tables I/II:
 //
+//   DIRECT — flat convolution, one coefficient-check pass per row (default;
+//            `auto` resolves to it)
 //   LIL    — list-of-lists spectra, list-scan verification  (TCHES'20 [11])
-//   MAP    — hash-map spectra, map-scan verification
-//   MAPI   — hash-map convolution + ADD verification        (the paper)
+//   MAP    — flat spectra, map-scan verification
+//   MAPI   — flat convolution + ADD verification            (the paper)
 //   FUJITA — per-combination Fujita transform + ADD verification
 //
-// All four return identical verdicts (asserted by the cross-engine tests);
-// they differ only in where the time goes, which is exactly what the
-// paper's evaluation measures.
+// All five return identical verdicts and witness combinations (asserted by
+// the cross-engine tests); they differ only in where the time goes.
 
 #include "circuit/spec.h"
 #include "circuit/unfold.h"
@@ -27,6 +29,13 @@ class CancelToken;
 }
 
 namespace sani::verify {
+
+/// The unfolding verify() runs: the configured variable order and sifting,
+/// and for DIRECT (which owns no verification manager) a computed table
+/// sized from the netlist (suggest_unfold_cache_bits); the paper's engines
+/// keep options.cache_bits.
+circuit::Unfolded unfold_for(const circuit::Gadget& gadget,
+                             const VerifyOptions& options);
 
 /// Unfolds `gadget`, builds the observable universe and decides the notion.
 /// With options.jobs != 1 this dispatches to the sharded parallel runtime

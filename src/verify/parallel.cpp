@@ -17,7 +17,6 @@
 #include "verify/driver.h"
 #include "verify/incremental.h"
 #include "verify/partial.h"
-#include "verify/portfolio.h"
 
 namespace sani::verify {
 
@@ -225,11 +224,9 @@ VerifyResult verify_parallel(const PrepareFn& prepare,
       build_basis(first.unfolded, first.observables, options.engine);
   // kAuto must resolve before any Driver exists: the registry carries no
   // kAuto entry, and the workers copy their engine from the options.
-  PortfolioStats pstats;
-  const VerifyOptions resolved = resolve_portfolio(*basis, options, &pstats);
-  VerifyResult result = run_pool(std::move(basis), resolved);
-  if (pstats.active) result.stats.portfolio = pstats;
-  return result;
+  VerifyOptions resolved = options;
+  resolved.engine = resolve_engine(options.engine);
+  return run_pool(std::move(basis), resolved);
 }
 
 VerifyResult verify_parallel_basis(std::shared_ptr<const Basis> basis,

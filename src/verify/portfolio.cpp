@@ -3,136 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/combinations.h"
-
 namespace sani::verify {
 
-namespace {
-
-// Cost-model constants, calibrated on the committed bench_table1 gadget set
-// (see DESIGN.md Sec. 12 for the measured decision table).  They encode
-// relative per-unit costs, not absolute times, so the decisions are stable
-// across machines.
-
-// Relative cost of one make()/cache probe in the per-row ADD rebuild vs one
-// binary-search probe of a materialized region cell.
-constexpr double kAddCostFactor = 6.0;
-// Row-size pivot between the LIL list container and the flat merge path:
-// below it the sorted-list insertion convolution is as good as the merge
-// kernel and the simpler container wins by constant factor.
-constexpr double kLilRowPivot = 48.0;
-// Cap on the modelled region cell count (2^share_positions explodes long
-// before the checker would materialize such a region).
-constexpr double kMaxRegionBits = 30.0;
-
-double exp2_capped(double bits, double cap) {
-  return std::exp2(std::min(bits, cap));
-}
-
-}  // namespace
-
-Predictors compute_predictors(const Basis& basis,
-                              const VerifyOptions& options) {
-  Predictors p;
-  p.observables = basis.size();
-  p.order = options.order;
-  p.num_vars = basis.vars.num_vars;
-  p.combinations = count_combinations_up_to(static_cast<int>(basis.size()),
-                                            options.order);
-  p.base_coefficients = basis.base_coefficients;
-  p.share_positions = static_cast<std::uint64_t>(
-      basis.vars.share_vars.popcount());
-  p.frozen_nodes = basis.frozen.node_count();
-  for (const ObservableInfo& o : basis.obs) {
-    p.total_subsets += o.num_subsets;
-    p.max_cone_width = std::max<std::uint64_t>(p.max_cone_width,
-                                               o.num_subsets);
-  }
-  if (p.total_subsets > 0)
-    p.mean_spectrum_size = static_cast<double>(p.base_coefficients) /
-                           static_cast<double>(p.total_subsets);
-  p.density = p.mean_spectrum_size /
-              exp2_capped(static_cast<double>(p.num_vars), 40.0);
-  return p;
-}
-
-EngineKind choose_engine(const Predictors& p) {
-  // Predicted size of a fully convolved row: each of the `order` convolution
-  // steps multiplies supports, bounded by the cube over all variables.
-  double row = std::max(1.0, p.mean_spectrum_size);
-  for (int k = 1; k < p.order; ++k)
-    row = std::min(row * std::max(1.0, p.mean_spectrum_size),
-                   exp2_capped(static_cast<double>(p.num_vars), 40.0));
-
-  // Scan verification cost per combination: one sorted-row probe per cell
-  // of the materialized forbidden region, whose size scales with the number
-  // of share positions the notion forbids.
-  const double region_cells =
-      exp2_capped(static_cast<double>(p.share_positions), kMaxRegionBits);
-  const double scan_cost = region_cells * std::log2(row + 2.0);
-
-  // ADD verification cost per combination: rebuild the row diagram (~one
-  // make()/cache probe per entry per level) and multiply against the
-  // predicate — the region never gets materialized.
-  const double add_cost =
-      row * static_cast<double>(p.num_vars + 1) * kAddCostFactor;
-
-  if (add_cost < scan_cost) return EngineKind::kMAPI;
-  // Among the scan engines: tiny rows favor the simple sorted-list
-  // container, larger rows the flat merge kernel with binary-search checks.
-  return row <= kLilRowPivot ? EngineKind::kLIL : EngineKind::kMAP;
-}
-
-int suggest_cache_bits(const Predictors& p, int ceiling) {
-  // Size the computed table to the expected diagram traffic: thawing the
-  // frozen forest plus per-combination rebuilds touch a few slots per node
-  // and per coefficient.  A fixed 2^18-entry table costs ~0.5 ms just to
-  // zero — more than an entire small-gadget verification.
-  const double work = static_cast<double>(p.frozen_nodes) * 4.0 +
-                      static_cast<double>(p.base_coefficients) +
-                      static_cast<double>(p.num_vars) * 64.0 + 1024.0;
-  const int bits = static_cast<int>(std::ceil(std::log2(work)));
-  return std::clamp(bits, 10, std::max(10, ceiling));
-}
-
 int suggest_unfold_cache_bits(const circuit::Gadget& gadget, int ceiling) {
-  // Before any Basis exists, only netlist structure is available: unfolding
-  // performs O(gates) apply operations, each touching O(live nodes) cache
-  // slots, with live nodes roughly gates * inputs for these workloads.
+  // Unfolding performs O(gates) apply operations, each touching O(live
+  // nodes) cache slots, with live nodes roughly gates * inputs for these
+  // workloads.
   const circuit::NetlistStats s = gadget.netlist.stats();
   const double work = static_cast<double>(s.num_gates) *
                           static_cast<double>(s.num_inputs + 1) * 16.0 +
                       1024.0;
   const int bits = static_cast<int>(std::ceil(std::log2(work)));
   return std::clamp(bits, 10, std::max(10, ceiling));
-}
-
-PortfolioStats make_portfolio_stats(const Predictors& p,
-                                    const VerifyOptions& resolved) {
-  PortfolioStats s;
-  s.active = true;
-  s.chosen = resolved.engine;
-  s.cache_bits = resolved.cache_bits;
-  s.observables = p.observables;
-  s.combinations = p.combinations;
-  s.base_coefficients = p.base_coefficients;
-  s.max_cone_width = p.max_cone_width;
-  s.share_positions = p.share_positions;
-  s.mean_spectrum_size = p.mean_spectrum_size;
-  s.density = p.density;
-  return s;
-}
-
-VerifyOptions resolve_portfolio(const Basis& basis,
-                                const VerifyOptions& options,
-                                PortfolioStats* out_stats) {
-  if (options.engine != EngineKind::kAuto) return options;
-  const Predictors p = compute_predictors(basis, options);
-  VerifyOptions resolved = options;
-  resolved.engine = choose_engine(p);
-  resolved.cache_bits = suggest_cache_bits(p, options.cache_bits);
-  if (out_stats) *out_stats = make_portfolio_stats(p, resolved);
-  return resolved;
 }
 
 }  // namespace sani::verify

@@ -1,69 +1,19 @@
 #pragma once
-// Adaptive engine portfolio (the `--engine auto` front-end).
+// Computed-table sizing for the unfolding manager of the default engine.
 //
-// No single engine wins everywhere: the ADD verification step (MAPI)
-// dominates on gadgets whose forbidden regions are huge (keccak-class,
-// where a scan engine must binary-search thousands of region cells per
-// combination), while the scan engines win on the small gadgets where
-// per-combination manager traffic is pure overhead.  The portfolio picks
-// the engine per gadget from cheap structural predictors that are already
-// known once the Basis is prepared — spectrum density, probe count, cone
-// width, combination count — plus, independently, an adaptive computed-
-// table size: the fixed 2^18-entry table costs more to zero than an entire
-// small-gadget verification, so kAuto also right-sizes cache_bits from the
-// same predictors (forced engines keep their configured size, which keeps
-// the LIL baseline column and the cross-engine equality tests meaningful).
-//
-// Everything here is a pure function of the Basis/netlist and the options:
-// no wall clock, no randomness — the choice is deterministic (tested), so
-// verdict/witness equality with every forced engine follows from the
-// existing cross-engine tests.
+// DIRECT verifies on flat spectra and owns no decision-diagram manager, so
+// the only diagram work of a default run is the unfolding.  A fixed
+// 2^18-entry table costs more to zero than a whole small-gadget
+// verification; the table is sized from netlist structure instead.  The
+// paper's engines keep their configured size.  A pure function of the
+// netlist: no wall clock, no randomness.
 
 #include "circuit/spec.h"
-#include "verify/basis.h"
-#include "verify/types.h"
 
 namespace sani::verify {
 
-/// The cost-model inputs.  All cheap: O(observables) over prepared data.
-struct Predictors {
-  std::size_t observables = 0;
-  int order = 1;
-  int num_vars = 0;
-  std::uint64_t combinations = 0;      // sum_{k<=order} C(observables, k)
-  std::uint64_t base_coefficients = 0;
-  std::uint64_t total_subsets = 0;     // sum of per-observable XOR-subsets
-  std::uint64_t max_cone_width = 0;    // max XOR-subsets of one observable
-  std::uint64_t share_positions = 0;   // popcount of the share coordinates
-  std::size_t frozen_nodes = 0;
-  double mean_spectrum_size = 0.0;     // base_coefficients / total_subsets
-  double density = 0.0;                // mean size / 2^min(num_vars, 40)
-};
-
-/// Computes the predictors from a prepared Basis (any engine's Basis works;
-/// only metadata and counters are read).
-Predictors compute_predictors(const Basis& basis, const VerifyOptions& options);
-
-/// The cost model: picks the engine with the lowest predicted total cost.
-EngineKind choose_engine(const Predictors& p);
-
-/// Adaptive computed-table sizing for the verification manager, bounded by
-/// the configured `ceiling` (the user's --cache-bits stays an upper bound).
-int suggest_cache_bits(const Predictors& p, int ceiling);
-
-/// Same, for the unfolding manager — used before a Basis exists, from the
-/// netlist's structural stats alone.
+/// Computed-table bits for unfolding `gadget`, bounded by the configured
+/// `ceiling` (the user's --cache-bits stays an upper bound).
 int suggest_unfold_cache_bits(const circuit::Gadget& gadget, int ceiling);
-
-/// Fills the report record from a resolution.
-PortfolioStats make_portfolio_stats(const Predictors& p,
-                                    const VerifyOptions& resolved);
-
-/// Resolves kAuto into a concrete engine + cache size; returns `options`
-/// unchanged when the engine is already forced.  `out_stats` (optional)
-/// receives the record for the report.
-VerifyOptions resolve_portfolio(const Basis& basis,
-                                const VerifyOptions& options,
-                                PortfolioStats* out_stats);
 
 }  // namespace sani::verify

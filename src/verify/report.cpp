@@ -59,15 +59,6 @@ VerifyResult strip_timing(const VerifyResult& result) {
   return out;
 }
 
-/// "auto:MAPI"-style engine label: the resolved choice is what ran, but the
-/// report should still say the portfolio made the call.
-std::string engine_label(const VerifyOptions& options,
-                         const VerifyResult& result) {
-  if (result.stats.portfolio.active)
-    return std::string("auto:") + engine_name(result.stats.portfolio.chosen);
-  return engine_name(options.engine);
-}
-
 }  // namespace
 
 std::string decode_alpha(const circuit::Gadget& gadget,
@@ -96,7 +87,7 @@ std::string summarize(const std::string& gadget_name,
     os << " is " << options.order << "-" << notion_name(options.notion);
   else
     os << " is NOT " << options.order << "-" << notion_name(options.notion);
-  os << " (engine " << engine_label(options, result) << ", "
+  os << " (engine " << engine_name(resolve_engine(options.engine)) << ", "
      << result.stats.num_observables << " observables, "
      << result.stats.combinations << " combinations, ";
   // Resolved worker count (after --jobs 0 expands to the hardware
@@ -159,21 +150,6 @@ void export_metrics(const VerifyOptions& options, const VerifyResult& result,
     m.counter("incremental.combinations_rechecked")
         .set(s.incremental.combinations_rechecked);
   }
-  if (s.portfolio.active) {
-    const PortfolioStats& p = s.portfolio;
-    m.counter(std::string("portfolio.chosen.") + engine_name(p.chosen)).set(1);
-    m.counter("portfolio.cache_bits")
-        .set(static_cast<std::uint64_t>(p.cache_bits));
-    m.counter("portfolio.predictors.observables").set(p.observables);
-    m.counter("portfolio.predictors.combinations").set(p.combinations);
-    m.counter("portfolio.predictors.base_coefficients")
-        .set(p.base_coefficients);
-    m.counter("portfolio.predictors.max_cone_width").set(p.max_cone_width);
-    m.counter("portfolio.predictors.share_positions").set(p.share_positions);
-    m.gauge("portfolio.predictors.mean_spectrum_size")
-        .set(p.mean_spectrum_size);
-    m.gauge("portfolio.predictors.density").set(p.density);
-  }
   for (const auto& name : s.timers.names())
     m.gauge("phase." + name + ".seconds").set(s.timers.get(name));
 }
@@ -189,7 +165,8 @@ std::string json_report(const std::string& gadget_name,
   os << "\"gadget\":\"" << json_escape(gadget_name) << "\",";
   os << "\"notion\":\"" << notion_name(options.notion) << "\",";
   os << "\"order\":" << options.order << ",";
-  os << "\"engine\":\"" << engine_name(options.engine) << "\",";
+  os << "\"engine\":\"" << engine_name(resolve_engine(options.engine))
+     << "\",";
   os << "\"robust\":" << (options.probes.glitch_robust ? "true" : "false")
      << ",";
   os << "\"secure\":" << (result.secure ? "true" : "false") << ",";
@@ -218,18 +195,6 @@ std::string json_report(const std::string& gadget_name,
        << ",\"combinations_skipped\":" << inc.combinations_skipped
        << ",\"combinations_rechecked\":" << inc.combinations_rechecked
        << "},";
-  }
-  if (result.stats.portfolio.active) {
-    const PortfolioStats& p = result.stats.portfolio;
-    os << "\"portfolio\":{\"chosen\":\"" << engine_name(p.chosen)
-       << "\",\"cache_bits\":" << p.cache_bits
-       << ",\"predictors\":{\"observables\":" << p.observables
-       << ",\"combinations\":" << p.combinations
-       << ",\"base_coefficients\":" << p.base_coefficients
-       << ",\"max_cone_width\":" << p.max_cone_width
-       << ",\"share_positions\":" << p.share_positions
-       << ",\"mean_spectrum_size\":" << p.mean_spectrum_size
-       << ",\"density\":" << p.density << "}},";
   }
   {
     const std::uint64_t lookups =
@@ -323,7 +288,7 @@ std::string detailed_report(const circuit::Gadget& gadget,
   std::ostringstream os;
   os << "gadget: " << gadget.netlist.name() << "\n";
   os << "notion: " << options.order << "-" << notion_name(options.notion)
-     << "  engine: " << engine_label(options, result) << "\n";
+     << "  engine: " << engine_name(resolve_engine(options.engine)) << "\n";
   os << "observables: " << result.stats.num_observables
      << "  combinations: " << result.stats.combinations
      << "  coefficients: " << result.stats.coefficients << "\n";
@@ -349,13 +314,6 @@ std::string detailed_report(const circuit::Gadget& gadget,
        << " combinations replayed, "
        << result.stats.incremental.combinations_rechecked
        << " re-checked\n";
-  if (result.stats.portfolio.active) {
-    const PortfolioStats& p = result.stats.portfolio;
-    os << "portfolio: chose " << engine_name(p.chosen) << " (cache 2^"
-       << p.cache_bits << "), mean spectrum " << p.mean_spectrum_size
-       << ", share positions " << p.share_positions << ", combinations "
-       << p.combinations << "\n";
-  }
   if (result.stats.dd_cache_hits + result.stats.dd_cache_misses > 0) {
     os << "dd manager: " << result.stats.dd_cache_hits << " cache hits / "
        << result.stats.dd_cache_misses << " misses (2^"

@@ -40,11 +40,18 @@ enum class EngineKind : std::uint8_t {
   kMAP,     // flat convolution + map-scan verification
   kMAPI,    // flat convolution + ADD verification (the paper's method)
   kFUJITA,  // per-combination Fujita transform + ADD verification
-  kAuto,    // portfolio front-end: a cost model over cheap structural
-            // predictors resolves one of the engines above per gadget
-            // (verify/portfolio.h) before the Driver is built; never
-            // reaches the backend registry unresolved
+  kAuto,    // the default: resolves to kDIRECT (resolve_engine) before any
+            // engine-dependent construction; never reaches the backend
+            // registry unresolved
+  kDIRECT,  // flat convolution + one coefficient-check pass per row (the
+            // production path; beyond the paper)
 };
+
+/// The engine `e` runs as: kAuto resolves to kDIRECT, every other kind to
+/// itself.  Every site that builds engine-dependent state resolves here.
+constexpr EngineKind resolve_engine(EngineKind e) {
+  return e == EngineKind::kAuto ? EngineKind::kDIRECT : e;
+}
 
 const char* engine_name(EngineKind e);
 
@@ -75,7 +82,7 @@ struct ProbeModelOptions {
 struct VerifyOptions {
   Notion notion = Notion::kSNI;
   int order = 1;  // d: maximum number of observations
-  EngineKind engine = EngineKind::kMAPI;
+  EngineKind engine = EngineKind::kAuto;
   ProbeModelOptions probes;
 
   /// Also run the set-level union check (rigorous NI/SNI/PINI semantics,
@@ -198,24 +205,6 @@ struct ParallelStats {
   std::vector<WorkerStats> workers;
 };
 
-/// Structural predictors the portfolio front-end feeds its cost model —
-/// every input is a pure function of the prepared Basis and the options
-/// (no wall clock, no randomness), so the choice is deterministic and
-/// byte-stable across runs.  Recorded in the report whether or not the
-/// portfolio was active, zero-initialized otherwise.
-struct PortfolioStats {
-  bool active = false;          // options.engine was kAuto
-  EngineKind chosen = EngineKind::kMAPI;  // resolved engine
-  int cache_bits = 0;           // adaptive computed-table sizing it picked
-  std::uint64_t observables = 0;
-  std::uint64_t combinations = 0;     // sum_{k<=order} C(observables, k)
-  std::uint64_t base_coefficients = 0;
-  std::uint64_t max_cone_width = 0;   // max XOR-subsets of one observable
-  std::uint64_t share_positions = 0;  // share coordinates of the gadget
-  double mean_spectrum_size = 0.0;    // coefficients per base subset
-  double density = 0.0;               // mean size / 2^num_vars (capped)
-};
-
 /// Counters of the diff-aware incremental scan (active only when
 /// VerifyOptions::incremental ran against an artifact store).  The scan's
 /// verdict/witness/report bytes are incremental-invariant; these counters
@@ -263,7 +252,6 @@ struct VerifyStats {
                                     // property the tests assert
   std::uint64_t arena_peak_bytes = 0;  // max arena footprint per worker
   IncrementalStats incremental;     // diff-aware scan record (--incremental)
-  PortfolioStats portfolio;         // engine-selection record (kAuto runs)
   PhaseTimers timers;               // thaw / base / convolution /
                                     // verification / union (summed across
                                     // workers when parallel)

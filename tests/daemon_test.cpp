@@ -165,7 +165,7 @@ class Client {
 verify::VerifyOptions daemon_default_options(int order) {
   verify::VerifyOptions opt;
   opt.notion = verify::Notion::kSNI;
-  opt.engine = verify::backend_by_name("mapi")->kind;
+  opt.engine = verify::EngineKind::kAuto;
   opt.order = order;
   opt.probes.glitch_robust = false;
   opt.joint_share_count = false;
@@ -185,9 +185,7 @@ std::string expected_cli_stdout(const circuit::Gadget& gadget,
                                 const std::string& label,
                                 const verify::VerifyOptions& opt,
                                 bool json_format = false) {
-  circuit::Unfolded unfolded =
-      circuit::unfold(gadget, opt.cache_bits, opt.var_order);
-  if (opt.sift_after_unfold) unfolded.manager->reorder_sift();
+  const circuit::Unfolded unfolded = verify::unfold_for(gadget, opt);
   verify::ObservableSet observables =
       verify::build_observables(gadget, unfolded, opt.probes);
   verify::VerifyResult result = verify::verify_basis(
@@ -547,7 +545,7 @@ TEST(Protocol, ParseRequestAppliesCliDefaults) {
   ASSERT_EQ(req.op, daemon::Op::kVerify);
   const verify::VerifyOptions& o = req.verify.options;
   EXPECT_EQ(o.notion, verify::Notion::kSNI);
-  EXPECT_EQ(o.engine, verify::backend_by_name("mapi")->kind);
+  EXPECT_EQ(o.engine, verify::EngineKind::kAuto);
   EXPECT_EQ(o.order, 0);  // 0 = resolve from the gadget's design order
   EXPECT_TRUE(o.union_check);
   EXPECT_FALSE(o.probes.glitch_robust);

@@ -465,7 +465,7 @@ TEST(SummarySerial, RejectsAlienFraming) {
   opt.order = 1;
   const std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
   const std::string basis_image =
-      serialize_basis(*basis, verify::all_engine_needs());
+      serialize_basis(*basis, needs_for_engine(opt.engine));
   EXPECT_THROW(deserialize_summary(basis_image), SerializationError);
   // And symmetrically: a summary image never loads as a Basis.
   TempDir dir("alien");

@@ -85,7 +85,7 @@ std::string scan_report(const std::string& name, int order,
   for (const WorkerOptions& w : workers) run_scan_worker(scan, &store, w);
   EXPECT_TRUE(scan.drained());
   const verify::VerifyResult r = finalize_scan(scan, &store);
-  // Render under the manifest's canonical (portfolio-resolved) options —
+  // Render under the manifest's canonical (engine-resolved) options —
   // exactly what `sani scan --finalize` prints.
   verify::VerifyOptions ropt = scan.manifest().options;
   ropt.deterministic_report = true;

@@ -228,6 +228,7 @@ TEST(Serial, BasisRoundTripSiftedOrderAndRobustModel) {
 TEST(Serial, RejectsTamperedImages) {
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
+  opt.engine = verify::EngineKind::kMAPI;  // an image with a frozen forest
   std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
   const std::string image = serialize_basis(*basis, needs_of(opt.engine));
   ASSERT_NE(deserialize_basis(image), nullptr);
@@ -374,6 +375,7 @@ TEST(Serial, V1ArtifactsStillDeserialize) {
 TEST(Store, V1ArtifactsLoadQuarantineFree) {
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
+  opt.engine = verify::EngineKind::kMAPI;  // an image with a frozen forest
   std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
   const std::string v1 =
       downgrade_image_to_v1(serialize_basis(*basis, needs_of(opt.engine)));
@@ -408,6 +410,7 @@ TEST(Serial, Sha256KnownAnswers) {
 TEST(Store, CorruptTruncatedAndVersionBumpedObjectsAreCleanMisses) {
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
+  opt.engine = verify::EngineKind::kMAPI;  // an image with a frozen forest
   std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
   const std::string image = serialize_basis(*basis, needs_of(opt.engine));
 

@@ -74,12 +74,10 @@ int usage(const std::string& msg = "") {
       "  --notion probing|ni|sni|pini   security notion (default sni)\n"
       "  --order D                      number of observations (default:\n"
       "                                 the gadget's design order, or 1)\n"
-      "  --engine NAME                  implementation (default mapi); one\n"
-      "                                 of: " +
-          verify::backend_name_list() +
-          ", or auto (portfolio picks\n"
-      "                                 the engine per gadget from cheap\n"
-      "                                 structural predictors)\n"
+      "  --engine NAME                  implementation: auto (default;\n"
+      "                                 runs direct) or one of\n"
+      "                                 " +
+          verify::backend_name_list() + "\n"
       "  --robust                       glitch-extended probes\n"
       "  --joint                        total share counting (paper Fig. 2)\n"
       "  --no-union                     per-row T-predicate check only\n"
@@ -185,7 +183,7 @@ verify::VerifyOptions options_from(const CliArgs& args) {
   else if (notion == "pini") opt.notion = verify::Notion::kPINI;
   else throw std::invalid_argument("unknown notion '" + notion + "'");
 
-  const std::string engine = args.value_or("engine", "mapi");
+  const std::string engine = args.value_or("engine", "auto");
   if (engine == "auto")
     opt.engine = verify::EngineKind::kAuto;
   else if (const verify::BackendInfo* info = verify::backend_by_name(engine))
@@ -194,7 +192,7 @@ verify::VerifyOptions options_from(const CliArgs& args) {
     throw std::invalid_argument("unknown engine '" + engine +
                                 "' (registered engines: " +
                                 verify::backend_name_list() +
-                                ", or 'auto' for the portfolio)");
+                                ", or 'auto' for the default)");
 
   opt.order = args.value_int("order", default_order(args));
   opt.sift_after_unfold = args.has("sift");

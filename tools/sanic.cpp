@@ -39,7 +39,8 @@ int usage(const std::string& msg = "") {
          "       sanic --socket PATH --stats | --ping | --metrics | "
          "--shutdown\n"
          "  verify options (mirroring sani): --notion NAME --order D\n"
-         "  --engine NAME --robust --joint --no-union --time-limit S\n"
+         "  --engine NAME (default auto = direct) --robust --joint\n"
+         "  --no-union --time-limit S\n"
          "  --jobs N --memo N --cache-bits N --var-order NAME --sift\n"
          "  --largest-first --format text|json --deterministic-report\n"
          "  --priority N             admission priority (higher runs "
