@@ -96,8 +96,6 @@ Request parse_request(const std::string& line) {
   o.time_limit = root->get_number("time_limit", 0.0);
   if (o.time_limit < 0) throw std::invalid_argument("'time_limit' < 0");
   o.jobs = checked_int(*root, "jobs", 1, 0, 4096);
-  o.memo_capacity = static_cast<std::int64_t>(
-      root->get_number("memo", 64.0));
   o.cache_bits = checked_int(*root, "cache_bits", o.cache_bits, 1, 30);
   o.var_order = var_order_from(root->get_string("var_order", "declared"));
   o.sift_after_unfold = root->get_bool("sift", false);
@@ -123,7 +121,7 @@ std::string job_digest(const VerifyRequest& request,
   const verify::VerifyOptions& o = request.options;
   std::ostringstream material;
   // Everything the result frame depends on beyond the artifact key.  jobs /
-  // memo / cache_bits / search order are verdict-neutral but shape the
+  // cache_bits / search order are verdict-neutral but shape the
   // report's stats fields, so they are part of the job identity — deduped
   // waiters receive one shared report and it must be the right one for each
   // of them.
@@ -134,7 +132,6 @@ std::string job_digest(const VerifyRequest& request,
            << "joint:" << o.joint_share_count << '\n'
            << "time_limit:" << o.time_limit << '\n'
            << "jobs:" << o.jobs << '\n'
-           << "memo:" << o.memo_capacity << '\n'
            << "cache_bits:" << o.cache_bits << '\n'
            << "largest_first:"
            << (o.search_order == verify::SearchOrder::kLargestFirst) << '\n'

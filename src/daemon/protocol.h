@@ -11,7 +11,7 @@
 //
 //   {"op":"verify", "gadget":"dom-2" | "ilang":"<netlist text>", ...}
 //       Options mirror the sani CLI flag for flag: notion, order, engine,
-//       robust, joint, union, time_limit, jobs, memo, cache_bits,
+//       robust, joint, union, time_limit, jobs, cache_bits,
 //       var_order, sift, largest_first, format ("text"|"json"),
 //       deterministic (bool), incremental (bool) and priority (int; higher
 //       runs first).  Omitted fields take the sani defaults, so a bare
@@ -23,7 +23,7 @@
 //       to seed from or save to).
 //       "scan":true routes the job through the checkpointable manifest
 //       scan (store/scan.h): resumable across daemon restarts, same
-//       report bytes for secure gadgets under "deterministic":true.
+//       report bytes as a plain verify under "deterministic":true.
 //   {"op":"stats"}     registry dump + daemon/queue/store counters; a
 //                      store-backed daemon appends a "scans" array with
 //                      each scan directory's manifest state (shards done /

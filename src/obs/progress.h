@@ -2,9 +2,9 @@
 // Live progress heartbeat for the enumeration loops.
 //
 // A Progress object carries one relaxed-atomic "combinations checked"
-// counter that every worker ticks (serial engines and the sharded parallel
-// runtime alike — a relaxed fetch_add is safe and cheap from any number of
-// threads), and an optional sampling thread that prints
+// counter that every worker ticks (the in-process shard executor and the
+// scan worker alike — a relaxed fetch_add is safe and cheap from any number
+// of threads), and an optional sampling thread that prints
 //
 //     checked/total (pct%) rate=N/s eta=Ss
 //

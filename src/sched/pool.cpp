@@ -21,11 +21,13 @@ struct Pool::Impl {
     std::deque<std::size_t> tasks;
   };
 
+  // Worker 0 is the thread that calls run(); only workers 1..n-1 are
+  // spawned, so a one-worker pool owns no thread at all.
   explicit Impl(int n) : nthreads(n) {
     deques.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) deques.push_back(std::make_unique<TaskDeque>());
-    workers.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
+    workers.reserve(static_cast<std::size_t>(n - 1));
+    for (int i = 1; i < n; ++i)
       workers.emplace_back([this, i] { worker_loop(i); });
   }
 
@@ -65,6 +67,26 @@ struct Pool::Impl {
     return false;
   }
 
+  /// Runs tasks as worker `id` until every deque is empty.
+  void drain(int id, const TaskFn& fn) {
+    // The trace tid of this OS thread maps to "worker <id>": the tracer
+    // assigns tids per thread, the label ties them to pool worker ids.
+    obs::Tracer::instance().label_thread("worker", id);
+    std::size_t task = 0;
+    bool stolen = false;
+    while (try_pop(id, &task, &stolen)) {
+      if (stolen) stolen_count.fetch_add(1, std::memory_order_relaxed);
+      try {
+        obs::Span span("task");
+        fn(id, task);
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(job_mu);
+        if (!error) error = std::current_exception();
+      }
+      remaining.fetch_sub(1, std::memory_order_acq_rel);
+    }
+  }
+
   void worker_loop(int id) {
     std::uint64_t seen_generation = 0;
     for (;;) {
@@ -78,22 +100,7 @@ struct Pool::Impl {
         seen_generation = generation;
         fn = task_fn;
       }
-      // The trace tid of this OS thread maps to "worker <id>": the tracer
-      // assigns tids per thread, the label ties them to pool worker ids.
-      obs::Tracer::instance().label_thread("worker", id);
-      std::size_t task = 0;
-      bool stolen = false;
-      while (try_pop(id, &task, &stolen)) {
-        if (stolen) stolen_count.fetch_add(1, std::memory_order_relaxed);
-        try {
-          obs::Span span("task");
-          (*fn)(id, task);
-        } catch (...) {
-          std::lock_guard<std::mutex> lk(job_mu);
-          if (!error) error = std::current_exception();
-        }
-        remaining.fetch_sub(1, std::memory_order_acq_rel);
-      }
+      drain(id, *fn);
       // All deques empty: nothing left of this job for us (tasks are only
       // enqueued before the generation bump, never during a job).  Parking
       // the worker *under the lock* before run() can return closes the
@@ -148,13 +155,14 @@ PoolStats Pool::run(std::size_t num_tasks, const TaskFn& fn) {
     ++impl_->generation;
   }
   impl_->job_cv.notify_all();
+  impl_->drain(0, fn);
 
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lk(impl_->job_mu);
     impl_->done_cv.wait(lk, [&] {
       return impl_->remaining.load(std::memory_order_acquire) == 0 &&
-             impl_->workers_parked == impl_->nthreads;
+             impl_->workers_parked == impl_->nthreads - 1;
     });
     impl_->task_fn = nullptr;
     error = impl_->error;

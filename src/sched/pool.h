@@ -1,8 +1,10 @@
 #pragma once
 // Work-stealing thread pool for the verification runtime.
 //
-// Design: persistent worker threads (spawned once, parked between jobs) and
-// one task deque per worker.  run() deals task indices round-robin across
+// Design: the thread that calls run() is worker 0; workers 1..n-1 are
+// persistent threads (spawned once, parked between jobs), so a one-worker
+// pool runs every task inline and owns no thread.  There is one task deque
+// per worker.  run() deals task indices round-robin across
 // the deques; each worker drains its own deque front-to-back — preserving
 // ascending shard order, which is what lets the verification backend reuse
 // convolution prefixes between adjacent shards — and steals from the *back*
@@ -34,7 +36,8 @@ struct PoolStats {
 
 class Pool {
  public:
-  /// Spawns `threads` persistent workers (clamped to >= 1).
+  /// A pool of `threads` workers (clamped to >= 1): the caller of run()
+  /// plus `threads - 1` spawned threads.
   explicit Pool(int threads);
   ~Pool();
 
@@ -44,8 +47,9 @@ class Pool {
   int threads() const;
 
   /// fn(worker, task) with worker in [0, threads()) and each task index in
-  /// [0, num_tasks) executed exactly once.  Blocks until every task ran;
-  /// rethrows the first task exception.  Not reentrant: one job at a time.
+  /// [0, num_tasks) executed exactly once; worker 0 is the calling thread.
+  /// Returns once every task ran; rethrows the first task exception.  Not
+  /// reentrant: one job at a time.
   using TaskFn = std::function<void(int worker, std::size_t task)>;
   PoolStats run(std::size_t num_tasks, const TaskFn& fn);
 

@@ -41,7 +41,7 @@ struct ShardPlanOptions {
 };
 
 /// Partitions all combinations of sizes 1..d over n observables into
-/// contiguous shards.  Shards are emitted in the serial engine's size order
+/// contiguous shards.  Shards are emitted in the search order's size order
 /// (sizes ascending for depth-first search, descending for the paper's
 /// largest-first strategy) with ranks ascending within a size; together the
 /// ranges cover every combination exactly once.

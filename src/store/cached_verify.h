@@ -17,9 +17,9 @@
 //   * the engine's BasisNeeds flags — they decide which representations
 //     the artifact carries.
 //
-// The combination order `d`, job count, memo capacity, time limit and
-// cache_bits are deliberately NOT keyed: the Basis is invariant under all
-// of them, so one artifact serves every such run.
+// The combination order `d`, job count, time limit and cache_bits are
+// deliberately NOT keyed: the Basis is invariant under all of them, so one
+// artifact serves every such run.
 //
 // verify_with_store() is the one code path behind both `sani --store DIR`
 // and the sanid daemon: hit -> deserialize + verify_basis (no parse /

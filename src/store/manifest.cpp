@@ -139,7 +139,6 @@ std::string serialize_manifest(const ScanManifest& m) {
   w.u8(static_cast<std::uint8_t>(o.var_order));
   w.u8(o.sift_after_unfold ? 1 : 0);
   w.u64(o.shard_size);
-  w.i64(o.memo_capacity);
   w.i32(o.cache_bits);
   w.u8(m.needs.spectra ? 1 : 0);
   w.u8(m.needs.lil ? 1 : 0);
@@ -183,7 +182,6 @@ ScanManifest deserialize_manifest(const std::string& file_image) {
   o.var_order = static_cast<circuit::VarOrder>(r.u8());
   o.sift_after_unfold = r.u8() != 0;
   o.shard_size = r.u64();
-  o.memo_capacity = r.i64();
   o.cache_bits = r.i32();
   m.needs.spectra = r.u8() != 0;
   m.needs.lil = r.u8() != 0;
@@ -232,8 +230,6 @@ std::string serialize_partial(const verify::PartialReport& part,
   }
   w.u64(part.combinations);
   w.u64(part.coefficients);
-  w.u64(part.prefix_memo.hits);
-  w.u64(part.prefix_memo.misses);
   w.u64(part.region_cache.hits);
   w.u64(part.region_cache.misses);
   w.f64(part.convolution_seconds);
@@ -312,8 +308,6 @@ verify::PartialReport deserialize_partial(const std::string& file_image,
   }
   part.combinations = r.u64();
   part.coefficients = r.u64();
-  part.prefix_memo.hits = r.u64();
-  part.prefix_memo.misses = r.u64();
   part.region_cache.hits = r.u64();
   part.region_cache.misses = r.u64();
   part.convolution_seconds = r.f64();

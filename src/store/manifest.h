@@ -53,16 +53,18 @@ namespace sani::store {
 /// any layout change — old files are rejected, never migrated (a stale
 /// manifest simply plans a fresh scan under a new key).
 /// v2 adds the fleet trace id (minted at plan time, excluded from the
-/// content key) so every worker process stitches into one trace.
-inline constexpr std::uint32_t kManifestFormatVersion = 2;
+/// content key) so every worker process stitches into one trace.  v3 drops
+/// the prefix-memo capacity from the options block.
+inline constexpr std::uint32_t kManifestFormatVersion = 3;
 inline constexpr char kManifestMagic[8] = {'S', 'A', 'N', 'I',
                                            'M', 'A', 'N', '\x01'};
 /// SANIPAR v2 compacts the dependency section: one dictionary of distinct
 /// V-mask vectors plus a varint (rank-delta, dictionary-index) pair per
 /// entry, instead of v1's fixed 8 + 16*num_secrets bytes each.  v3 prefixes
 /// the payload with the scan's trace id so a checkpoint can always be
-/// attributed to the job that produced it.
-inline constexpr std::uint32_t kPartialFormatVersion = 3;
+/// attributed to the job that produced it.  v4 drops the prefix-memo
+/// hit/miss counters.
+inline constexpr std::uint32_t kPartialFormatVersion = 4;
 inline constexpr char kPartialMagic[8] = {'S', 'A', 'N', 'I',
                                           'P', 'A', 'R', '\x01'};
 

@@ -46,19 +46,26 @@ std::uint64_t binomial(int n, int k) {
   return r;
 }
 
-std::uint64_t combination_rank(int n, const std::vector<int>& combo) {
-  const int k = static_cast<int>(combo.size());
+std::uint64_t count_lex_before(int n, int k, const std::vector<int>& combo) {
+  const int m = static_cast<int>(combo.size());
   std::uint64_t rank = 0;
   int prev = -1;
-  for (int i = 0; i < k; ++i) {
-    // Combinations starting with a smaller value at position i (and any
-    // admissible tail) all precede this one: the sum over prev < v < c of
-    // C(n-1-v, k-1-i), which telescopes (hockey stick) to two binomials.
+  for (int i = 0; i < k && i < m; ++i) {
+    // Combinations sharing combo's first i values and taking a smaller one
+    // at position i (with any admissible tail) all precede it: the sum over
+    // prev < v < c of C(n-1-v, k-1-i), which telescopes (hockey stick) to
+    // two binomials.
     const int c = combo[static_cast<std::size_t>(i)];
     rank += binomial(n - 1 - prev, k - i) - binomial(n - c, k - i);
     prev = c;
   }
+  // The size-k prefix of a longer combo precedes it too.
+  if (k < m) ++rank;
   return rank;
+}
+
+std::uint64_t combination_rank(int n, const std::vector<int>& combo) {
+  return count_lex_before(n, static_cast<int>(combo.size()), combo);
 }
 
 std::vector<int> unrank_combination(int n, int k, std::uint64_t rank) {

@@ -58,6 +58,12 @@ std::uint64_t count_combinations_up_to(int n, int d);
 /// among all size-k subsets of {0..n-1}.  Inverse of unrank_combination.
 std::uint64_t combination_rank(int n, const std::vector<int>& combo);
 
+/// Number of size-k subsets of {0..n-1} that precede `combo` (ascending
+/// indices, any size) in lexicographic vector order, where a proper prefix
+/// precedes its extensions.  For k == |combo| this is combination_rank; the
+/// depth-first search order over sizes 1..d is exactly this vector order.
+std::uint64_t count_lex_before(int n, int k, const std::vector<int>& combo);
+
 /// The combination of lexicographic rank `rank` among size-k subsets of
 /// {0..n-1}.  Precondition: rank < C(n, k) (and C(n, k) not saturated).
 std::vector<int> unrank_combination(int n, int k, std::uint64_t rank);

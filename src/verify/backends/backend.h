@@ -6,9 +6,7 @@
 // enumeration path.  The per-observable base data lives in the shared,
 // immutable verify::Basis; for the manager-bound representations it arrives
 // pre-thawed (the Driver imports the Basis' frozen forest into its private
-// manager and hands the handles over).  The stack levels are immutable row
-// sets shared with the prefix memo, so pushing a previously seen prefix is
-// a pointer copy.
+// manager and hands the handles over).
 
 #include <cstdint>
 #include <memory>
@@ -38,13 +36,11 @@ struct BackendContext {
   dd::Bdd rho_zero;  // FUJITA set-level check
   PhaseTimers* timers = nullptr;
   std::uint64_t* coefficients = nullptr;
-  CacheStats* memo_stats = nullptr;
   /// Allocation counters of the flat convolution path (owned by the
   /// Driver); backends credit every scratch/row buffer growth here so the
   /// zero-per-combination-allocation property stays observable.
   spectral::ArenaStats* arena_stats = nullptr;
-  std::int64_t memo_capacity = 0;
-  int order = 1;  // full-depth rows are never reused; the memo skips them
+  int order = 1;  // maximum stack depth
 };
 
 /// Per-combination inputs of the row check.  The Driver fills `checker` and
@@ -68,9 +64,9 @@ class Backend {
   /// are prepared once in build_basis().
   virtual void prepare() = 0;
 
-  /// Extends the current combination by the last element of `path` (the
-  /// full path is the memo key); the row set becomes the cross product of
-  /// the previous rows with the observable's XOR-subsets.
+  /// Extends the current combination by the last element of `path`; the
+  /// row set becomes the cross product of the previous rows with the
+  /// observable's XOR-subsets.
   virtual void push(const std::vector<int>& path) = 0;
   virtual void pop() = 0;
 

@@ -14,9 +14,7 @@ FujitaBackend::FujitaBackend(const BackendContext& ctx)
       thawed_(ctx.thawed),
       rho0_(ctx.rho_zero),
       timers_(*ctx.timers),
-      coefficients_(*ctx.coefficients),
-      order_(ctx.order),
-      memo_(ctx.memo_capacity, ctx.memo_stats) {}
+      coefficients_(*ctx.coefficients) {}
 
 void FujitaBackend::prepare() {
   // The XOR-subset BDDs were frozen at build_basis() time and thawed into
@@ -34,37 +32,26 @@ void FujitaBackend::prepare() {
       subsets.emplace_back(manager_, (*thawed_)[r].node());
     base_.push_back(std::move(subsets));
   }
-  rows_.push_back(std::make_shared<RowSet>(
-      RowSet{Row{dd::Bdd::zero(*manager_), dd::Add()}}));
+  rows_.push_back(RowSet{Row{dd::Bdd::zero(*manager_), dd::Add()}});
 }
 
 void FujitaBackend::push(const std::vector<int>& path) {
   ScopedPhase phase(timers_, "convolution");
   obs::Span span("convolution");
-  const bool memoize = static_cast<int>(path.size()) < order_;
-  if (memoize) {
-    if (const auto* hit = memo_.find(path)) {
-      rows_.push_back(hit->rows);
-      coefficients_ += hit->coefficients;
-      return;
-    }
-  }
-  const RowSet& cur = *rows_.back();
+  const RowSet& cur = rows_.back();
   const std::vector<dd::Bdd>& base = base_[path.back()];
-  auto next = std::make_shared<RowSet>();
-  next->reserve(cur.size() * base.size());
-  std::uint64_t coeffs = 0;
+  RowSet next;
+  next.reserve(cur.size() * base.size());
   for (const Row& r : cur)
     for (const dd::Bdd& s : base) {
       Row row;
       row.fn = r.fn ^ s;
       // The spectral transform replaces the convolution step entirely.
       row.spectrum = dd::walsh_transform(row.fn);
-      coeffs += static_cast<std::uint64_t>(row.spectrum.nonzero_count());
-      next->push_back(std::move(row));
+      coefficients_ +=
+          static_cast<std::uint64_t>(row.spectrum.nonzero_count());
+      next.push_back(std::move(row));
     }
-  coefficients_ += coeffs;
-  if (memoize) memo_.insert(path, {next, coeffs});
   rows_.push_back(std::move(next));
 }
 
@@ -73,7 +60,7 @@ void FujitaBackend::pop() { rows_.pop_back(); }
 std::optional<Mask> FujitaBackend::check_rows(const RowCheckQuery& q) {
   ScopedPhase phase(timers_, "verification");
   obs::Span span("add_check");
-  for (const Row& r : *rows_.back()) {
+  for (const Row& r : rows_.back()) {
     dd::Bdd hit = r.spectrum.nonzero() & q.violation_region;
     Mask alpha;
     if (hit.any_sat(&alpha)) return alpha;
@@ -83,7 +70,7 @@ std::optional<Mask> FujitaBackend::check_rows(const RowCheckQuery& q) {
 
 void FujitaBackend::accumulate_deps(std::vector<Mask>& V) {
   const circuit::VarMap& vars = basis_->vars;
-  for (const Row& r : *rows_.back()) {
+  for (const Row& r : rows_.back()) {
     dd::Bdd nz = r.spectrum.nonzero() & rho0_;
     vars.share_vars.for_each_bit([&](int v) {
       if (!dd::Bdd(manager_, manager_->cofactor(nz.node(), v, true))

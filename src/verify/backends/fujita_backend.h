@@ -10,7 +10,6 @@
 
 #include "dd/add.h"
 #include "verify/backends/backend.h"
-#include "verify/prefix_memo.h"
 
 namespace sani::verify {
 
@@ -37,10 +36,8 @@ class FujitaBackend : public Backend {
   dd::Bdd rho0_;
   PhaseTimers& timers_;
   std::uint64_t& coefficients_;
-  int order_;
-  PrefixMemo<RowSet> memo_;
   std::vector<std::vector<dd::Bdd>> base_;
-  std::vector<std::shared_ptr<const RowSet>> rows_;
+  std::vector<RowSet> rows_;  // one row set per stack depth
 };
 
 }  // namespace sani::verify

@@ -6,7 +6,6 @@
 // one Basis without replaying the unfolding.
 
 #include "verify/backends/backend.h"
-#include "verify/prefix_memo.h"
 
 namespace sani::verify {
 
@@ -26,9 +25,7 @@ class LilBackend : public Backend {
   std::shared_ptr<const Basis> basis_;
   PhaseTimers& timers_;
   std::uint64_t& coefficients_;
-  int order_;
-  PrefixMemo<RowSet> memo_;
-  std::vector<std::shared_ptr<const RowSet>> rows_;
+  std::vector<RowSet> rows_;  // one row set per stack depth
 };
 
 }  // namespace sani::verify

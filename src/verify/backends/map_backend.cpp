@@ -16,8 +16,6 @@ MapBackend::MapBackend(const BackendContext& ctx, Check check)
       timers_(*ctx.timers),
       coefficients_(*ctx.coefficients),
       order_(ctx.order),
-      memo_(ctx.memo_capacity, ctx.memo_stats),
-      memo_enabled_(ctx.memo_capacity != 0),
       arena_(ctx.arena_stats),
       root_(basis_->vars.num_vars) {}
 
@@ -30,7 +28,7 @@ void MapBackend::prepare() {
   slots_.reserve(static_cast<std::size_t>(order_) + 1);
   for (int d = 0; d <= order_; ++d) slots_.emplace_back(basis_->vars.num_vars);
   stack_.reserve(static_cast<std::size_t>(order_) + 1);
-  stack_.push_back(Level{&root_, nullptr});
+  stack_.push_back(&root_);
 }
 
 std::uint64_t MapBackend::build_level(const RowSet& cur,
@@ -49,34 +47,10 @@ std::uint64_t MapBackend::build_level(const RowSet& cur,
 void MapBackend::push(const std::vector<int>& path) {
   ScopedPhase phase(timers_, "convolution");
   obs::Span span("convolution");
-  // Full-depth rows can never be reused as prefixes; keep them out of the
-  // memo so its slots hold prefixes only.
-  const bool memoize =
-      memo_enabled_ && static_cast<int>(path.size()) < order_;
-  if (memoize) {
-    if (const auto* hit = memo_.find(path)) {
-      stack_.push_back(Level{hit->rows.get(), hit->rows});
-      coefficients_ += hit->coefficients;
-      return;
-    }
-  }
-  const RowSet& cur = *stack_.back().rows;
-  const std::vector<FlatSpectrum>& base = basis_->flat[path.back()];
-  if (memoize) {
-    // Memo entries must outlive the stack (and this backend's slots), so a
-    // memoized prefix gets its own allocation.  Prefix pushes are a
-    // vanishing fraction of the scan — the C(n, d) full-depth pushes all go
-    // through the reusable slot below.
-    auto fresh = std::make_shared<RowSet>(basis_->vars.num_vars);
-    const std::uint64_t coeffs = build_level(cur, base, *fresh);
-    coefficients_ += coeffs;
-    memo_.insert(path, {fresh, coeffs});
-    stack_.push_back(Level{fresh.get(), std::move(fresh)});
-    return;
-  }
   RowSet& slot = slots_[path.size()];
-  coefficients_ += build_level(cur, base, slot);
-  stack_.push_back(Level{&slot, nullptr});
+  coefficients_ +=
+      build_level(*stack_.back(), basis_->flat[path.back()], slot);
+  stack_.push_back(&slot);
 }
 
 void MapBackend::pop() { stack_.pop_back(); }
@@ -84,7 +58,7 @@ void MapBackend::pop() { stack_.pop_back(); }
 std::optional<Mask> MapBackend::check_rows(const RowCheckQuery& q) {
   ScopedPhase phase(timers_, "verification");
   obs::Span span("add_check");
-  const RowSet& top = *stack_.back().rows;
+  const RowSet& top = *stack_.back();
   for (std::size_t r = 0; r < top.row_count(); ++r) {
     const Mask* masks = top.row_masks(r);
     const std::int64_t* coeffs = top.row_coeffs(r);
@@ -129,7 +103,7 @@ std::optional<Mask> MapBackend::check_rows(const RowCheckQuery& q) {
 }
 
 void MapBackend::accumulate_deps(std::vector<Mask>& V) {
-  const RowSet& top = *stack_.back().rows;
+  const RowSet& top = *stack_.back();
   for (std::size_t r = 0; r < top.row_count(); ++r) {
     const Mask* masks = top.row_masks(r);
     const std::size_t n = top.row_size(r);

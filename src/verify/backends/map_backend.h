@@ -19,7 +19,6 @@
 
 #include "spectral/flat_spectrum.h"
 #include "verify/backends/backend.h"
-#include "verify/prefix_memo.h"
 
 namespace sani::verify {
 
@@ -38,14 +37,6 @@ class MapBackend : public Backend {
  private:
   using RowSet = spectral::FlatRowSet;
 
-  /// One level of the combination stack.  `rows` always points at the live
-  /// row set; `owned` keeps memo-shared sets alive (null for the per-depth
-  /// reusable slots, whose storage the backend owns).
-  struct Level {
-    const RowSet* rows = nullptr;
-    std::shared_ptr<const RowSet> owned;
-  };
-
   /// Convolves every (current row x base subset) pair into `out`.
   std::uint64_t build_level(const RowSet& cur,
                             const std::vector<spectral::FlatSpectrum>& base,
@@ -57,12 +48,10 @@ class MapBackend : public Backend {
   PhaseTimers& timers_;
   std::uint64_t& coefficients_;
   int order_;
-  PrefixMemo<RowSet> memo_;
-  bool memo_enabled_;
   spectral::ConvolutionArena arena_;
   RowSet root_;                     // depth 0: the constant-zero spectrum
   std::vector<RowSet> slots_;       // per-depth reusable row sets
-  std::vector<Level> stack_;
+  std::vector<const RowSet*> stack_;  // the live row set of each depth
   // MAPI per-row ADD rebuild scratch, reused across all rows and
   // combinations (growth credited to the arena stats).
   std::vector<std::pair<Mask, std::int64_t>> add_scratch_;

@@ -18,10 +18,12 @@
 // All five return identical verdicts and witness combinations (asserted by
 // the cross-engine tests); they differ only in where the time goes.
 
+#include <memory>
+
 #include "circuit/spec.h"
 #include "circuit/unfold.h"
+#include "verify/basis.h"
 #include "verify/observables.h"
-#include "verify/parallel.h"
 #include "verify/types.h"
 
 namespace sani::sched {
@@ -37,9 +39,9 @@ namespace sani::verify {
 circuit::Unfolded unfold_for(const circuit::Gadget& gadget,
                              const VerifyOptions& options);
 
-/// Unfolds `gadget`, builds the observable universe and decides the notion.
-/// With options.jobs != 1 this dispatches to the sharded parallel runtime
-/// (verify/parallel.h): same verdict, same witness, N workers.
+/// Unfolds `gadget`, builds the observable universe and decides the notion
+/// on options.jobs workers (verify/parallel.h): same verdict, same witness,
+/// same deterministic report for any worker count.
 VerifyResult verify(const circuit::Gadget& gadget, const VerifyOptions& options);
 
 /// Same, over a pre-built unfolding and observable set (used to analyse
@@ -52,41 +54,29 @@ VerifyResult verify_prepared(const circuit::Unfolded& unfolded,
                              const ObservableSet& observables,
                              const VerifyOptions& options);
 
-/// Compatibility overload from the replay era: `replay` is ignored — the
-/// frozen Basis removed per-worker unfolding replays, so the pre-built
-/// input serves every engine at any job count.
-VerifyResult verify_prepared(const circuit::Unfolded& unfolded,
-                             const ObservableSet& observables,
-                             const VerifyOptions& options,
-                             const PrepareFn& replay);
+struct IncrementalContext;
 
 /// Runs verification directly over a prepared shared Basis — the bottom
 /// half of the pipeline, and the warm-start entry point of the artifact
 /// store (src/store): a Basis deserialized from disk goes straight to the
-/// Driver (serial) or the sharded parallel runtime.  No parse, unfold,
-/// basis_build or freeze happens here; verdict, witness and stats are
-/// identical to a cold run over the same Basis content.
+/// shard executor.  No parse, unfold, basis_build or freeze happens here;
+/// verdict, witness and stats are identical to a cold run over the same
+/// Basis content.
 ///
 /// `cancel` optionally supplies an external cancellation token (the sanid
 /// daemon cancels abandoned requests through it); when given, the
 /// options.time_limit deadline is armed on it, and cancel()ing it stops the
 /// run cooperatively at the next combination boundary.  nullptr keeps the
-/// engine's internal token (plain CLI behavior).
+/// executor's own token (plain CLI behavior).
+///
+/// `ctx` threads the diff-aware incremental hooks through to the Drivers:
+/// replay against ctx->plan, record outcomes into ctx->collector, and merge
+/// the union-check dependency store into ctx->deps_out (see
+/// verify/incremental.h).  The artifact store's verify_with_store is the
+/// production caller; nullptr (or an all-null ctx) is a cold run.
 VerifyResult verify_basis(std::shared_ptr<const Basis> basis,
                           const VerifyOptions& options,
-                          sched::CancelToken* cancel = nullptr);
-
-struct IncrementalContext;
-
-/// verify_basis with the diff-aware incremental hooks threaded through to
-/// the Driver(s): replay against ctx->plan, record outcomes into
-/// ctx->collector, and merge the union-check dependency store into
-/// ctx->deps_out (see verify/incremental.h).  ctx == nullptr (or an
-/// all-null ctx) is exactly verify_basis above.  The artifact store's
-/// verify_with_store is the production caller.
-VerifyResult verify_basis(std::shared_ptr<const Basis> basis,
-                          const VerifyOptions& options,
-                          sched::CancelToken* cancel,
-                          const IncrementalContext* ctx);
+                          sched::CancelToken* cancel = nullptr,
+                          const IncrementalContext* ctx = nullptr);
 
 }  // namespace sani::verify

@@ -1,9 +1,9 @@
 #include "verify/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -11,30 +11,17 @@
 #include "sched/pool.h"
 #include "sched/shard.h"
 #include "util/combinations.h"
-#include "obs/clock.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
 #include "verify/driver.h"
 #include "verify/incremental.h"
 #include "verify/partial.h"
 
 namespace sani::verify {
 
-namespace {
-
-struct WorkerCtx {
-  std::unique_ptr<Driver> driver;
-  std::uint64_t shards = 0;
-};
-
-/// The pool run over the one shared basis.  Worker 0's Driver is built on
-/// the calling thread; the others are built lazily on their own threads
-/// (the ADD engines thaw the basis' frozen forest into a private manager in
-/// the Driver constructor — the only per-worker setup left).
-VerifyResult run_pool(std::shared_ptr<const Basis> basis,
-                      const VerifyOptions& options,
-                      sched::CancelToken* external_cancel = nullptr,
-                      const IncrementalContext* ictx = nullptr) {
+VerifyResult run_shards(std::shared_ptr<const Basis> basis,
+                        const VerifyOptions& options,
+                        sched::CancelToken* external_cancel,
+                        const IncrementalContext* ictx) {
   const int jobs = sched::default_jobs(options.jobs);
 
   sched::CancelToken own_cancel;
@@ -42,10 +29,6 @@ VerifyResult run_pool(std::shared_ptr<const Basis> basis,
   if (options.time_limit > 0) cancel.set_deadline_after(options.time_limit);
 
   const int N = static_cast<int>(basis->size());
-
-  VerifyResult result;
-  result.stats.num_observables = static_cast<std::size_t>(N);
-
   const bool largest = options.search_order == SearchOrder::kLargestFirst;
   sched::ShardPlanOptions plan_options;
   if (options.shard_size > 0) plan_options.fixed_size = options.shard_size;
@@ -60,34 +43,40 @@ VerifyResult run_pool(std::shared_ptr<const Basis> basis,
     for (auto& c : collectors)
       c = std::make_unique<SummaryCollector>(N, options.order);
   }
-  auto arm_incremental = [&](int worker, Driver& driver) {
-    if (!ictx) return;
-    driver.set_incremental(
-        ictx->plan, collectors.empty()
-                        ? nullptr
-                        : collectors[static_cast<std::size_t>(worker)].get());
+  // Worker 0's Driver is built here, on the calling thread that runs it;
+  // the others lazily on their own threads (the ADD engines thaw the
+  // basis' frozen forest into a private manager in the Driver constructor
+  // — the only per-worker setup).
+  std::vector<std::unique_ptr<Driver>> drivers(static_cast<std::size_t>(jobs));
+  std::vector<std::uint64_t> worker_shards(static_cast<std::size_t>(jobs));
+  auto make_driver = [&](int worker) {
+    auto driver = std::make_unique<Driver>(basis, options, &cancel);
+    if (ictx)
+      driver->set_incremental(
+          ictx->plan, collectors.empty()
+                          ? nullptr
+                          : collectors[static_cast<std::size_t>(worker)].get());
+    return driver;
   };
+  drivers[0] = make_driver(0);
 
-  std::vector<WorkerCtx> ctx(static_cast<std::size_t>(jobs));
-  ctx[0].driver = std::make_unique<Driver>(basis, options, &cancel);
-  arm_incremental(0, *ctx[0].driver);
-
-  // The deterministic merge state: workers emit one PartialReport per
-  // shard and the assembler folds each in as it completes (order-minimal
-  // failure, merged union-check store) — the fold is associative, so the
-  // completion order the pool happens to produce cannot show in the result.
+  // Workers emit one PartialReport per shard and the assembler folds each
+  // in as it completes (order-minimal failure, merged dependency store) —
+  // the fold is associative, so the completion order cannot show in the
+  // result.
   std::mutex best_mu;
   ReportAssembler assembler(basis, options);
   std::atomic<std::uint64_t> skipped{0};
   std::atomic<std::uint64_t> abandoned{0};
-  std::atomic<bool> timed_out{false};
 
-  // True while `combo` is still ordered before the best known failure —
-  // i.e. checking it can still change the reported witness.
+  // True while checking `combo` can still change the result: before any
+  // failure, until an external cancel() (a failure is folded in before the
+  // token is cancelled, so a cancelled token without one is external);
+  // after one, while `combo` is ordered before the best known failure.
   auto still_relevant = [&](const std::vector<int>& combo) {
     std::lock_guard<std::mutex> lk(best_mu);
-    return !assembler.has_failure() ||
-           combo_before(combo, assembler.failure_combo(), largest);
+    if (!assembler.has_failure()) return !cancel.cancelled();
+    return combo_before(combo, assembler.failure_combo(), largest);
   };
 
   if (options.progress)
@@ -96,15 +85,13 @@ VerifyResult run_pool(std::shared_ptr<const Basis> basis,
   sched::Pool pool(jobs);
   const sched::PoolStats pool_stats = pool.run(
       shards.size(), [&](int worker, std::size_t task) {
-        WorkerCtx& slot = ctx[static_cast<std::size_t>(worker)];
-        if (!slot.driver) {
-          slot.driver = std::make_unique<Driver>(basis, options, &cancel);
-          arm_incremental(worker, *slot.driver);
-        }
+        std::unique_ptr<Driver>& driver =
+            drivers[static_cast<std::size_t>(worker)];
+        if (!driver) driver = make_driver(worker);
         const sched::Shard& shard = shards[task];
 
-        // Claiming a whole shard is pointless once a failure ordered before
-        // its first combination exists; skip it outright.
+        // Claiming a whole shard is pointless once it cannot change the
+        // result; skip it outright.
         if (cancel.cancelled() &&
             !still_relevant(unrank_combination(N, shard.k, shard.begin))) {
           skipped.fetch_add(1, std::memory_order_relaxed);
@@ -114,11 +101,10 @@ VerifyResult run_pool(std::shared_ptr<const Basis> basis,
 
         Driver::ShardOutcome out;
         PartialReport part;
-        slot.driver->run_shard_partial(shard, still_relevant, out, part);
-        ++slot.shards;
-        if (out.timed_out) timed_out.store(true, std::memory_order_relaxed);
+        driver->run_shard_partial(shard, still_relevant, out, part);
+        ++worker_shards[static_cast<std::size_t>(worker)];
         if (out.abandoned) abandoned.fetch_add(1, std::memory_order_relaxed);
-        const bool failed = out.failure.has_value();
+        const bool failed = part.has_failure;
         {
           std::lock_guard<std::mutex> lk(best_mu);
           assembler.add(std::move(part));
@@ -127,119 +113,60 @@ VerifyResult run_pool(std::shared_ptr<const Basis> basis,
       });
 
   if (options.progress) options.progress->stop();
+  for (const auto& c : collectors) ictx->collector->merge_from(*c);
 
-  // Merge: counters, per-worker stats, union-check data.  The one-time
-  // basis build is credited here, once — not per worker.
-  result.stats.coefficients += basis->base_coefficients;
-  result.stats.timers.add("base", basis->build_seconds);
-  result.stats.frozen_nodes = basis->frozen.node_count();
-  result.stats.frozen_bytes = basis->frozen.empty() ? 0 : basis->frozen.bytes();
-
-  result.stats.parallel.jobs = jobs;
-  // Every engine shares the one Basis now; the frozen forest replaced the
-  // per-worker unfolding replays, so these are constants, kept as report
-  // fields (and test assertions) rather than run-dependent state.
-  result.stats.parallel.shared_basis = true;
-  result.stats.parallel.replays = 0;
-  result.stats.parallel.shards_total = shards.size();
-  result.stats.parallel.shards_stolen = pool_stats.tasks_stolen;
-  result.stats.parallel.shards_skipped =
-      skipped.load(std::memory_order_relaxed);
-  result.stats.parallel.shards_abandoned =
-      abandoned.load(std::memory_order_relaxed);
-  result.stats.parallel.workers.resize(static_cast<std::size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) {
-    const WorkerCtx& slot = ctx[static_cast<std::size_t>(w)];
-    WorkerStats& out =
-        result.stats.parallel.workers[static_cast<std::size_t>(w)];
-    if (!slot.driver) continue;  // this worker never claimed a shard
-    const VerifyStats& ws = slot.driver->stats();
-    out.shards = slot.shards;
-    out.combinations = ws.combinations;
-    out.coefficients = ws.coefficients;
-    out.thaw_seconds = slot.driver->thaw_seconds();
-    out.peak_nodes = slot.driver->peak_nodes();
-    const dd::ManagerStats dd = slot.driver->manager_stats();
-    result.stats.thaw_seconds += out.thaw_seconds;
-    result.stats.dd_cache_hits += dd.cache_hits;
-    result.stats.dd_cache_misses += dd.cache_misses;
-    if (out.peak_nodes > result.stats.dd_peak_nodes)
-      result.stats.dd_peak_nodes = out.peak_nodes;
-    result.stats.dd_gc_runs += dd.gc_runs;
-    result.stats.dd_cache_survived += dd.cache_survived;
-    if (slot.driver->manager_cache_bits() > result.stats.dd_cache_bits)
-      result.stats.dd_cache_bits = slot.driver->manager_cache_bits();
-    if (slot.driver->manager_arena_bytes() > result.stats.dd_arena_bytes)
-      result.stats.dd_arena_bytes = slot.driver->manager_arena_bytes();
-    const spectral::ArenaStats& arena = slot.driver->arena_stats();
-    result.stats.arena_convolutions += arena.convolutions;
-    result.stats.arena_grows += arena.grows;
-    if (arena.peak_bytes > result.stats.arena_peak_bytes)
-      result.stats.arena_peak_bytes = arena.peak_bytes;
-    result.stats.combinations += ws.combinations;
-    result.stats.coefficients += ws.coefficients;
-    result.stats.incremental.combinations_skipped +=
-        ws.incremental.combinations_skipped;
-    result.stats.incremental.combinations_rechecked +=
-        ws.incremental.combinations_rechecked;
-    result.stats.prefix_memo.hits += ws.prefix_memo.hits;
-    result.stats.prefix_memo.misses += ws.prefix_memo.misses;
-    result.stats.region_cache.hits += ws.region_cache.hits;
-    result.stats.region_cache.misses += ws.region_cache.misses;
-    for (const auto& name : ws.timers.names())
-      result.stats.timers.add(name, ws.timers.get(name));
-  }
-  result.stats.qinfo_entries = assembler.qinfo().size();
-  result.stats.qinfo_peak_bytes = assembler.qinfo().peak_bytes();
-  if (ictx && ictx->collector)
-    for (const auto& c : collectors) ictx->collector->merge_from(*c);
+  VerifyResult result = assembler.finalize(&cancel);
   if (ictx && ictx->deps_out) ictx->deps_out->merge_from(assembler.qinfo());
 
-  if (assembler.has_failure()) {
-    result.secure = false;
-    result.counterexample = assembler.failure_counterexample();
-  } else if (timed_out.load(std::memory_order_relaxed) || cancel.expired()) {
-    result.timed_out = true;
-  } else if (options.union_check && options.notion != Notion::kProbing) {
-    // Every combination passed the per-row check; the set-level pass runs
-    // once, on the assembler's merged dependency data (identical to the
-    // serial pass — the shards partition the combination space).
-    ScopedPhase phase(result.stats.timers, "union");
-    obs::Span span("union");
-    ctx[0].driver->union_pass_over(assembler.qinfo(), result);
+  // The runtime fields only the workers know.
+  VerifyStats& stats = result.stats;
+  if (options.jobs != 1) {
+    ParallelStats& p = stats.parallel;
+    p.jobs = jobs;
+    // Every engine shares the one Basis; the frozen forest replaced the
+    // per-worker unfolding replays, so these are constants, kept as report
+    // fields (and test assertions) rather than run-dependent state.
+    p.shared_basis = true;
+    p.replays = 0;
+    p.shards_total = shards.size();
+    p.shards_stolen = pool_stats.tasks_stolen;
+    p.shards_skipped = skipped.load(std::memory_order_relaxed);
+    p.shards_abandoned = abandoned.load(std::memory_order_relaxed);
+    p.cancel_latency = cancel.max_ack_latency();
+    p.workers.resize(static_cast<std::size_t>(jobs));
   }
-  result.stats.parallel.cancel_latency = cancel.max_ack_latency();
+  for (std::size_t w = 0; w < drivers.size(); ++w) {
+    if (!drivers[w]) continue;  // this worker never claimed a shard
+    const Driver& d = *drivers[w];
+    const VerifyStats& ws = d.stats();
+    const dd::ManagerStats dd = d.manager_stats();
+    stats.thaw_seconds += d.thaw_seconds();
+    stats.dd_cache_hits += dd.cache_hits;
+    stats.dd_cache_misses += dd.cache_misses;
+    stats.dd_peak_nodes = std::max(stats.dd_peak_nodes, dd.peak_nodes);
+    stats.dd_gc_runs += dd.gc_runs;
+    stats.dd_cache_survived += dd.cache_survived;
+    stats.dd_arena_bytes =
+        std::max(stats.dd_arena_bytes, d.manager_arena_bytes());
+    const spectral::ArenaStats& arena = d.arena_stats();
+    stats.arena_convolutions += arena.convolutions;
+    stats.arena_grows += arena.grows;
+    stats.arena_peak_bytes = std::max(stats.arena_peak_bytes, arena.peak_bytes);
+    stats.incremental.combinations_skipped +=
+        ws.incremental.combinations_skipped;
+    stats.incremental.combinations_rechecked +=
+        ws.incremental.combinations_rechecked;
+    if (!stats.parallel.workers.empty()) {
+      WorkerStats& out = stats.parallel.workers[w];
+      out.shards = worker_shards[w];
+      out.combinations = ws.combinations;
+      out.coefficients = ws.coefficients;
+      out.thaw_seconds = d.thaw_seconds();
+      out.peak_nodes = dd.peak_nodes;
+    }
+  }
+  if (stats.thaw_seconds > 0) stats.timers.add("thaw", stats.thaw_seconds);
   return result;
-}
-
-}  // namespace
-
-VerifyResult verify_parallel(const PrepareFn& prepare,
-                             const VerifyOptions& options) {
-  // One build on the calling thread: sizes the probe space and yields the
-  // shared Basis (frozen forest included) every worker reads.  The
-  // unfolding and its manager are dropped before the pool starts.
-  PreparedInput first = prepare();
-  std::shared_ptr<const Basis> basis =
-      build_basis(first.unfolded, first.observables, options.engine);
-  // kAuto must resolve before any Driver exists: the registry carries no
-  // kAuto entry, and the workers copy their engine from the options.
-  VerifyOptions resolved = options;
-  resolved.engine = resolve_engine(options.engine);
-  return run_pool(std::move(basis), resolved);
-}
-
-VerifyResult verify_parallel_basis(std::shared_ptr<const Basis> basis,
-                                   const VerifyOptions& options,
-                                   sched::CancelToken* cancel) {
-  return run_pool(std::move(basis), options, cancel);
-}
-
-VerifyResult verify_parallel_basis(std::shared_ptr<const Basis> basis,
-                                   const VerifyOptions& options,
-                                   sched::CancelToken* cancel,
-                                   const IncrementalContext* ctx) {
-  return run_pool(std::move(basis), options, cancel, ctx);
 }
 
 }  // namespace sani::verify

@@ -1,31 +1,33 @@
 #pragma once
-// Sharded parallel verification (VerifyOptions::jobs != 1).
+// The in-process shard executor: the one path every verification takes,
+// whatever VerifyOptions::jobs says.
 //
 // The combination space is embarrassingly parallel — the paper's cost model
-// is dominated by the C(|Q|, d) per-combination checks.  Every engine
-// shares exactly one prepared input: an immutable verify::Basis, built once
-// on the calling thread and read by every worker.  The scan engines (LIL,
-// MAP) need nothing else.  The ADD engines (MAPI, FUJITA) verify on
-// decision diagrams, and the dd::Manager's GC/reordering safe points are
-// single-threaded — so each worker's Driver owns a private manager and
-// *thaws* the Basis' frozen forest into it on startup
-// (dd::Manager::import_forest, O(nodes)).  No worker ever replays the
-// gadget's unfolding: ParallelStats::shared_basis is true and
-// WorkerStats::replays is 0 for every engine.
+// is dominated by the C(|Q|, d) per-combination checks.  The executor plans
+// it into contiguous lexicographic rank ranges (sched::plan_shards), runs
+// each shard through Driver::run_shard_partial on a work-stealing pool
+// (sched::Pool) and folds every PartialReport into one ReportAssembler,
+// whose finalize() renders the result.  Worker 0 is the calling thread, so
+// `jobs == 1` is simply a one-worker pool: no thread is spawned and there
+// is no separate serial path.
 //
-// Shards are contiguous lexicographic rank ranges (sched::plan_shards)
-// executed on a work-stealing pool (sched::Pool); failures merge
-// deterministically: the reported counterexample is the smallest failing
-// combination in the serial engine's search order, independent of thread
-// count and completion order.  A shared sched::CancelToken propagates the
-// first counterexample and the --time-limit deadline cooperatively.
+// Every worker reads the one immutable verify::Basis.  The scan engines
+// (LIL, MAP, DIRECT) need nothing else.  The ADD engines (MAPI, FUJITA)
+// verify on decision diagrams, and the dd::Manager's GC/reordering safe
+// points are single-threaded — so each worker's Driver owns a private
+// manager and *thaws* the Basis' frozen forest into it on startup
+// (dd::Manager::import_forest, O(nodes)).
+//
+// Failures merge deterministically: the reported counterexample is the
+// smallest failing combination in the search order, and an insecure
+// report's counters are that order's canonical ones (ReportAssembler::
+// finalize), independent of thread count and completion order.  A shared
+// sched::CancelToken propagates the first counterexample and the
+// --time-limit deadline cooperatively.
 
-#include <functional>
 #include <memory>
 
-#include "circuit/unfold.h"
 #include "verify/basis.h"
-#include "verify/observables.h"
 #include "verify/types.h"
 
 namespace sani::sched {
@@ -34,50 +36,29 @@ class CancelToken;
 
 namespace sani::verify {
 
-/// The manager-bound front half of the pipeline: an unfolding plus the
-/// observable universe built over it.  Only needed to *build* the Basis;
-/// workers never see it.
-struct PreparedInput {
-  circuit::Unfolded unfolded;
-  ObservableSet observables;
-};
-
-/// Invoked exactly once, on the calling thread, to size the probe space and
-/// build the shared Basis.  (Historically the ADD engines re-invoked this
-/// per worker to replay private manager replicas; the frozen Basis made
-/// that obsolete.)
-using PrepareFn = std::function<PreparedInput()>;
-
-/// Runs the sharded parallel verification.  `options.jobs` selects the
-/// worker count (0 = hardware concurrency; the resolved count is recorded
-/// in ParallelStats::jobs); jobs == 1 still goes through the runtime with a
-/// single worker.
-VerifyResult verify_parallel(const PrepareFn& prepare,
-                             const VerifyOptions& options);
-
-/// Runs the sharded parallel verification directly over a prepared shared
-/// Basis — valid for every engine: the Basis carries the frozen forest the
-/// ADD-engine workers thaw, so no unfolding happens here at all.  `cancel`
-/// optionally substitutes an external token for the run's shared one (the
-/// daemon's per-request cancellation); the time-limit deadline is armed on
-/// whichever token the run uses.
-VerifyResult verify_parallel_basis(std::shared_ptr<const Basis> basis,
-                                   const VerifyOptions& options,
-                                   sched::CancelToken* cancel = nullptr);
-
 struct IncrementalContext;
 
-/// Same, with the diff-aware incremental hooks (verify/incremental.h)
-/// threaded through: every worker's Driver replays against ctx->plan (the
-/// plan is immutable and shared without locks) and records outcomes into a
-/// per-worker collector; the controller merges the collectors into
-/// ctx->collector and the union-check stores into ctx->deps_out.  The
-/// deterministic witness merge is untouched — clean combinations are
-/// skipped inside their shard, so the rank space and the merge order stay
-/// those of a cold run.
-VerifyResult verify_parallel_basis(std::shared_ptr<const Basis> basis,
-                                   const VerifyOptions& options,
-                                   sched::CancelToken* cancel,
-                                   const IncrementalContext* ctx);
+/// Runs the verification of `basis` on sched::default_jobs(options.jobs)
+/// workers.  `options.engine` must be resolved (not kAuto).  `cancel`
+/// optionally substitutes an external token for the run's own (the daemon's
+/// per-request cancellation); the time-limit deadline is armed on whichever
+/// token the run uses, and an external cancel() stops the run as timed out.
+/// `ctx` threads the diff-aware incremental hooks (verify/incremental.h)
+/// through: every worker's Driver replays against ctx->plan (immutable,
+/// shared without locks) and records outcomes into a private collector,
+/// merged into ctx->collector afterwards; the assembler's dependency store
+/// is merged into ctx->deps_out.  Clean
+/// combinations are skipped inside their shard, so the rank space and the
+/// merge order stay those of a cold run.
+///
+/// The report is ReportAssembler::finalize()'s, plus the runtime fields
+/// only the workers know: thaw seconds, dd.*, arena.* and the incremental
+/// replay counters — and ParallelStats unless the caller asked for exactly
+/// one worker (a `jobs == 1` report keeps parallel.jobs == 0, the serial
+/// shape; `jobs == 0` records the resolved count, even when it is 1).
+VerifyResult run_shards(std::shared_ptr<const Basis> basis,
+                        const VerifyOptions& options,
+                        sched::CancelToken* cancel,
+                        const IncrementalContext* ctx);
 
 }  // namespace sani::verify

@@ -1,10 +1,11 @@
 #include "verify/partial.h"
 
+#include <algorithm>
+
 #include "obs/clock.h"
 #include "obs/trace.h"
 #include "sched/cancel.h"
 #include "util/combinations.h"
-#include "verify/driver.h"
 #include "verify/backends/registry.h"
 
 namespace sani::verify {
@@ -50,12 +51,6 @@ void union_pass(const Basis& basis, const Checker& checker,
   }
 }
 
-namespace {
-
-/// Driver::context_for, recomputed from the basis: the RowContext of a
-/// combination is a pure function of the observables' kinds, so a partial
-/// deserialized from disk (which ships only rank + V per dependency entry)
-/// reconstructs exactly the record a live worker would have handed over.
 RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo) {
   RowContext row;
   row.num_observables = static_cast<int>(combo.size());
@@ -70,8 +65,6 @@ RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo) 
   }
   return row;
 }
-
-}  // namespace
 
 ReportAssembler::ReportAssembler(std::shared_ptr<const Basis> basis,
                                  VerifyOptions options)
@@ -90,9 +83,9 @@ void ReportAssembler::add(PartialReport part) {
   ++parts_;
   const int N = static_cast<int>(basis_->size());
   combinations_ += part.combinations;
+  if (part.covered_end > part.begin)
+    covered_.push_back({part.k, part.begin, part.covered_end});
   coefficients_ += part.coefficients;
-  prefix_memo_.hits += part.prefix_memo.hits;
-  prefix_memo_.misses += part.prefix_memo.misses;
   region_cache_.hits += part.region_cache.hits;
   region_cache_.misses += part.region_cache.misses;
   convolution_seconds_ += part.convolution_seconds;
@@ -107,28 +100,31 @@ void ReportAssembler::add(PartialReport part) {
   }
 
   if (options_.union_check && options_.notion != Notion::kProbing) {
+    // A live worker hands its RowContext over; a deserialized partial
+    // ships only rank + V, so the combination is recovered to rebuild it.
     // Deps arrive rank-ascending (shards check in rank order), so one
     // unrank seeds the walk and successor steps recover every later combo —
-    // cheaper than a full unrank per entry when a deserialized shard
-    // carries one dep per passing combination.
+    // cheaper than a full unrank per entry.
     std::vector<int> combo;
     std::uint64_t at = 0;
     for (PartialReport::Dep& dep : part.deps) {
-      if (combo.empty() || dep.rank < at) {
-        combo = unrank_combination(N, part.k, dep.rank);
-      } else {
-        while (at < dep.rank) {
-          next_combination(combo, N);
-          ++at;
-        }
-      }
-      at = dep.rank;
       QInfo info;
-      info.row = dep.row.num_observables > 0
-                     ? std::move(dep.row)
-                     : context_for_combo(*basis_, combo);
+      if (dep.row.num_observables > 0) {
+        info.row = std::move(dep.row);
+      } else {
+        if (combo.empty() || dep.rank < at) {
+          combo = unrank_combination(N, part.k, dep.rank);
+        } else {
+          while (at < dep.rank) {
+            next_combination(combo, N);
+            ++at;
+          }
+        }
+        at = dep.rank;
+        info.row = context_for_combo(*basis_, combo);
+      }
       info.V = std::move(dep.V);
-      qinfo_.insert(combo, std::move(info));
+      qinfo_.insert(part.k, dep.rank, std::move(info));
     }
   }
 }
@@ -150,18 +146,18 @@ void ReportAssembler::set_basis_stats(std::uint64_t frozen_nodes,
                             build_seconds};
 }
 
-VerifyResult ReportAssembler::finalize() {
+VerifyResult ReportAssembler::finalize(sched::CancelToken* cancel) {
   const std::uint64_t base_coefficients =
       basis_stats_ ? basis_stats_->base_coefficients
                    : basis_->base_coefficients;
   const double build_seconds =
       basis_stats_ ? basis_stats_->build_seconds : basis_->build_seconds;
+  const int N = static_cast<int>(basis_->size());
 
   VerifyResult result;
   result.stats.num_observables = basis_->size();
   result.stats.combinations = combinations_;
   result.stats.coefficients = base_coefficients + coefficients_;
-  result.stats.prefix_memo = prefix_memo_;
   result.stats.region_cache = region_cache_;
   result.stats.qinfo_entries = qinfo_.size();
   result.stats.qinfo_peak_bytes = qinfo_.peak_bytes();
@@ -171,12 +167,16 @@ VerifyResult ReportAssembler::finalize() {
   result.stats.frozen_bytes =
       basis_stats_ ? static_cast<std::size_t>(basis_stats_->frozen_bytes)
                    : (basis_->frozen.empty() ? 0 : basis_->frozen.bytes());
+  // dd.cache_bits is configuration, not measurement (the deterministic
+  // report keeps it): report what the canonical engine's manager is sized
+  // with.  The measured dd fields stay zero — the assembler does no DD work.
+  const bool needs_thaw = backend_info(options_.engine).needs_thaw;
+  result.stats.dd_cache_bits = needs_thaw ? options_.cache_bits : 0;
 
-  // Canonical phase set in the serial engine's first-use order, whatever
+  // Canonical phase set in the backends' first-use order, whatever
   // engines produced the partials: the report's shape is a function of the
   // *canonical* options, which is what lets a resumed mixed-engine scan
   // byte-match an uninterrupted one under --deterministic-report.
-  const bool needs_thaw = backend_info(options_.engine).needs_thaw;
   if (needs_thaw) result.stats.timers.add("thaw", 0.0);
   result.stats.timers.add("base", build_seconds);
   if (combinations_ > 0) {
@@ -185,8 +185,47 @@ VerifyResult ReportAssembler::finalize() {
   }
 
   if (best_) {
-    result.secure = false;
-    result.counterexample = failure_counterexample();
+    // bound[k]: the size-k ranks ordered before the witness F — in
+    // depth-first order a lexicographic-vector prefix of every size, in
+    // largest-first order all larger sizes and F's own rank prefix.
+    const std::vector<int>& F = best_->combo;
+    const int f = static_cast<int>(F.size());
+    const bool largest = options_.search_order == SearchOrder::kLargestFirst;
+    std::vector<std::uint64_t> bound(static_cast<std::size_t>(options_.order) +
+                                     1);
+    std::uint64_t before = 0;
+    for (int k = 1; k <= options_.order && k <= N; ++k) {
+      std::uint64_t& b = bound[static_cast<std::size_t>(k)];
+      if (!largest)
+        b = count_lex_before(N, k, F);
+      else if (k > f)
+        b = binomial(N, k);
+      else if (k == f)
+        b = combination_rank(N, F);
+      before += b;
+    }
+    // Shards are disjoint, so the checked combinations ordered before F
+    // are the covered ranges' overlaps with the bound prefixes.
+    std::uint64_t checked_before = 0;
+    for (const Covered& c : covered_) {
+      const std::uint64_t end =
+          std::min(c.end, bound[static_cast<std::size_t>(c.k)]);
+      if (end > c.begin) checked_before += end - c.begin;
+    }
+    if (checked_before < before) {
+      // A shard ordered before F stopped early (the deadline, or an
+      // external cancel): a walk in the search order would not have
+      // reached F, so F is not known to be the canonical witness.  The run
+      // timed out, and the counters stay the visited ones.
+      result.timed_out = true;
+    } else {
+      result.stats.combinations = before + 1;
+      result.stats.qinfo_entries = qinfo_.count_ranks_below(bound);
+      result.secure = false;
+      result.counterexample = failure_counterexample();
+    }
+  } else if (combinations_ < count_combinations_up_to(N, options_.order)) {
+    result.timed_out = true;
   } else if (options_.union_check && options_.notion != Notion::kProbing) {
     // The set-level pass over the merged store — sorted_combos() restores
     // the serial iteration order, so the union witness is completion-order
@@ -198,11 +237,7 @@ VerifyResult ReportAssembler::finalize() {
                           options_.joint_share_count);
     ScopedPhase phase(result.stats.timers, "union");
     obs::Span span("union");
-    union_pass(*basis_, checker, qinfo_, nullptr, result);
-    // dd.cache_bits is configuration, not measurement (the deterministic
-    // report keeps it): report what the canonical engine's manager is sized
-    // with.  The measured dd fields stay zero — this pass does no DD work.
-    result.stats.dd_cache_bits = needs_thaw ? options_.cache_bits : 0;
+    union_pass(*basis_, checker, qinfo_, cancel, result);
   }
   return result;
 }

@@ -13,17 +13,17 @@
 // against duplicated claims and what makes the merge below associative.
 //
 // ReportAssembler folds partials in any order into the canonical merged
-// state: the order-minimal failing combination under the serial engine's
-// total order (verify/parallel.cpp's combo_before), summed counters, and
-// one QInfoStore holding every recorded dependency entry.  Two consumers:
+// state — the order-minimal failing combination under the search order
+// (combo_before), summed counters, and the one QInfoStore holding every
+// recorded dependency entry — and finalize() renders it.  It is the only
+// renderer of a verification result, with two feeders:
 //
-//  * the in-process parallel runtime (verify/parallel.cpp) — workers emit
-//    one partial per shard and the controller folds them as they complete;
-//    the old end-of-run barrier merge is gone;
+//  * the in-process shard executor (verify/parallel.h), for every --jobs
+//    value: workers emit one partial per shard and the executor folds them
+//    as they complete;
 //  * the manifest-driven scan (store/scan.h) — partials are checkpointed
-//    to disk (SANIPAR framing) and finalize() renders the canonical,
-//    serial-shaped report from whatever mixture of processes, worker
-//    counts and engines produced them.
+//    to disk (SANIPAR framing) and folded from whatever mixture of
+//    processes, worker counts and engines produced them.
 
 #include <cstdint>
 #include <memory>
@@ -44,14 +44,18 @@ class CancelToken;
 
 namespace sani::verify {
 
-class Driver;
-
-/// The serial engine's total order on combinations (depth-first: plain
+/// The search order's total order on combinations (depth-first: plain
 /// lexicographic vector order; largest-first: sizes descending, then
 /// lexicographic).  The merged witness is the minimum failing combination
-/// under this order — exactly the one the serial walk would fail on first.
+/// under this order — the first failure a walk in that order would meet.
 bool combo_before(const std::vector<int>& a, const std::vector<int>& b,
                   bool largest_first);
+
+/// The RowContext of a combination: a pure function of the observables'
+/// kinds, so a partial deserialized from disk (which ships only rank + V
+/// per dependency entry) reconstructs exactly the record a live worker
+/// would have handed over.
+RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo);
 
 /// The set-level union pass over a dependency store: for every recorded
 /// combination Q, folds V over all sub-combinations of Q and applies the
@@ -90,7 +94,6 @@ struct PartialReport {
 
   std::uint64_t combinations = 0;  // checked in this shard
   std::uint64_t coefficients = 0;
-  CacheStats prefix_memo;
   CacheStats region_cache;
   double convolution_seconds = 0.0;
   double verification_seconds = 0.0;
@@ -147,20 +150,27 @@ class ReportAssembler {
 
   std::uint64_t combinations() const { return combinations_; }
   std::uint64_t coefficients() const { return coefficients_; }
-  const CacheStats& prefix_memo() const { return prefix_memo_; }
   const CacheStats& region_cache() const { return region_cache_; }
   std::size_t parts() const { return parts_; }
 
-  /// Renders the canonical merged result in the serial engine's report
-  /// shape: counters summed, the one-time basis build credited once, the
+  /// Renders the canonical merged result in the serial report shape:
+  /// counters summed, the one-time basis build credited once, the
   /// canonical phase set (thaw for the ADD engines / base / convolution /
   /// verification / union) independent of which engines produced the
   /// partials, and — when every combination passed and the notion has a
-  /// set-level condition — the union pass over the merged dependency store.
-  /// The result is a pure function of the folded partials and the basis
-  /// content (timing fields aside, which --deterministic-report zeroes), so
-  /// any run that drained the same shard plan finalizes byte-identically.
-  VerifyResult finalize();
+  /// set-level condition — the union pass over the merged dependency store
+  /// (polling `cancel`'s deadline, when given).  An insecure verdict with
+  /// witness combination F reports the search order's canonical counters:
+  /// `combinations` counts the combinations ordered at or before F and
+  /// `qinfo_entries` the dependency records ordered before F — what a walk
+  /// that stops at F would have seen, however far past F the shards ran.
+  /// Partials that leave a combination unchecked — before F, or anywhere
+  /// when nothing failed — mean the run stopped early: the result is timed
+  /// out, with the visited counters.  The result is a pure
+  /// function of the folded partials and the basis content (timing fields
+  /// aside, which --deterministic-report zeroes), so any run that drained
+  /// the same shard plan finalizes byte-identically.
+  VerifyResult finalize(sched::CancelToken* cancel = nullptr);
 
  private:
   struct BestFailure {
@@ -180,10 +190,16 @@ class ReportAssembler {
   VerifyOptions options_;
   std::optional<BasisStats> basis_stats_;
   std::optional<BestFailure> best_;
+  /// Checked rank range [begin, end) of every folded partial's size class.
+  struct Covered {
+    int k;
+    std::uint64_t begin;
+    std::uint64_t end;
+  };
+  std::vector<Covered> covered_;
   QInfoStore qinfo_;
   std::uint64_t combinations_ = 0;
   std::uint64_t coefficients_ = 0;
-  CacheStats prefix_memo_;
   CacheStats region_cache_;
   double convolution_seconds_ = 0.0;
   double verification_seconds_ = 0.0;

@@ -17,14 +17,8 @@ void QInfoStore::account(const QInfo& info) {
   if (bytes_ > peak_bytes_) peak_bytes_ = bytes_;
 }
 
-void QInfoStore::unaccount(const QInfo& info) {
-  bytes_ -= sizeof(QInfo) + sizeof(std::uint64_t) +
-            info.V.capacity() * sizeof(Mask) +
-            sizeof(std::pair<std::uint64_t, std::uint32_t>) + sizeof(void*);
-}
-
-void QInfoStore::insert(const std::vector<int>& combo, QInfo info) {
-  const std::uint64_t key = key_of(combo);
+void QInfoStore::insert(int k, std::uint64_t rank, QInfo info) {
+  const std::uint64_t key = (rank << 6) | static_cast<std::uint64_t>(k);
   account(info);
   index_.emplace(key, static_cast<std::uint32_t>(arena_.size()));
   keys_.push_back(key);
@@ -45,6 +39,16 @@ void QInfoStore::merge_from(const QInfoStore& other) {
     keys_.push_back(other.keys_[i]);
     arena_.push_back(other.arena_[i]);
   }
+}
+
+std::size_t QInfoStore::count_ranks_below(
+    const std::vector<std::uint64_t>& bound) const {
+  std::size_t n = 0;
+  for (std::uint64_t key : keys_) {
+    const std::size_t k = key & 63;
+    if (k < bound.size() && (key >> 6) < bound[k]) ++n;
+  }
+  return n;
 }
 
 std::vector<std::vector<int>> QInfoStore::sorted_combos() const {

@@ -33,17 +33,8 @@ class QInfoStore {
   QInfoStore() = default;
   explicit QInfoStore(int num_observables) : n_(num_observables) {}
 
-  /// Re-keys an empty store for a universe of `num_observables`.
-  void reset(int num_observables) {
-    n_ = num_observables;
-    arena_.clear();
-    keys_.clear();
-    index_.clear();
-    bytes_ = 0;
-    peak_bytes_ = 0;
-  }
-
-  void insert(const std::vector<int>& combo, QInfo info);
+  /// Records the size-k combination of lexicographic rank `rank`.
+  void insert(int k, std::uint64_t rank, QInfo info);
 
   /// The record of `combo`, or null if it was never inserted.
   const QInfo* find(const std::vector<int>& combo) const;
@@ -57,21 +48,10 @@ class QInfoStore {
   /// Folds `other`'s records in (disjoint key sets across shards).
   void merge_from(const QInfoStore& other);
 
-  /// Removes every record appended at arena position >= `from`, handing
-  /// each (key, record) pair to `fn` in insertion order (key = rank << 6 |
-  /// k, see key_of).  The arena is append-only, so the records of one
-  /// shard are exactly a tail slice; shard-mode drivers drain it into the
-  /// shard's PartialReport without copying (verify/partial.h).
-  template <typename Fn>
-  void drain_tail(std::size_t from, Fn&& fn) {
-    for (std::size_t i = from; i < arena_.size(); ++i) {
-      unaccount(arena_[i]);
-      index_.erase(keys_[i]);
-      fn(keys_[i], std::move(arena_[i]));
-    }
-    arena_.resize(from);
-    keys_.resize(from);
-  }
+  /// Records of size k whose rank lies below `bound[k]` (sizes beyond the
+  /// bound vector count nothing) — how many entries a search order places
+  /// before a given combination (verify/partial.cpp).
+  std::size_t count_ranks_below(const std::vector<std::uint64_t>& bound) const;
 
   /// Stored combinations decoded back to index vectors, in lexicographic
   /// vector order — the iteration order of the old per-path std::map, which
@@ -81,7 +61,6 @@ class QInfoStore {
  private:
   std::uint64_t key_of(const std::vector<int>& combo) const;
   void account(const QInfo& info);
-  void unaccount(const QInfo& info);
 
   int n_ = 0;
   std::vector<QInfo> arena_;

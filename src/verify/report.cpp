@@ -18,7 +18,7 @@ namespace {
 // incremental scan replayed part of the work.  What stays is precisely what
 // the verification *semantics* determine: verdict, witness, observable and
 // combination counts.  What goes is what the execution *strategy* shapes:
-// durations, cache/memo traffic, diagram and arena accounting, per-worker
+// durations, cache traffic, diagram and arena accounting, per-worker
 // load split, and the incremental replay stats (an incremental run's
 // deterministic report is byte-identical to a cold one by construction —
 // that is the correctness gate; the replay counters remain visible through
@@ -39,7 +39,6 @@ VerifyResult strip_timing(const VerifyResult& result) {
     w.peak_nodes = 0;
   }
   out.stats.coefficients = 0;
-  out.stats.prefix_memo = {};
   out.stats.region_cache = {};
   out.stats.qinfo_peak_bytes = 0;
   out.stats.dd_cache_hits = 0;
@@ -91,7 +90,7 @@ std::string summarize(const std::string& gadget_name,
      << result.stats.num_observables << " observables, "
      << result.stats.combinations << " combinations, ";
   // Resolved worker count (after --jobs 0 expands to the hardware
-  // concurrency); serial runs leave parallel.jobs at 0.
+  // concurrency); `--jobs 1` runs leave parallel.jobs at 0.
   if (result.stats.parallel.jobs > 0)
     os << result.stats.parallel.jobs << " jobs, ";
   os << seconds * 1e3 << " ms)";
@@ -111,8 +110,6 @@ void export_metrics(const VerifyOptions& options, const VerifyResult& result,
       .set(seconds > 0 ? static_cast<double>(s.combinations) / seconds : 0.0);
   m.counter("verify.secure").set(result.secure ? 1 : 0);
   m.counter("verify.timed_out").set(result.timed_out ? 1 : 0);
-  m.counter("memo.prefix.hits").set(s.prefix_memo.hits);
-  m.counter("memo.prefix.misses").set(s.prefix_memo.misses);
   m.counter("memo.region.hits").set(s.region_cache.hits);
   m.counter("memo.region.misses").set(s.region_cache.misses);
   m.counter("qinfo.entries").set(s.qinfo_entries);
@@ -175,8 +172,6 @@ std::string json_report(const std::string& gadget_name,
   os << "\"combinations\":" << result.stats.combinations << ",";
   os << "\"coefficients\":" << result.stats.coefficients << ",";
   os << "\"caches\":{";
-  os << "\"prefix_memo\":{\"hits\":" << result.stats.prefix_memo.hits
-     << ",\"misses\":" << result.stats.prefix_memo.misses << "},";
   os << "\"region_cache\":{\"hits\":" << result.stats.region_cache.hits
      << ",\"misses\":" << result.stats.region_cache.misses << "}},";
   os << "\"qinfo\":{\"entries\":" << result.stats.qinfo_entries
@@ -292,9 +287,7 @@ std::string detailed_report(const circuit::Gadget& gadget,
   os << "observables: " << result.stats.num_observables
      << "  combinations: " << result.stats.combinations
      << "  coefficients: " << result.stats.coefficients << "\n";
-  os << "caches: prefix memo " << result.stats.prefix_memo.hits << " hits / "
-     << result.stats.prefix_memo.misses << " misses, region cache "
-     << result.stats.region_cache.hits << " hits / "
+  os << "caches: region cache " << result.stats.region_cache.hits << " hits / "
      << result.stats.region_cache.misses << " misses\n";
   if (result.stats.qinfo_entries > 0)
     os << "union-check arena: " << result.stats.qinfo_entries

@@ -101,18 +101,19 @@ struct VerifyOptions {
   /// and sets VerifyResult::timed_out.
   double time_limit = 0.0;
 
-  /// Worker count for the sharded parallel runtime (src/sched).  1 = the
-  /// serial engine (default); 0 = one worker per hardware thread (the
-  /// resolved count is recorded in ParallelStats::jobs); N > 1 = exactly N
-  /// workers.  Every engine shares one prepared Basis; ADD-engine workers
-  /// thaw its frozen forest into a private dd::Manager (the manager's
-  /// GC/reordering safe-point design is single-threaded) — no unfolding
-  /// replays.  Verdicts and witnesses are independent of the worker count —
-  /// see DESIGN.md "Threading model".
+  /// Worker count of the shard executor (verify/parallel.h).  1 = one
+  /// worker on the calling thread, no thread spawned (default); 0 = one
+  /// worker per hardware thread (the resolved count is recorded in
+  /// ParallelStats::jobs); N > 1 = exactly N workers.  Every engine shares
+  /// one prepared Basis; ADD-engine workers thaw its frozen forest into a
+  /// private dd::Manager (the manager's GC/reordering safe-point design is
+  /// single-threaded) — no unfolding replays.  Verdicts, witnesses and
+  /// deterministic reports are independent of the worker count — see
+  /// DESIGN.md "Threading model".
   int jobs = 1;
 
-  /// Combinations per shard for the parallel runtime; 0 = auto sizing from
-  /// the worker count (sched::plan_shards).  Small values tighten the
+  /// Combinations per shard; 0 = auto sizing from the worker count
+  /// (sched::plan_shards).  Small values tighten the
   /// cancellation latency and exercise stealing; large values amortize
   /// shard setup.
   std::uint64_t shard_size = 0;
@@ -137,13 +138,6 @@ struct VerifyOptions {
   /// start(total)/stop() around the enumeration and tick() per combination
   /// from every worker; null (default) skips all of it.
   obs::Progress* progress = nullptr;
-
-  /// Capacity (entries) of the per-worker convolution-prefix memo: row sets
-  /// of recently built combination prefixes are kept so prefix reuse
-  /// survives shard boundaries and largest-first restarts.  0 disables the
-  /// memo, negative values make it unbounded.  Verdicts, witnesses and
-  /// coefficient counts are memo-invariant (tested).
-  std::int64_t memo_capacity = 64;
 
   /// Diff-aware incremental scan (store/cached_verify.h): look up the
   /// nearest prior ConeSummary for the gadget family, replay the verdicts
@@ -171,13 +165,13 @@ struct CounterExample {
   std::string reason;                    // human-readable explanation
 };
 
-/// Hit/miss counters of one cache (prefix memo, row-check region cache).
+/// Hit/miss counters of one cache.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
 
-/// Per-worker counters of a parallel run (VerifyOptions::jobs != 1).
+/// Per-worker counters of a multi-worker run (VerifyOptions::jobs != 1).
 struct WorkerStats {
   std::uint64_t shards = 0;        // shards this worker executed
   std::uint64_t combinations = 0;  // combinations it checked
@@ -189,7 +183,7 @@ struct WorkerStats {
   std::size_t peak_nodes = 0;      // its private manager's peak node count
 };
 
-/// Runtime counters of a parallel run; `jobs` stays 0 on serial runs.
+/// Runtime counters of a multi-worker run; `jobs` stays 0 on `--jobs 1`.
 struct ParallelStats {
   int jobs = 0;                        // resolved worker count (after
                                        // --jobs 0 expands to the hardware
@@ -221,8 +215,8 @@ struct VerifyStats {
   std::uint64_t combinations = 0;   // XOR-combinations enumerated
   std::uint64_t coefficients = 0;   // spectrum entries scanned/produced
   std::size_t num_observables = 0;  // outputs + probes in the universe
-  CacheStats prefix_memo;           // convolution-prefix memo (per combination
-                                    // prefix; summed across workers)
+  CacheStats prefix_memo;           // always zero (there is no prefix memo);
+                                    // kept for perfbench, which reads it
   CacheStats region_cache;          // row-check region/predicate cache
   std::uint64_t qinfo_entries = 0;      // union-check combinations recorded
   std::uint64_t qinfo_peak_bytes = 0;   // peak size of the union-check arena

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/unfold.h"
 #include "gadgets/registry.h"
 #include "spectral/spectrum.h"
+#include "util/combinations.h"
 #include "verify/backends/registry.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
@@ -165,57 +167,6 @@ TEST(Registry, CapabilityFlagsMatchEngineFamilies) {
 }
 
 // ---------------------------------------------------------------------------
-// Prefix memo: verdicts, witnesses, combination and coefficient counts must
-// be identical for any capacity (0 = off, 1 = thrashing, -1 = unbounded,
-// 64 = default).
-// ---------------------------------------------------------------------------
-
-TEST(PrefixMemo, CapacityIsObservationallyInvariant) {
-  for (const char* name : {"dom-2", "refresh-3"}) {
-    circuit::Gadget g = gadgets::by_name(name);
-    for (EngineKind engine : kAllEngines) {
-      for (SearchOrder order :
-           {SearchOrder::kDepthFirst, SearchOrder::kLargestFirst}) {
-        VerifyOptions ref_opt;
-        ref_opt.notion = Notion::kSNI;
-        ref_opt.order = 2;
-        ref_opt.engine = engine;
-        ref_opt.search_order = order;
-        ref_opt.memo_capacity = 0;
-        const VerifyResult ref = verify(g, ref_opt);
-        EXPECT_EQ(ref.stats.prefix_memo.hits, 0u);
-        for (std::int64_t capacity : {std::int64_t{1}, std::int64_t{-1},
-                                      std::int64_t{64}}) {
-          VerifyOptions opt = ref_opt;
-          opt.memo_capacity = capacity;
-          const VerifyResult r = verify(g, opt);
-          EXPECT_EQ(fingerprint(r), fingerprint(ref))
-              << name << " " << engine_name(engine) << " memo " << capacity;
-          EXPECT_EQ(r.stats.combinations, ref.stats.combinations)
-              << name << " " << engine_name(engine) << " memo " << capacity;
-          EXPECT_EQ(r.stats.coefficients, ref.stats.coefficients)
-              << name << " " << engine_name(engine) << " memo " << capacity;
-        }
-      }
-    }
-  }
-}
-
-TEST(PrefixMemo, LargestFirstRevisitsPrefixesFromTheMemo) {
-  // The size-1 pass of largest-first re-pushes every singleton the size-2
-  // pass already built; with the memo on, those are hits.
-  circuit::Gadget g = gadgets::by_name("dom-2");
-  VerifyOptions opt;
-  opt.notion = Notion::kSNI;
-  opt.order = 2;
-  opt.search_order = SearchOrder::kLargestFirst;
-  opt.memo_capacity = -1;
-  const VerifyResult r = verify(g, opt);
-  EXPECT_GT(r.stats.prefix_memo.hits, 0u);
-  EXPECT_GT(r.stats.prefix_memo.misses, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Row-check region cache: one region per combination signature, every later
 // combination with the same signature is a hit — for the scan regions and
 // the predicate BDDs alike.
@@ -295,6 +246,14 @@ TEST(Prepared, AddEnginesHonorJobsOverSharedBasis) {
 // QInfoStore: rank-keyed arena must behave like the old per-path map.
 // ---------------------------------------------------------------------------
 
+// Records `combo` in a store over n observables, keyed as the executor keys
+// it: by size and lexicographic rank.
+void insert_combo(QInfoStore& store, int n, const std::vector<int>& combo,
+                  QInfo info) {
+  store.insert(static_cast<int>(combo.size()), combination_rank(n, combo),
+               std::move(info));
+}
+
 TEST(QInfoStore, FindsInsertedCombosAndSortsLexicographically) {
   QInfoStore store(5);
   // Insertion order deliberately not lexicographic.
@@ -304,7 +263,7 @@ TEST(QInfoStore, FindsInsertedCombosAndSortsLexicographically) {
     info.row.num_observables = static_cast<int>(combo.size());
     info.V.assign(1, Mask{});
     info.V[0].set(combo.front());
-    store.insert(combo, std::move(info));
+    insert_combo(store, 5, combo, std::move(info));
   }
   EXPECT_EQ(store.size(), 6u);
   const QInfo* hit = store.find({1, 3});
@@ -325,9 +284,9 @@ TEST(QInfoStore, MergesDisjointStores) {
   QInfoStore a(6), b(6);
   QInfo info;
   info.V.assign(1, Mask{});
-  a.insert({0, 2}, info);
-  b.insert({1, 5}, info);
-  b.insert({3}, info);
+  insert_combo(a, 6, {0, 2}, info);
+  insert_combo(b, 6, {1, 5}, info);
+  insert_combo(b, 6, {3}, info);
   a.merge_from(b);
   EXPECT_EQ(a.size(), 3u);
   EXPECT_NE(a.find({0, 2}), nullptr);
@@ -335,6 +294,40 @@ TEST(QInfoStore, MergesDisjointStores) {
   EXPECT_NE(a.find({3}), nullptr);
   const std::vector<std::vector<int>> want = {{0, 2}, {1, 5}, {3}};
   EXPECT_EQ(a.sorted_combos(), want);
+}
+
+TEST(QInfoStore, CountRanksBelowBoundsEachSizeClass) {
+  // A size-k record counts iff its rank lies below bound[k]; sizes past the
+  // end of the bound vector count nothing.
+  const int n = 6;
+  QInfoStore store(n);
+  QInfo info;
+  info.V.assign(1, Mask{});
+  const std::vector<std::vector<int>> combos = {
+      {0}, {3}, {5}, {0, 1}, {1, 4}, {2, 5}, {4, 5}, {0, 1, 2}, {1, 2, 3}};
+  for (const auto& combo : combos) insert_combo(store, n, combo, info);
+
+  const auto brute = [&](const std::vector<std::uint64_t>& bound) {
+    std::size_t count = 0;
+    for (const auto& combo : combos) {
+      const std::size_t k = combo.size();
+      if (k < bound.size() && combination_rank(n, combo) < bound[k]) ++count;
+    }
+    return count;
+  };
+  for (const std::vector<std::uint64_t>& bound :
+       std::vector<std::vector<std::uint64_t>>{
+           {},
+           {0, 0, 0, 0},
+           {0, 4},
+           {0, 6, 15},
+           {0, 6, 15, 20},
+           {0, 1, 7, 10},
+           {0, 3, 0, 1}}) {
+    EXPECT_EQ(store.count_ranks_below(bound), brute(bound));
+  }
+  EXPECT_EQ(store.count_ranks_below({0, 4}), 2u);  // {0}, {3}
+  EXPECT_EQ(store.count_ranks_below({0, 6, 15, 20}), combos.size());
 }
 
 TEST(QInfoStore, PeakBytesReportedInStats) {

@@ -172,7 +172,6 @@ verify::VerifyOptions daemon_default_options(int order) {
   opt.union_check = true;
   opt.time_limit = 0.0;
   opt.jobs = 1;
-  opt.memo_capacity = 64;
   opt.var_order = circuit::VarOrder::kDeclared;
   opt.sift_after_unfold = false;
   opt.deterministic_report = true;

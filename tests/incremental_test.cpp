@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/edit.h"
@@ -78,7 +79,14 @@ std::shared_ptr<const verify::Basis> build_basis_for(
 // ---------------------------------------------------------------------------
 
 TEST(Incremental, EditResubmitMatchesColdAcrossTheRegistry) {
-  for (const std::string& name : gadgets::all_names()) {
+  // One worker on the calling thread, and two, whose report carries the
+  // per-worker visit counts.
+  std::vector<std::pair<std::string, int>> cases;
+  for (const int jobs : {1, 2})
+    for (const std::string& name : gadgets::all_names())
+      cases.emplace_back(name, jobs);
+  for (const auto& [name, jobs] : cases) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
     const circuit::Gadget g = gadgets::by_name(name);
     const circuit::WireId swap = circuit::first_swappable_gate(g);
     ASSERT_NE(swap, circuit::kNoWire) << name;
@@ -88,6 +96,7 @@ TEST(Incremental, EditResubmitMatchesColdAcrossTheRegistry) {
     opt.order = std::min(2, gadgets::security_level(name));
     opt.deterministic_report = true;
     opt.incremental = true;
+    opt.jobs = jobs;
 
     // Cold reference: the edited gadget scanned from nothing.
     verify::VerifyResult r_cold;
@@ -130,27 +139,42 @@ TEST(Incremental, EditResubmitMatchesColdAcrossTheRegistry) {
         << name;
 
     // Less work: the single-gate edit dirties some cones, not all.  On a
-    // secure scan (full enumeration) the saving is strict; an insecure one
+    // secure scan (full enumeration) the saving is strict.  An insecure one
     // early-exits after a handful of combinations, where the dirty set can
-    // legitimately cover them all.
+    // legitimately cover them all.  Every visited combination is either
+    // replayed or re-checked; an insecure report counts the combinations
+    // ordered up to the witness, while the workers may visit a few more (of
+    // other sizes) before they stop, so there the count to match is the
+    // per-worker one, which only a --jobs N report carries.
     const verify::IncrementalStats& is = r_inc.stats.incremental;
     EXPECT_TRUE(is.active) << name;
     EXPECT_GT(is.cones_reused, 0u) << name;
-    if (r_cold.secure)
+    const std::uint64_t visited =
+        is.combinations_skipped + is.combinations_rechecked;
+    if (r_cold.secure) {
       EXPECT_LT(is.combinations_rechecked, r_cold.stats.combinations) << name;
-    else
-      EXPECT_LE(is.combinations_rechecked, r_cold.stats.combinations) << name;
-    EXPECT_EQ(is.combinations_skipped + is.combinations_rechecked,
-              r_cold.stats.combinations)
-        << name;
+      EXPECT_EQ(visited, r_cold.stats.combinations) << name;
+    } else if (jobs > 1) {
+      std::uint64_t by_workers = 0;
+      for (const verify::WorkerStats& w : r_inc.stats.parallel.workers)
+        by_workers += w.combinations;
+      EXPECT_LE(is.combinations_rechecked, by_workers) << name;
+      EXPECT_EQ(visited, by_workers) << name;
+    } else {
+      EXPECT_GE(visited, r_cold.stats.combinations) << name;
+    }
 
-    // Unchanged resubmission: nothing left to re-check.
+    // Unchanged resubmission: nothing left to re-check.  Two workers on an
+    // insecure gadget are the exception: which combinations they visit
+    // before stopping depends on scheduling, and one the previous run
+    // never reached is re-checked.
     StoreOutcome again;
     const verify::VerifyResult r_again =
         verify_with_store(edited, opt, store, &again);
     EXPECT_TRUE(again.hit) << name;  // Basis artifact warm this time
     EXPECT_TRUE(again.summary_hit) << name;
-    EXPECT_EQ(r_again.stats.incremental.combinations_rechecked, 0u) << name;
+    if (r_cold.secure || jobs == 1)
+      EXPECT_EQ(r_again.stats.incremental.combinations_rechecked, 0u) << name;
     EXPECT_EQ(r_again.stats.incremental.cones_reused,
               r_again.stats.incremental.cones_total)
         << name;

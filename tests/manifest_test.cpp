@@ -51,8 +51,10 @@ class TempDir {
   fs::path path_;
 };
 
-verify::VerifyOptions base_options(int order) {
+verify::VerifyOptions base_options(
+    int order, verify::Notion notion = verify::Notion::kSNI) {
   verify::VerifyOptions opt;
+  opt.notion = notion;
   opt.order = order;
   opt.deterministic_report = true;
   // Small registry gadgets would otherwise collapse to one or two shards
@@ -65,9 +67,10 @@ verify::VerifyOptions base_options(int order) {
 }
 
 /// The canonical single-shot baseline: serial verify, deterministic report.
-std::string serial_report(const std::string& name, int order) {
+std::string serial_report(const std::string& name, int order,
+                          verify::Notion notion = verify::Notion::kSNI) {
   const circuit::Gadget g = gadgets::by_name(name);
-  const verify::VerifyOptions opt = base_options(order);
+  const verify::VerifyOptions opt = base_options(order, notion);
   const verify::VerifyResult r = verify::verify(g, opt);
   return verify::json_report(name, opt, r, 0.0);
 }
@@ -75,9 +78,10 @@ std::string serial_report(const std::string& name, int order) {
 /// Plan + drain (with `worker` calls) + finalize, rendered the same way.
 std::string scan_report(const std::string& name, int order,
                         const std::string& store_dir,
-                        const std::vector<WorkerOptions>& workers) {
+                        const std::vector<WorkerOptions>& workers,
+                        verify::Notion notion = verify::Notion::kSNI) {
   const circuit::Gadget g = gadgets::by_name(name);
-  verify::VerifyOptions opt = base_options(order);
+  verify::VerifyOptions opt = base_options(order, notion);
   ArtifactStore::Options store_opt;
   store_opt.dir = store_dir;
   ArtifactStore store(store_opt);
@@ -282,18 +286,28 @@ TEST(ScanDirTest, CheckpointMarksDoneAndSkipsClaim) {
 }
 
 TEST(ScanE2E, DrainedScanMatchesSerialReportByteForByte) {
-  // Secure gadgets at their design order: byte-parity is the contract there
-  // (an insecure serial run stops at its first failure, a drained scan
-  // checks everything — verdict and witness still agree, stats don't).
-  const std::vector<std::pair<std::string, int>> jobs = {
-      {"dom-1", 1}, {"dom-2", 2}, {"isw-1", 1}};
-  for (const auto& [name, order] : jobs) {
-    TempDir tmp("e2e_" + name);
+  // Secure and insecure gadgets alike: a drained scan checks every shard,
+  // and finalize() reports the search order's canonical counters for an
+  // insecure verdict — the same bytes as the plain run.
+  struct Job {
+    std::string name;
+    int order;
+    verify::Notion notion;
+  };
+  const std::vector<Job> jobs = {
+      {"dom-1", 1, verify::Notion::kSNI},
+      {"dom-2", 2, verify::Notion::kSNI},
+      {"isw-1", 1, verify::Notion::kSNI},
+      {"composition", 2, verify::Notion::kPINI},
+      {"refresh-3", 2, verify::Notion::kSNI},
+      {"dom-3", 3, verify::Notion::kPINI}};
+  for (const Job& job : jobs) {
+    TempDir tmp("e2e_" + job.name);
     WorkerOptions w;
     w.jobs = 2;
-    EXPECT_EQ(scan_report(name, order, tmp.str(), {w}),
-              serial_report(name, order))
-        << name;
+    EXPECT_EQ(scan_report(job.name, job.order, tmp.str(), {w}, job.notion),
+              serial_report(job.name, job.order, job.notion))
+        << job.name;
   }
 }
 

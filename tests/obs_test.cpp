@@ -251,7 +251,6 @@ TEST(Metrics, VerifyExportMatchesGoldenSchema) {
       "verify.observables",    "verify.order",
       "verify.seconds",        "verify.combinations_per_sec",
       "verify.secure",         "verify.timed_out",
-      "memo.prefix.hits",      "memo.prefix.misses",
       "memo.region.hits",      "memo.region.misses",
       "qinfo.entries",         "qinfo.peak_bytes",
       "frozen.nodes",          "frozen.bytes",
@@ -263,6 +262,8 @@ TEST(Metrics, VerifyExportMatchesGoldenSchema) {
   };
   for (const char* name : required)
     EXPECT_TRUE(v->has(name)) << "metrics export lost key " << name;
+  // The prefix memo is gone, and its counters with it.
+  EXPECT_FALSE(v->has("memo.prefix.hits"));
   EXPECT_GT(v->at("verify.combinations").num, 0.0);
   EXPECT_EQ(v->at("verify.secure").num, 1.0);
   // Metrics were enabled, so the per-rank latency histograms sampled.

@@ -5,11 +5,14 @@
 
 #include "circuit/builder.h"
 #include "gadgets/registry.h"
+#include "sched/cancel.h"
 #include "sched/pool.h"
 #include "util/combinations.h"
 #include "verify/bruteforce.h"
 #include "verify/engine.h"
 #include "verify/heuristic.h"
+#include "verify/partial.h"
+#include "verify/report.h"
 
 namespace sani::verify {
 namespace {
@@ -31,10 +34,10 @@ std::string fingerprint(const VerifyResult& r) {
   return fp;
 }
 
-// The tentpole acceptance criterion: for every registry gadget and order,
-// the parallel runtime returns the serial engine's verdict AND witness for
-// any worker count.  shard_size is pinned small so even tiny probe spaces
-// split into many shards (exercising the merge, not just one worker).
+// For every registry gadget and order, any worker count returns the
+// one-worker verdict, witness AND combination count.  shard_size is pinned
+// small so even tiny probe spaces split into many shards (exercising the
+// merge, not just one worker).
 TEST(Parallel, DeterministicAcrossJobCountsAllRegistryGadgets) {
   for (const std::string& name : gadgets::all_names()) {
     const Gadget g = gadgets::by_name(name);
@@ -51,10 +54,8 @@ TEST(Parallel, DeterministicAcrossJobCountsAllRegistryGadgets) {
         const VerifyResult parallel = verify(g, opt);
         EXPECT_EQ(fingerprint(parallel), want)
             << name << " order " << order << " jobs " << jobs;
-        if (serial.secure && !serial.timed_out) {
-          EXPECT_EQ(parallel.stats.combinations, serial.stats.combinations)
-              << name << " order " << order << " jobs " << jobs;
-        }
+        EXPECT_EQ(parallel.stats.combinations, serial.stats.combinations)
+            << name << " order " << order << " jobs " << jobs;
         EXPECT_EQ(parallel.stats.parallel.jobs, jobs);
         // MAPI (the default engine) shares the one frozen Basis like every
         // other engine: no per-worker unfolding replays, ever.
@@ -63,6 +64,48 @@ TEST(Parallel, DeterministicAcrossJobCountsAllRegistryGadgets) {
         EXPECT_EQ(parallel.stats.parallel.replays, 0u)
             << name << " order " << order << " jobs " << jobs;
       }
+    }
+  }
+}
+
+// --deterministic-report on an insecure multi-worker run: the counters are
+// the search order's canonical ones (the combinations ordered at or before
+// the witness, the dependency records before it), not whatever the workers
+// happened to check before the cancellation landed — so repeated runs are
+// byte-identical and equal the one-worker report.
+TEST(Parallel, DeterministicReportOnInsecureRunsAcrossJobCounts) {
+  struct Case {
+    const char* gadget;
+    int order;
+    std::uint64_t combinations;
+    std::uint64_t qinfo_entries;
+  };
+  for (const Case& c : {Case{"dom-3", 3, 2920, 2919},
+                        Case{"keccak-2", 2, 1783, 1782}}) {
+    const Gadget g = gadgets::by_name(c.gadget);
+    VerifyOptions opt;
+    opt.notion = Notion::kPINI;
+    opt.order = c.order;
+    opt.deterministic_report = true;
+    opt.jobs = 1;
+    const VerifyResult serial = verify(g, opt);
+    ASSERT_FALSE(serial.secure) << c.gadget;
+    EXPECT_EQ(serial.stats.combinations, c.combinations) << c.gadget;
+    EXPECT_EQ(serial.stats.qinfo_entries, c.qinfo_entries) << c.gadget;
+
+    opt.jobs = 4;
+    opt.shard_size = 7;
+    std::string first;
+    for (int run = 0; run < 5; ++run) {
+      const VerifyResult r = verify(g, opt);
+      EXPECT_EQ(fingerprint(r), fingerprint(serial)) << c.gadget;
+      EXPECT_EQ(r.stats.combinations, c.combinations) << c.gadget;
+      EXPECT_EQ(r.stats.qinfo_entries, c.qinfo_entries) << c.gadget;
+      const std::string report = json_report(c.gadget, opt, r, 0.0);
+      if (run == 0)
+        first = report;
+      else
+        EXPECT_EQ(report, first) << c.gadget << " run " << run;
     }
   }
 }
@@ -135,6 +178,119 @@ TEST(Parallel, CounterexampleCancelsRemainingShards) {
   }
   EXPECT_TRUE(cancelled_early)
       << "no run out of 5 short-circuited the probe space";
+}
+
+// An external cancel() (the daemon's abandoned request) stops the run as
+// timed out at every worker count: no counterexample, no coverage claimed.
+TEST(Parallel, ExternalCancelStopsEveryWorkerCount) {
+  const Gadget g = gadgets::by_name("dom-2");
+  const circuit::Unfolded u = circuit::unfold(g);
+  const ObservableSet obs = build_observables(g, u, {});
+  const std::shared_ptr<const Basis> basis =
+      build_basis(u, obs, EngineKind::kDIRECT);
+  for (int jobs : {1, 4}) {
+    VerifyOptions opt;
+    opt.notion = Notion::kSNI;
+    opt.order = 2;
+    opt.jobs = jobs;
+    sched::CancelToken cancel;
+    cancel.cancel();
+    const VerifyResult r = verify_basis(basis, opt, &cancel);
+    EXPECT_TRUE(r.timed_out) << "jobs " << jobs;
+    EXPECT_FALSE(r.counterexample.has_value()) << "jobs " << jobs;
+    EXPECT_EQ(r.stats.combinations, 0u) << "jobs " << jobs;
+  }
+}
+
+// A failure folded in while a combination ordered before it is still
+// unchecked is not known to be the canonical witness: the run finalizes as
+// timed out with the visited counters.  Once every combination ordered
+// before the failure is covered, it is the insecure verdict with canonical
+// counters.  Depth-first, the two-element combinations {a, b} with a < 4
+// precede the singleton {4}.
+TEST(Parallel, UncheckedCombinationBeforeTheWitnessTimesOut) {
+  const Gadget g = gadgets::by_name("dom-2");
+  const circuit::Unfolded u = circuit::unfold(g);
+  const ObservableSet obs = build_observables(g, u, {});
+  const std::shared_ptr<const Basis> basis =
+      build_basis(u, obs, EngineKind::kDIRECT);
+  const int n = static_cast<int>(basis->size());
+  VerifyOptions opt;
+  opt.engine = EngineKind::kDIRECT;  // the assembler takes resolved options
+  opt.notion = Notion::kPINI;
+  opt.order = 2;
+
+  const auto shard = [](int k, std::uint64_t begin, std::uint64_t end,
+                        std::uint64_t covered_end) {
+    PartialReport part;
+    part.k = k;
+    part.begin = begin;
+    part.end = end;
+    part.covered_end = covered_end;
+    part.complete = covered_end == end;
+    part.combinations = covered_end - begin;
+    return part;
+  };
+  PartialReport singles = shard(1, 0, static_cast<std::uint64_t>(n), 5);
+  singles.complete = true;  // stopped at its own failure
+  singles.has_failure = true;
+  singles.fail_rank = 4;
+  singles.fail_reason = "planted";
+  const std::uint64_t before = count_lex_before(n, 2, {4});
+  ASSERT_GT(before, 40u);
+
+  ReportAssembler cut(basis, opt);
+  cut.add(singles);
+  cut.add(shard(2, 0, 40, 10));  // the deadline fired mid-shard
+  const VerifyResult timed_out = cut.finalize();
+  EXPECT_TRUE(timed_out.timed_out);
+  EXPECT_FALSE(timed_out.counterexample.has_value());
+  EXPECT_EQ(timed_out.stats.combinations, 15u);
+
+  ReportAssembler whole(basis, opt);
+  whole.add(singles);
+  whole.add(shard(2, 0, 40, 40));
+  whole.add(shard(2, 40, before, before));
+  const VerifyResult insecure = whole.finalize();
+  EXPECT_FALSE(insecure.timed_out);
+  EXPECT_FALSE(insecure.secure);
+  ASSERT_TRUE(insecure.counterexample.has_value());
+  EXPECT_EQ(insecure.counterexample->observables,
+            std::vector<std::string>{basis->obs[4].name});
+  EXPECT_EQ(insecure.stats.combinations, 4 + before + 1);
+}
+
+// Whatever the deadline, a --time-limit run reports either a timeout or
+// the unlimited run's verdict, witness and counters.  dom-2 fails 2-PINI at
+// a pair depth-first, and a singleton ordered after that pair fails too —
+// the executor checks the singletons first, so it meets that one first.
+TEST(Parallel, TimeLimitNeverReportsANonCanonicalWitness) {
+  const Gadget g = gadgets::by_name("dom-2");
+  VerifyOptions opt;
+  opt.notion = Notion::kPINI;
+  opt.order = 2;
+  opt.jobs = 1;
+  const VerifyResult full = verify(g, opt);
+  ASSERT_FALSE(full.secure);
+  ASSERT_EQ(full.counterexample->observables.size(), 2u);
+  opt.order = 1;
+  ASSERT_FALSE(verify(g, opt).secure);
+  opt.order = 2;
+
+  for (int jobs : {1, 4}) {
+    opt.jobs = jobs;
+    for (double limit = 2e-5; limit < 5e-3; limit *= 1.5) {
+      opt.time_limit = limit;
+      const VerifyResult r = verify(g, opt);
+      if (r.timed_out) continue;
+      EXPECT_EQ(fingerprint(r), fingerprint(full))
+          << "jobs " << jobs << ", limit " << limit;
+      EXPECT_EQ(r.stats.combinations, full.stats.combinations)
+          << "jobs " << jobs << ", limit " << limit;
+      EXPECT_EQ(r.stats.qinfo_entries, full.stats.qinfo_entries)
+          << "jobs " << jobs << ", limit " << limit;
+    }
+  }
 }
 
 // --time-limit must fire *mid-enumeration*, not only between sizes: a tiny
@@ -328,37 +484,6 @@ TEST(Parallel, CrossEngineAgreementBothSearchOrders) {
       }
     }
   }
-}
-
-// The compatibility overload of verify_prepared (formerly the replay
-// overload): the prepare function is ignored — the frozen Basis serves
-// every worker — and the result stays byte-identical to the serial
-// prepared path.
-TEST(Parallel, PreparedReplayOverloadMatchesSerial) {
-  const Gadget g = gadgets::by_name("dom-2");
-  VerifyOptions opt;
-  opt.notion = Notion::kSNI;
-  opt.order = 2;
-
-  circuit::Unfolded unfolded = circuit::unfold(g, opt.cache_bits);
-  ObservableSet obs = build_observables(g, unfolded, opt.probes);
-  opt.jobs = 1;
-  const std::string want = fingerprint(verify_prepared(unfolded, obs, opt));
-
-  opt.jobs = 2;
-  opt.shard_size = 9;
-  const VerifyResult r = verify_prepared(
-      unfolded, obs, opt, [&g, &opt]() {
-        PreparedInput input;
-        input.unfolded = circuit::unfold(g, opt.cache_bits);
-        input.observables =
-            build_observables(g, input.unfolded, opt.probes);
-        return input;
-      });
-  EXPECT_EQ(fingerprint(r), want);
-  EXPECT_EQ(r.stats.parallel.jobs, 2);
-  EXPECT_TRUE(r.stats.parallel.shared_basis);
-  EXPECT_EQ(r.stats.parallel.replays, 0u);
 }
 
 }  // namespace

@@ -43,7 +43,8 @@ TEST(JsonReport, RoundTripsThroughAParser) {
   EXPECT_TRUE(v->at("metrics").is_object());
   EXPECT_TRUE(v->at("metrics").has("verify.combinations"));
   EXPECT_TRUE(v->at("phases").is_object());
-  EXPECT_TRUE(v->at("caches").at("prefix_memo").has("hits"));
+  EXPECT_TRUE(v->at("caches").at("region_cache").has("hits"));
+  EXPECT_FALSE(v->at("caches").has("prefix_memo"));
 }
 
 TEST(JsonReport, EscapesHostileStringsEverywhere) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -86,6 +87,33 @@ TEST(Pool, FirstExceptionPropagatesAndJobStillDrains) {
   std::atomic<int> again{0};
   pool.run(5, [&](int, std::size_t) { again.fetch_add(1); });
   EXPECT_EQ(again.load(), 5);
+}
+
+TEST(Pool, WorkerZeroRunsOnTheCallingThread) {
+  // The caller of run() is worker 0; a one-worker pool runs every task
+  // inline, and the other workers of a larger pool are spawned threads.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int threads : {1, 2, 4}) {
+    Pool pool(threads);
+    std::mutex mu;
+    std::vector<std::set<std::thread::id>> ids(
+        static_cast<std::size_t>(threads));
+    pool.run(64, [&](int worker, std::size_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      ids[static_cast<std::size_t>(worker)].insert(
+          std::this_thread::get_id());
+    });
+    for (int w = 0; w < threads; ++w) {
+      const auto& seen = ids[static_cast<std::size_t>(w)];
+      EXPECT_LE(seen.size(), 1u) << "worker " << w;
+      if (seen.empty()) continue;
+      EXPECT_EQ(*seen.begin() == caller, w == 0) << "worker " << w;
+    }
+    // Stealing may leave worker 0 idle in a larger pool; alone, it runs all.
+    if (threads == 1) {
+      EXPECT_EQ(ids[0].size(), 1u);
+    }
+  }
 }
 
 TEST(Pool, HardwareThreadsIsPositive) {
@@ -243,6 +271,31 @@ TEST(Ranking, RoundTripMatchesIterationOrder) {
       } while (it.next());
       EXPECT_EQ(rank, binomial(n, k));
     }
+}
+
+TEST(Ranking, CountLexBeforeMatchesDepthFirstOrder) {
+  // count_lex_before(n, k, F) is the number of size-k combinations that
+  // precede F in lexicographic vector order over sizes 1..d, where a proper
+  // prefix precedes its extensions: the depth-first search order.
+  for (int n : {1, 4, 7}) {
+    const int d = std::min(n, 4);
+    std::vector<std::vector<int>> order;
+    for (int k = 1; k <= d; ++k) {
+      CombinationIter it(n, k);
+      do {
+        order.push_back(it.indices());
+      } while (it.next());
+    }
+    std::sort(order.begin(), order.end());
+    for (const auto& f : order)
+      for (int k = 1; k <= d; ++k) {
+        std::uint64_t want = 0;
+        for (const auto& c : order)
+          if (static_cast<int>(c.size()) == k && c < f) ++want;
+        EXPECT_EQ(count_lex_before(n, k, f), want)
+            << "n=" << n << " k=" << k << " |F|=" << f.size();
+      }
+  }
 }
 
 TEST(Ranking, IterResumesMidStream) {

@@ -627,7 +627,6 @@ TEST(Key, SensitiveToBasisShapingInputsOnly) {
     verify::VerifyOptions o = base;
     o.order = 5;
     o.jobs = 8;
-    o.memo_capacity = 0;
     o.time_limit = 1.0;
     o.cache_bits = 20;
     EXPECT_EQ(artifact_key(g, o), k);

@@ -83,11 +83,9 @@ int usage(const std::string& msg = "") {
       "  --no-union                     per-row T-predicate check only\n"
       "  --time-limit S                 wall-clock budget in seconds "
       "(fractional ok)\n"
-      "  --jobs N                       worker threads (default 1; 0 = all\n"
+      "  --jobs N                       shard workers (default 1: runs on\n"
+      "                                 the calling thread; 0 = all\n"
       "                                 hardware threads)\n"
-      "  --memo N                       convolution-prefix memo capacity\n"
-      "                                 (default 64; 0 = off, -1 = "
-      "unbounded)\n"
       "  --cache-bits N                 manager computed-table size, 2^N\n"
       "                                 entries (default 18; 1..30)\n"
       "  --var-order declared|randoms-first|randoms-last|interleaved\n"
@@ -204,7 +202,6 @@ verify::VerifyOptions options_from(const CliArgs& args) {
   opt.time_limit = args.value_double("time-limit", 0.0);
   opt.jobs = args.value_int("jobs", 1);
   if (opt.jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
-  opt.memo_capacity = args.value_int("memo", 64);
   opt.shard_size =
       static_cast<std::uint64_t>(args.value_int("shard-size", 0));
   opt.cache_bits = args.value_int("cache-bits", opt.cache_bits);
@@ -708,7 +705,7 @@ int main(int argc, char** argv) {
       };
       // The finalized report renders under the manifest's canonical options
       // (resolved engine, notion, order): byte-identical to `sani verify
-      // --deterministic-report` of the same job for secure gadgets.
+      // --deterministic-report` of the same job.
       const auto render = [&](const store::ScanDir& scan,
                               const verify::VerifyResult& r,
                               double seconds) -> int {

@@ -41,7 +41,7 @@ int usage(const std::string& msg = "") {
          "  verify options (mirroring sani): --notion NAME --order D\n"
          "  --engine NAME (default auto = direct) --robust --joint\n"
          "  --no-union --time-limit S\n"
-         "  --jobs N --memo N --cache-bits N --var-order NAME --sift\n"
+         "  --jobs N --cache-bits N --var-order NAME --sift\n"
          "  --largest-first --format text|json --deterministic-report\n"
          "  --priority N             admission priority (higher runs "
          "first)\n";
@@ -119,7 +119,6 @@ std::string build_verify_request(const CliArgs& args) {
   if (auto v = args.value("time-limit"))
     os << ",\"time_limit\":" << std::stod(*v);
   if (auto v = args.value("jobs")) os << ",\"jobs\":" << std::stoi(*v);
-  if (auto v = args.value("memo")) os << ",\"memo\":" << std::stoi(*v);
   if (auto v = args.value("cache-bits"))
     os << ",\"cache_bits\":" << std::stoi(*v);
   if (auto v = args.value("var-order"))
