@@ -9,7 +9,6 @@
 #include "store/sha256.h"
 #include "store/serial.h"
 #include "verify/incremental.h"
-#include "verify/qinfo.h"
 #include "verify/backends/registry.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
@@ -100,12 +99,12 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
   std::optional<verify::IncrementalPlan> plan;
   if (prior) plan = verify::IncrementalPlan::build(*basis, prior, options);
 
-  // A Basis without a cone index (deserialized from a pre-v3 artifact)
-  // can neither seed nor produce a summary — plain scan, zero stats.
+  // A Basis without a cone index can neither seed nor produce a summary —
+  // plain scan, zero stats.
   const bool collect = basis->cones.available;
   const int n = static_cast<int>(basis->size());
   verify::SummaryCollector collector(n, options.order);
-  verify::QInfoStore deps(n);
+  verify::DepTable deps;
 
   verify::IncrementalContext ctx;
   if (plan) ctx.plan = &*plan;

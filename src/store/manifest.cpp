@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <ctime>
@@ -66,10 +67,12 @@ std::string claim_body(std::size_t index, const std::string& trace_id) {
 }
 
 /// Age of `path` in seconds via mtime; nullopt when the file is gone.
+/// Never negative: a fresh file's mtime can read a second ahead of
+/// time(), whose clock is coarser, and lease 0 must still steal it.
 std::optional<double> file_age_seconds(const std::string& path) {
   struct ::stat st;
   if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-  return std::difftime(::time(nullptr), st.st_mtime);
+  return std::max(0.0, std::difftime(::time(nullptr), st.st_mtime));
 }
 
 std::string read_file(const std::string& path) {
@@ -161,9 +164,8 @@ std::string serialize_manifest(const ScanManifest& m) {
 }
 
 ScanManifest deserialize_manifest(const std::string& file_image) {
-  const std::string payload = checked_payload_for(
-      file_image, kManifestMagic, kManifestFormatVersion,
-      kManifestFormatVersion, nullptr);
+  const std::string payload =
+      checked_payload_for(file_image, kManifestMagic, kManifestFormatVersion);
   ByteReader r(payload);
   ScanManifest m;
   m.label = r.str();
@@ -234,50 +236,52 @@ std::string serialize_partial(const verify::PartialReport& part,
   w.u64(part.region_cache.misses);
   w.f64(part.convolution_seconds);
   w.f64(part.verification_seconds);
+  const std::size_t S = num_secrets;
+  if (S == 0 ? !part.deps.empty() : part.deps.size() % S != 0)
+    throw SerializationError("checkpoint: dependency mask width mismatch");
+  const std::size_t num_deps = S == 0 ? 0 : part.deps.size() / S;
   w.u32(num_secrets);
-  w.u64(part.deps.size());
+  w.u64(num_deps);
   // Dependency section (v2): dictionary + varint pairs.  Dependency-mask
   // vectors repeat massively across a shard (V is the union of the combined
   // observables' share supports, and gadgets have few distinct supports),
-  // and ranks ascend by tiny steps — so each entry costs a couple of bytes
-  // instead of 8 + 16*num_secrets.  Checkpoint size is the dominant
-  // overhead of the scan over an uncheckpointed run; this keeps it small.
-  // The dictionary stays tiny (a handful of distinct supports), so a
-  // linear scan — last-match first, consecutive deps overwhelmingly share
-  // one V — beats hashing a serialized key per dep.
-  std::vector<const std::vector<Mask>*> distinct;
-  std::vector<std::uint64_t> dep_index(part.deps.size());
+  // so each entry costs a couple of bytes instead of 16*num_secrets.
+  // Checkpoint size is the dominant overhead of the scan over an
+  // uncheckpointed run; this keeps it small.  The dictionary stays tiny (a
+  // handful of distinct supports), so a linear scan — last-match first,
+  // consecutive deps overwhelmingly share one V — beats hashing a
+  // serialized key per dep.
+  const auto V = [&](std::size_t i) { return part.deps.data() + i * S; };
+  const auto same = [&](std::size_t a, std::size_t b) {
+    return std::equal(V(a), V(a) + S, V(b));
+  };
+  std::vector<std::size_t> distinct;  // first dep of each dictionary entry
+  std::vector<std::uint64_t> dep_index(num_deps);
   std::uint64_t last = 0;
-  for (std::size_t i = 0; i < part.deps.size(); ++i) {
-    const verify::PartialReport::Dep& dep = part.deps[i];
-    if (dep.V.size() != num_secrets)
-      throw SerializationError("checkpoint: dependency mask width mismatch");
+  for (std::size_t i = 0; i < num_deps; ++i) {
     std::uint64_t idx = distinct.size();
-    if (last < distinct.size() && *distinct[last] == dep.V) {
+    if (last < distinct.size() && same(distinct[last], i)) {
       idx = last;
     } else {
       for (std::uint64_t j = 0; j < distinct.size(); ++j) {
-        if (*distinct[j] == dep.V) {
+        if (same(distinct[j], i)) {
           idx = j;
           break;
         }
       }
     }
-    if (idx == distinct.size()) distinct.push_back(&dep.V);
+    if (idx == distinct.size()) distinct.push_back(i);
     dep_index[i] = idx;
     last = idx;
   }
   w.u64(distinct.size());
-  for (const std::vector<Mask>* V : distinct)
-    for (const Mask& v : *V) write_mask(w, v);
-  std::uint64_t prev = part.begin;
-  for (std::size_t i = 0; i < part.deps.size(); ++i) {
-    const verify::PartialReport::Dep& dep = part.deps[i];
-    if (dep.rank < prev)
-      throw SerializationError("checkpoint: dependency ranks not ascending");
-    w.vu64(dep.rank - prev);
+  for (std::size_t first : distinct)
+    for (std::size_t s = 0; s < S; ++s) write_mask(w, V(first)[s]);
+  // The deps cover the contiguous ranks [begin, begin + num_deps), so the
+  // rank deltas are 0 for the first and 1 after; the format keeps them.
+  for (std::size_t i = 0; i < num_deps; ++i) {
+    w.vu64(i == 0 ? 0 : 1);
     w.vu64(dep_index[i]);
-    prev = dep.rank;
   }
   return frame(kPartialMagic, kPartialFormatVersion, w.bytes());
 }
@@ -285,9 +289,8 @@ std::string serialize_partial(const verify::PartialReport& part,
 verify::PartialReport deserialize_partial(const std::string& file_image,
                                           std::uint32_t num_secrets,
                                           const std::string& expected_trace_id) {
-  const std::string payload = checked_payload_for(
-      file_image, kPartialMagic, kPartialFormatVersion, kPartialFormatVersion,
-      nullptr);
+  const std::string payload =
+      checked_payload_for(file_image, kPartialMagic, kPartialFormatVersion);
   ByteReader r(payload);
   const std::string stored_trace_id = r.str();
   if (!expected_trace_id.empty() && !stored_trace_id.empty() &&
@@ -323,27 +326,25 @@ verify::PartialReport deserialize_partial(const std::string& file_image,
   if (num_distinct > num_deps ||
       num_distinct * (num_secrets * 16ull) > r.remaining())
     throw SerializationError("checkpoint: implausible dictionary size");
-  std::vector<std::vector<Mask>> dict;
-  dict.reserve(num_distinct);
-  for (std::uint64_t i = 0; i < num_distinct; ++i) {
-    std::vector<Mask> V;
-    V.reserve(num_secrets);
-    for (std::uint32_t s = 0; s < num_secrets; ++s)
-      V.push_back(read_mask(r));
-    dict.push_back(std::move(V));
-  }
-  part.deps.reserve(num_deps);
-  std::uint64_t prev = part.begin;
+  std::vector<Mask> dict(num_distinct * num_secrets);  // S masks per entry
+  for (Mask& m : dict) m = read_mask(r);
+  part.deps.reserve(num_deps * num_secrets);
   for (std::uint64_t i = 0; i < num_deps; ++i) {
-    verify::PartialReport::Dep dep;
-    dep.rank = prev + r.vu64();
-    prev = dep.rank;
+    if (r.vu64() != (i == 0 ? 0 : 1))
+      throw SerializationError("checkpoint: dependency ranks not contiguous");
     const std::uint64_t idx = r.vu64();
-    if (idx >= dict.size())
+    if (idx >= num_distinct)
       throw SerializationError("checkpoint: dictionary index out of range");
-    dep.V = dict[idx];
-    part.deps.push_back(std::move(dep));
+    const auto V = dict.begin() + idx * num_secrets;
+    part.deps.insert(part.deps.end(), V, V + num_secrets);
   }
+  if (part.covered_end < part.begin || part.covered_end > part.end)
+    throw SerializationError("checkpoint: covered range outside the shard");
+  if (num_deps > part.covered_end - part.begin)
+    throw SerializationError("checkpoint: more dependencies than covered ranks");
+  if (part.has_failure &&
+      (part.fail_rank < part.begin || part.fail_rank >= part.covered_end))
+    throw SerializationError("checkpoint: failure outside the covered range");
   if (!r.at_end())
     throw SerializationError("checkpoint: trailing bytes");
   return part;
@@ -483,8 +484,16 @@ std::optional<verify::PartialReport> ScanDir::read_checkpoint(
   const std::string path = part_path(index);
   if (!fs::exists(path)) return std::nullopt;
   obs::Span span("checkpoint_load");
-  return deserialize_partial(read_file(path), manifest_.num_secrets,
-                             manifest_.trace_id);
+  verify::PartialReport part = deserialize_partial(
+      read_file(path), manifest_.num_secrets, manifest_.trace_id);
+  // A checkpoint copied over another shard's file is hash-valid; only its
+  // identity gives it away.
+  const sched::Shard& shard = manifest_.shards.at(index);
+  if (part.k != shard.k || part.begin != shard.begin || part.end != shard.end)
+    throw SerializationError("checkpoint: " + path +
+                             " does not belong to shard " +
+                             std::to_string(index));
+  return part;
 }
 
 ScanDir::Status ScanDir::status() const {

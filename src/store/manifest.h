@@ -109,11 +109,13 @@ std::string manifest_key(const ScanManifest& manifest);
 std::string serialize_manifest(const ScanManifest& manifest);
 ScanManifest deserialize_manifest(const std::string& file_image);
 
-/// SANIPAR image of a complete per-shard checkpoint.  Dependency rows are
-/// not stored (RowContext is recomputed from the basis on merge); the
-/// V-mask width is the manifest's num_secrets.  `trace_id` is the scan's
-/// fleet id; deserialize refuses a checkpoint whose stored id differs from
-/// a non-empty `expected_trace_id` (cross-job contamination of a scan dir).
+/// SANIPAR image of a complete per-shard checkpoint.  The V-mask width is
+/// the manifest's num_secrets; the dependency entries cover the contiguous
+/// ranks from the shard's begin (the stored rank deltas must say so).
+/// `trace_id` is the scan's fleet id; deserialize refuses a checkpoint
+/// whose stored id differs from a non-empty `expected_trace_id` (cross-job
+/// contamination of a scan dir), and one whose covered range, failure rank
+/// or dependency count does not fit its own shard range.
 std::string serialize_partial(const verify::PartialReport& part,
                               std::uint32_t num_secrets,
                               const std::string& trace_id = "");
@@ -165,6 +167,9 @@ class ScanDir {
   /// and releases its claim.  Returns false on I/O failure.
   bool write_checkpoint(std::size_t index, const verify::PartialReport& part);
 
+  /// The checkpoint of shard `index`, or nullopt when there is none.
+  /// Throws SerializationError when it is corrupt or belongs to another
+  /// shard (its (k, begin, end) differs from manifest().shards[index]).
   std::optional<verify::PartialReport> read_checkpoint(
       std::size_t index) const;
 

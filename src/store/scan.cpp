@@ -268,11 +268,27 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
   std::mutex fold_mutex;
   std::vector<char> folded(m.shards.size(), 0);
 
-  // How long to sleep when every remaining shard is claimed by someone
+  // How long to wait when every remaining shard is claimed by someone
   // else: short enough that a released/expired claim is picked up quickly,
-  // long enough not to spin the directory.
+  // long enough not to spin the directory.  A sibling thread that
+  // checkpoints or releases a shard ends the wait at once, so the last
+  // shard's owner never leaves an idle sibling sleeping out the poll.
   const auto poll = std::chrono::duration<double>(
       std::min(0.25, std::max(0.01, options.lease_seconds / 4.0)));
+  std::mutex settle_mutex;
+  std::condition_variable settle_wake;
+  std::uint64_t settled = 0;  // shards checkpointed or released here
+  auto settle = [&] {
+    {
+      std::lock_guard<std::mutex> lock(settle_mutex);
+      ++settled;
+    }
+    settle_wake.notify_all();
+  };
+  auto settled_count = [&] {
+    std::lock_guard<std::mutex> lock(settle_mutex);
+    return settled;
+  };
 
   auto worker = [&]() {
     // Per-thread driver: private backend/manager state over the one shared
@@ -293,12 +309,14 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
       if (options.max_shards > 0 &&
           done.load(std::memory_order_relaxed) >= options.max_shards)
         return;
+      const std::uint64_t seen = settled_count();
       std::optional<ScanDir::Claim> claim =
           scan.claim_next(options.lease_seconds);
       if (!claim) {
         if (scan.drained()) return;
         // Someone else (a thread here or another process) holds the rest.
-        std::this_thread::sleep_for(poll);
+        std::unique_lock<std::mutex> lock(settle_mutex);
+        settle_wake.wait_for(lock, poll, [&] { return settled != seen; });
         continue;
       }
       claimed.fetch_add(1, std::memory_order_relaxed);
@@ -315,6 +333,7 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
         // Lost a duplicate-execution race after a steal; the checkpoint is
         // already the canonical bytes.
         scan.release_claim(claim->index);
+        settle();
         continue;
       }
       const sched::Shard& shard = m.shards[claim->index];
@@ -325,13 +344,16 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
         // Interrupted mid-shard (cancel/deadline): the partial is not a
         // pure function of the shard — release so someone reruns it whole.
         scan.release_claim(claim->index);
+        settle();
         return;
       }
       if (!scan.write_checkpoint(claim->index, part)) {
         scan.release_claim(claim->index);
+        settle();
         throw std::runtime_error("scan: cannot write checkpoint in " +
                                  scan.dir());
       }
+      settle();
       done.fetch_add(1, std::memory_order_relaxed);
       combinations.fetch_add(part.combinations, std::memory_order_relaxed);
       if (options.assembler) {

@@ -125,11 +125,10 @@ void write_observable_info(ByteWriter& w, const verify::ObservableInfo& o) {
   w.i32(o.output_group);
   w.i32(o.output_share_index);
   w.u64(o.num_subsets);
-  write_mask(w, o.support);  // v2 addition
+  write_mask(w, o.support);
 }
 
-verify::ObservableInfo read_observable_info(ByteReader& r,
-                                            std::uint32_t version) {
+verify::ObservableInfo read_observable_info(ByteReader& r) {
   verify::ObservableInfo o;
   const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(verify::Observable::Kind::kProbe))
@@ -139,7 +138,7 @@ verify::ObservableInfo read_observable_info(ByteReader& r,
   o.output_group = r.i32();
   o.output_share_index = r.i32();
   o.num_subsets = r.u64();
-  if (version >= 2) o.support = read_mask(r);
+  o.support = read_mask(r);
   return o;
 }
 
@@ -202,26 +201,21 @@ std::string frame(const char (&magic)[8], std::uint32_t version,
   return out;
 }
 
-// Validates the common framing; returns the payload slice and (via
-// out-param) the accepted format version.
+// Validates the common framing; returns the payload slice.
 std::string checked_payload_for(const std::string& file_image,
                                 const char (&magic)[8],
-                                std::uint32_t min_version,
-                                std::uint32_t max_version,
-                                std::uint32_t* version_out) {
+                                std::uint32_t version) {
   if (file_image.size() < kHeaderBytes)
     throw SerializationError("artifact: file shorter than header");
   if (std::memcmp(file_image.data(), magic, sizeof(kMagic)) != 0)
     throw SerializationError("artifact: bad magic");
   ByteReader header(file_image);
   for (std::size_t i = 0; i < sizeof(kMagic); ++i) header.u8();
-  const std::uint32_t version = header.u32();
-  if (version < min_version || version > max_version)
+  const std::uint32_t stored = header.u32();
+  if (stored != version)
     throw SerializationError("artifact: format version " +
-                             std::to_string(version) + " outside [" +
-                             std::to_string(min_version) + ", " +
-                             std::to_string(max_version) + "]");
-  if (version_out) *version_out = version;
+                             std::to_string(stored) + ", expected " +
+                             std::to_string(version));
   std::uint8_t want_digest[32];
   for (std::uint8_t& b : want_digest) b = header.u8();
   const std::uint64_t payload_len = header.u64();
@@ -426,26 +420,17 @@ std::string serialize_basis(const verify::Basis& basis,
   return frame(kMagic, kFormatVersion, payload.bytes());
 }
 
-namespace {
-
-std::string checked_payload(const std::string& file_image,
-                            std::uint32_t* version_out) {
-  return checked_payload_for(file_image, kMagic, kMinReadVersion,
-                             kFormatVersion, version_out);
-}
-
-}  // namespace
-
 verify::BasisNeeds peek_needs(const std::string& file_image) {
-  const std::string payload = checked_payload(file_image, nullptr);
+  const std::string payload =
+      checked_payload_for(file_image, kMagic, kFormatVersion);
   ByteReader r(payload);
   return unpack_needs(r.u8());
 }
 
 std::shared_ptr<const verify::Basis> deserialize_basis(
     const std::string& file_image) {
-  std::uint32_t version = 0;
-  const std::string payload = checked_payload(file_image, &version);
+  const std::string payload =
+      checked_payload_for(file_image, kMagic, kFormatVersion);
   ByteReader r(payload);
 
   const verify::BasisNeeds needs = unpack_needs(r.u8());
@@ -454,7 +439,7 @@ std::shared_ptr<const verify::Basis> deserialize_basis(
   basis->relevant_publics = read_mask(r);
   basis->obs.resize(read_count(r, 17));
   for (verify::ObservableInfo& o : basis->obs)
-    o = read_observable_info(r, version);
+    o = read_observable_info(r);
   basis->num_outputs = r.u64();
   if (needs.spectra) {
     basis->flat.resize(read_count(r, 8));
@@ -482,7 +467,7 @@ std::shared_ptr<const verify::Basis> deserialize_basis(
   }
   basis->base_coefficients = r.u64();
   basis->build_seconds = r.f64();
-  if (version >= 3 && r.u8() != 0) {
+  if (r.u8() != 0) {
     basis->cones.varmap = read_digest(r);
     basis->cones.digests.resize(read_count(r, 32));
     for (circuit::ConeDigest& d : basis->cones.digests) d = read_digest(r);
@@ -492,17 +477,6 @@ std::shared_ptr<const verify::Basis> deserialize_basis(
   }
   if (!r.at_end())
     throw SerializationError("artifact: trailing bytes after payload");
-
-  // v1 artifacts carry no support masks; the union of a spectrum's nonzero
-  // coordinates is the member functions' variable support, so they are
-  // recoverable whenever the spectra are present (the spectra-free FUJITA
-  // artifacts leave them empty — nothing reads them there).
-  if (version < 2 && needs.spectra &&
-      basis->flat.size() == basis->obs.size()) {
-    for (std::size_t i = 0; i < basis->obs.size(); ++i)
-      for (const spectral::FlatSpectrum& s : basis->flat[i])
-        for (const Mask& alpha : s.masks()) basis->obs[i].support |= alpha;
-  }
 
   // The LIL mirror is derived data — rebuild instead of shipping it.
   if (needs.lil) {
@@ -559,9 +533,8 @@ std::string serialize_summary(const verify::ConeSummary& summary) {
 
 std::shared_ptr<const verify::ConeSummary> deserialize_summary(
     const std::string& file_image) {
-  const std::string payload = checked_payload_for(
-      file_image, kSummaryMagic, kSummaryFormatVersion, kSummaryFormatVersion,
-      nullptr);
+  const std::string payload =
+      checked_payload_for(file_image, kSummaryMagic, kSummaryFormatVersion);
   ByteReader r(payload);
   auto summary = std::make_shared<verify::ConeSummary>();
   const std::uint8_t notion = r.u8();
@@ -603,8 +576,14 @@ std::shared_ptr<const verify::ConeSummary> deserialize_summary(
   summary->deps.resize(read_count(r, 20));
   for (verify::ConeSummary::DepEntry& d : summary->deps) {
     d.k = r.i32();
+    if (d.k < 1 || d.k > summary->order)
+      throw SerializationError("summary: dependency size out of range");
     d.rank = r.u64();
     d.V.resize(read_count(r, 16));
+    // Replayed masks are spliced into S-wide dependency runs: any other
+    // width would shift every later entry.
+    if (d.V.size() != summary->num_secrets)
+      throw SerializationError("summary: dependency width mismatch");
     for (Mask& m : d.V) m = read_mask(r);
   }
   if (!r.at_end())

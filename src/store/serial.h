@@ -24,12 +24,9 @@
 // adds the per-observable support mask to the observable metadata.
 // v3 (current) appends the cone index (verify::Basis::cones): the varmap
 // fingerprint plus one structural cone digest per observable, feeding the
-// incremental clean/dirty classifier (verify/incremental.h).  v1/v2
-// artifacts still load: the spectra are validated into flat form, missing
-// support masks are recomputed from them (left empty for spectra-free
-// FUJITA artifacts, where nothing reads them) and the cone index stays
-// unavailable — such a Basis simply cannot seed or produce summaries.
-// Writing always emits v3.
+// incremental clean/dirty classifier (verify/incremental.h).  Only v3 is
+// read or written: the store is a cache, so a v1/v2 artifact fails the
+// version check and is quarantined as a miss (the next run rebuilds it).
 //
 // The sorted-list (LIL) mirror is NOT serialized: it is a deterministic
 // function of the spectra and is rebuilt on load when the needs flags say
@@ -51,8 +48,6 @@
 namespace sani::store {
 
 inline constexpr std::uint32_t kFormatVersion = 3;
-/// Oldest format version deserialize_basis still accepts.
-inline constexpr std::uint32_t kMinReadVersion = 1;
 inline constexpr char kMagic[8] = {'S', 'A', 'N', 'I', 'B', 'A', 'S', '\x01'};
 
 /// Cone-summary (verify::ConeSummary) format.  Same framing discipline as
@@ -132,14 +127,13 @@ Mask read_mask(ByteReader& r);
 /// Common file framing (magic + u32 version + payload SHA-256 + u64 length
 /// + payload) shared by every store artifact format: SANIBAS, SANISUM and
 /// the scan manifest/checkpoint files.  checked_payload_for validates and
-/// returns the payload slice, throwing SerializationError on any mismatch.
+/// returns the payload slice, throwing SerializationError on any mismatch
+/// (including any version other than `version`).
 std::string frame(const char (&magic)[8], std::uint32_t version,
                   const std::string& body);
 std::string checked_payload_for(const std::string& file_image,
                                 const char (&magic)[8],
-                                std::uint32_t min_version,
-                                std::uint32_t max_version,
-                                std::uint32_t* version_out);
+                                std::uint32_t version);
 
 /// Full artifact file image (header + integrity hash + payload).
 std::string serialize_basis(const verify::Basis& basis,
@@ -160,8 +154,9 @@ verify::BasisNeeds peek_needs(const std::string& file_image);
 std::string serialize_summary(const verify::ConeSummary& summary);
 
 /// Parses a cone-summary file image.  Checks magic, version and payload
-/// hash; throws SerializationError on any mismatch (the store quarantines
-/// and reports a miss).
+/// hash, and that every dependency entry is num_secrets wide with a size in
+/// [1, order]; throws SerializationError on any mismatch (the store
+/// quarantines and reports a miss).
 std::shared_ptr<const verify::ConeSummary> deserialize_summary(
     const std::string& file_image);
 

@@ -61,9 +61,9 @@ struct BasisNeeds {
 };
 
 /// Per-observable structural cone digests (circuit/cone_hash.h) plus the
-/// varmap role fingerprint they are relative to.  `available` is false on a
-/// Basis deserialized from a pre-v3 SANIBAS artifact, in which case the
-/// incremental scan path falls back to a cold run.
+/// varmap role fingerprint they are relative to.  `available` is false when
+/// the observable set carried no digests (a hand-built set), in which case
+/// the incremental scan path falls back to a cold run.
 struct ConeIndex {
   bool available = false;
   std::vector<circuit::ConeDigest> digests;  // parallel to Basis::obs

@@ -75,8 +75,7 @@ void Driver::prepare() {
 }
 
 std::optional<Driver::CheckFailure> Driver::check_combo(
-    const std::vector<int>& combo, std::uint64_t rank,
-    std::vector<PartialReport::Dep>& deps) {
+    const std::vector<int>& combo, std::vector<Mask>& deps) {
   ++stats_.combinations;
   if (options_.progress) options_.progress->tick();
   if (plan_) {
@@ -87,9 +86,8 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
       if (c.kind == IncrementalPlan::Kind::kCleanPass) {
         if (collector_) collector_->note_pass(combo);
         // Splice the replayed dependency masks in, so the union pass
-        // consumes exactly the store a cold run would have built.
-        if (c.V)
-          deps.push_back({rank, context_for_combo(*basis_, combo), *c.V});
+        // consumes exactly the table a cold run would have built.
+        if (c.V) deps.insert(deps.end(), c.V->begin(), c.V->end());
         return std::nullopt;
       }
       CheckFailure failure{c.fail->alpha, c.fail->reason};
@@ -106,10 +104,10 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
   // cheap low-rank checks).
   auto& metrics = obs::Metrics::instance();
   if (!metrics.enabled()) {
-    failure = check_path(rank, deps);
+    failure = check_path(deps);
   } else {
     const std::int64_t t0 = obs::Clock::now_ns();
-    failure = check_path(rank, deps);
+    failure = check_path(deps);
     const std::size_t k = path_.size();
     if (rank_hist_.size() <= k) rank_hist_.resize(k + 1, nullptr);
     if (rank_hist_[k] == nullptr)
@@ -128,7 +126,7 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
 }
 
 std::optional<Driver::CheckFailure> Driver::check_path(
-    std::uint64_t rank, std::vector<PartialReport::Dep>& deps) {
+    std::vector<Mask>& deps) {
   RowContext row = context_for_combo(*basis_, path_);
   RowCheckQuery q;
   if (needs_region_) q = rowcheck_.query(row, &stats_.coefficients);
@@ -141,10 +139,9 @@ std::optional<Driver::CheckFailure> Driver::check_path(
                         "(per-row T-predicate check)"};
   }
   if (records_deps_) {
-    PartialReport::Dep dep{rank, std::move(row), {}};
-    dep.V.assign(basis_->vars.secret_vars.size(), Mask{});
-    backend_->accumulate_deps(dep.V);
-    deps.push_back(std::move(dep));
+    dep_scratch_.assign(basis_->vars.secret_vars.size(), Mask{});
+    backend_->accumulate_deps(dep_scratch_);
+    deps.insert(deps.end(), dep_scratch_.begin(), dep_scratch_.end());
   }
   return std::nullopt;
 }
@@ -181,7 +178,8 @@ void Driver::run_shard_partial(
   const int N = static_cast<int>(basis_->size());
   if (shard.k >= 1 && shard.k <= N && shard.begin < shard.end) {
     obs::Span span("scan");
-    if (records_deps_) part.deps.reserve(shard.size());
+    if (records_deps_)
+      part.deps.reserve(shard.size() * basis_->vars.secret_vars.size());
     std::vector<int> combo = unrank_combination(N, shard.k, shard.begin);
     for (std::uint64_t r = shard.begin; r < shard.end; ++r) {
       if (cancel_->expired()) {
@@ -198,7 +196,7 @@ void Driver::run_shard_partial(
         cancel_->acknowledge();
         break;
       }
-      if (auto failure = check_combo(combo, r, part.deps)) {
+      if (auto failure = check_combo(combo, part.deps)) {
         part.has_failure = true;
         part.fail_rank = r;
         part.fail_alpha = failure->alpha;

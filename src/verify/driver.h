@@ -9,7 +9,7 @@
 // in-process one (verify/parallel.h, every --jobs value) and the
 // checkpointed scan worker (store/scan.h) — and both fold the partials
 // through one ReportAssembler, so the union-check dependency masks live in
-// exactly one store.  Every engine shares the one Basis; for the ADD
+// exactly one table.  Every engine shares the one Basis; for the ADD
 // engines (MAPI/FUJITA) the Driver additionally owns a private dd::Manager
 // and thaws the Basis' frozen forest into it at construction
 // (Manager::import_forest) — no unfolding replay anywhere.
@@ -74,7 +74,7 @@ class Driver {
 
   /// Checks lexicographic ranks [shard.begin, shard.end) of the size-k
   /// combinations into `part`: the counters and phase seconds the shard
-  /// contributed, its locally-first failure, and the dependency record of
+  /// contributed, its locally-first failure, and the dependency masks of
   /// every passing combination (appended straight to part.deps).  Stops at
   /// the shard's first failure, on deadline expiry, or — once the cancel
   /// token fires — at the first combination for which `still_relevant`
@@ -115,21 +115,19 @@ class Driver {
   /// on first use.
   void prepare();
 
-  /// Checks one combination of rank `rank`, with the diff-aware
+  /// Checks one combination, with the diff-aware
   /// classification in front: clean combinations replay their recorded
   /// verdict without touching the backend; dirty ones sync the prefix stack
-  /// and check for real.  A passing combination's dependency record is
+  /// and check for real.  A passing combination's dependency masks are
   /// appended to `deps` (union-checking notions only).  Ticks the progress
   /// meter, records the outcome into the collector and (when a metrics
   /// export was requested) samples the check latency into the per-rank
   /// histogram.
-  std::optional<CheckFailure> check_combo(
-      const std::vector<int>& combo, std::uint64_t rank,
-      std::vector<PartialReport::Dep>& deps);
+  std::optional<CheckFailure> check_combo(const std::vector<int>& combo,
+                                         std::vector<Mask>& deps);
 
-  /// The backend check of path_; its dependency record on a pass.
-  std::optional<CheckFailure> check_path(std::uint64_t rank,
-                                         std::vector<PartialReport::Dep>& deps);
+  /// The backend check of path_; its dependency masks on a pass.
+  std::optional<CheckFailure> check_path(std::vector<Mask>& deps);
 
   /// Rebuilds the backend stack so that path_ == combo, popping/pushing
   /// only the differing suffix (prefix sharing).
@@ -157,6 +155,7 @@ class Driver {
   const IncrementalPlan* plan_ = nullptr;
   SummaryCollector* collector_ = nullptr;
   std::vector<int> plan_scratch_;
+  std::vector<Mask> dep_scratch_;  // one combination's masks, S wide
   spectral::ArenaStats arena_stats_;
   VerifyStats stats_;
   sched::CancelToken own_cancel_;

@@ -84,7 +84,7 @@ void SummaryCollector::merge_from(const SummaryCollector& other) {
 
 ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
                          SummaryCollector&& collector,
-                         const QInfoStore& deps) {
+                         const DepTable& deps) {
   ConeSummary s;
   s.notion = options.notion;
   s.glitch_robust = options.probes.glitch_robust;
@@ -100,18 +100,13 @@ ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
             [](const ConeSummary::Failure& a, const ConeSummary::Failure& b) {
               return a.k != b.k ? a.k < b.k : a.rank < b.rank;
             });
-  const int n = static_cast<int>(s.digests.size());
-  for (const std::vector<int>& combo : deps.sorted_combos()) {
-    const QInfo* info = deps.find(combo);
-    if (!info) continue;
-    s.deps.push_back(ConeSummary::DepEntry{
-        static_cast<std::int32_t>(combo.size()),
-        combination_rank(n, combo), info->V});
-  }
-  std::sort(s.deps.begin(), s.deps.end(),
-            [](const ConeSummary::DepEntry& a, const ConeSummary::DepEntry& b) {
-              return a.k != b.k ? a.k < b.k : a.rank < b.rank;
-            });
+  s.deps.reserve(deps.size());
+  for (const DepTable::Run& run : deps.runs())
+    for (std::uint64_t i = 0; i < run.count; ++i) {
+      const auto V = run.masks.begin() + i * deps.num_secrets();
+      s.deps.push_back(ConeSummary::DepEntry{
+          run.k, run.begin + i, {V, V + deps.num_secrets()}});
+    }
   return s;
 }
 

@@ -11,7 +11,7 @@
 //
 //   * clean-pass  — all members map, the old run checked the mapped rank
 //                   and it passed: replay the verdict (and splice the old
-//                   dependency masks into the union store);
+//                   dependency masks into the union table);
 //   * clean-fail  — same, but it failed: replay the recorded witness;
 //   * dirty       — anything else: re-check for real.
 //
@@ -77,7 +77,8 @@ struct ConeSummary {
   };
   std::vector<Failure> failures;  // sorted by (k, rank)
 
-  /// Per-secret dependency masks of one passing combination (QInfo::V).
+  /// Per-secret dependency masks of one passing combination (num_secrets
+  /// wide; k in [1, order]).
   struct DepEntry {
     std::int32_t k = 0;
     std::uint64_t rank = 0;
@@ -103,7 +104,7 @@ class SummaryCollector {
   friend ConeSummary make_summary(const Basis& basis,
                                   const VerifyOptions& options,
                                   SummaryCollector&& collector,
-                                  const QInfoStore& deps);
+                                  const DepTable& deps);
 
   void note(const std::vector<int>& combo, bool passed);
 
@@ -114,9 +115,9 @@ class SummaryCollector {
 };
 
 /// Assembles the summary of a finished scan from the basis' cone index,
-/// the collected verdict bitmaps and the (merged) union-check store.
+/// the collected verdict bitmaps and the (merged) union-check table.
 ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
-                         SummaryCollector&& collector, const QInfoStore& deps);
+                         SummaryCollector&& collector, const DepTable& deps);
 
 /// Total ranks marked checked across the summary's verdict tables — the
 /// coverage a seeded run can replay.  A timed-out run publishes the summary
@@ -159,18 +160,18 @@ class IncrementalPlan {
   std::uint64_t cones_reused_ = 0;
   int old_n_ = 0;
   bool need_deps_ = false;
-  // (rank << 6 | k) lookups, the QInfoStore key convention.
+  // (rank << 6 | k) lookups.
   std::unordered_map<std::uint64_t, const ConeSummary::Failure*> failures_;
   std::unordered_map<std::uint64_t, const ConeSummary::DepEntry*> deps_;
 };
 
 /// What the engine layer threads through to the Driver(s): an optional
 /// plan to replay against, an optional collector for the fresh summary,
-/// and an optional sink for the merged union-check dependency store.
+/// and an optional sink for the merged union-check dependency table.
 struct IncrementalContext {
   const IncrementalPlan* plan = nullptr;
   SummaryCollector* collector = nullptr;
-  QInfoStore* deps_out = nullptr;
+  DepTable* deps_out = nullptr;
 };
 
 }  // namespace sani::verify

@@ -61,7 +61,7 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
   drivers[0] = make_driver(0);
 
   // Workers emit one PartialReport per shard and the assembler folds each
-  // in as it completes (order-minimal failure, merged dependency store) —
+  // in as it completes (order-minimal failure, merged dependency table) —
   // the fold is associative, so the completion order cannot show in the
   // result.
   std::mutex best_mu;
@@ -116,7 +116,7 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
   for (const auto& c : collectors) ictx->collector->merge_from(*c);
 
   VerifyResult result = assembler.finalize(&cancel);
-  if (ictx && ictx->deps_out) ictx->deps_out->merge_from(assembler.qinfo());
+  if (ictx && ictx->deps_out) *ictx->deps_out = assembler.take_deps();
 
   // The runtime fields only the workers know.
   VerifyStats& stats = result.stats;

@@ -46,8 +46,8 @@ struct IncrementalContext;
 /// `ctx` threads the diff-aware incremental hooks (verify/incremental.h)
 /// through: every worker's Driver replays against ctx->plan (immutable,
 /// shared without locks) and records outcomes into a private collector,
-/// merged into ctx->collector afterwards; the assembler's dependency store
-/// is merged into ctx->deps_out.  Clean
+/// merged into ctx->collector afterwards; the assembler's dependency table
+/// is handed to ctx->deps_out.  Clean
 /// combinations are skipped inside their shard, so the rank space and the
 /// merge order stay those of a cold run.
 ///

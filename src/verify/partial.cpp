@@ -17,38 +17,100 @@ bool combo_before(const std::vector<int>& a, const std::vector<int>& b,
 }
 
 void union_pass(const Basis& basis, const Checker& checker,
-                const QInfoStore& qinfo, sched::CancelToken* cancel,
+                const DepTable& deps, sched::CancelToken* cancel,
                 VerifyResult& result) {
-  for (const std::vector<int>& q_path : qinfo.sorted_combos()) {
-    if (cancel && cancel->expired()) {
-      result.timed_out = true;
-      cancel->acknowledge();
-      return;
+  const int N = static_cast<int>(basis.size());
+  const std::size_t S = deps.num_secrets();
+  const std::vector<DepTable::Run>& runs = deps.runs();
+  const int top = runs.empty() ? 0 : runs.back().k;
+  // C(n, j) for n <= N, j <= top, and the lexicographic rank of q minus
+  // its element at `skip` (combination_rank's telescoped sum).
+  std::vector<std::uint64_t> C(static_cast<std::size_t>((N + 1) * (top + 1)));
+  for (int n = 0; n <= N; ++n)
+    for (int j = 0; j <= top; ++j)
+      C[static_cast<std::size_t>(n * (top + 1) + j)] = binomial(n, j);
+  const auto choose = [&](int n, int j) {
+    return C[static_cast<std::size_t>(n * (top + 1) + j)];
+  };
+  const auto rank_without = [&](const std::vector<int>& q, std::size_t skip) {
+    const int m = static_cast<int>(q.size()) - 1;
+    std::uint64_t rank = 0;
+    int prev = -1, i = 0;
+    for (std::size_t p = 0; p < q.size(); ++p) {
+      if (p == skip) continue;
+      rank += choose(N - 1 - prev, m - i) - choose(N - q[p], m - i);
+      prev = q[p];
+      ++i;
     }
-    const QInfo& info = *qinfo.find(q_path);
-    // V(Q) = union of deps over all sub-combinations of Q.
-    std::vector<Mask> V(info.V.size());
-    const std::size_t k = q_path.size();
-    for (std::size_t sel = 1; sel < (std::size_t{1} << k); ++sel) {
-      std::vector<int> sub;
-      for (std::size_t j = 0; j < k; ++j)
-        if (sel & (std::size_t{1} << j)) sub.push_back(q_path[j]);
-      const QInfo* it = qinfo.find(sub);
-      if (!it) continue;
-      for (std::size_t s = 0; s < V.size(); ++s) V[s] |= it->V[s];
-    }
+    return rank;
+  };
+
+  struct Witness {
+    std::vector<int> combo;
+    std::vector<Mask> V;
     std::string reason;
-    if (checker.union_violates(V, info.row, &reason)) {
-      result.secure = false;
-      CounterExample ce;
-      for (int i : q_path)
-        ce.observables.push_back(basis.obs[static_cast<std::size_t>(i)].name);
-      for (const Mask& v : V) ce.alpha |= v;
-      ce.reason = "set-level dependency check failed: " + reason;
-      result.counterexample = std::move(ce);
-      return;
+  };
+  std::optional<Witness> best;
+  std::vector<Mask> prev;  // closed V of class k-1, S masks per rank
+  std::size_t closure_peak = 0;
+  std::vector<Mask> V(S);
+  auto run = runs.begin();
+  for (int k = 1; k <= top; ++k) {
+    std::vector<int> combo(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) combo[static_cast<std::size_t>(i)] = i;
+    // Each class starts at {0..k-1}, a proper extension of the previous
+    // class's start: once that is not before the witness, nothing later is.
+    if (best && !(combo < best->combo)) break;
+    const std::uint64_t ranks = choose(N, k);
+    std::vector<Mask> cur(k < top ? ranks * S : 0);
+    closure_peak = std::max(closure_peak,
+                            (prev.capacity() + cur.capacity()) * sizeof(Mask));
+    for (std::uint64_t r = 0; r < ranks; ++r) {
+      if (cancel && cancel->expired()) {
+        result.timed_out = true;
+        cancel->acknowledge();
+        result.stats.qinfo_peak_bytes += closure_peak;
+        return;
+      }
+      while (run != runs.end() &&
+             (run->k < k || (run->k == k && run->begin + run->count <= r)))
+        ++run;
+      const bool recorded = run != runs.end() && run->k == k && run->begin <= r;
+      if (recorded) {
+        const Mask* own = run->masks.data() + (r - run->begin) * S;
+        std::copy(own, own + S, V.begin());
+      } else {
+        std::fill(V.begin(), V.end(), Mask{});
+      }
+      if (k > 1)
+        for (std::size_t j = 0; j < combo.size(); ++j) {
+          const Mask* sub = prev.data() + rank_without(combo, j) * S;
+          for (std::size_t s = 0; s < S; ++s) V[s] |= sub[s];
+        }
+      if (!cur.empty()) std::copy(V.begin(), V.end(), cur.begin() + r * S);
+      // The witness is the lexicographic minimum over all classes; ranks
+      // ascend lexicographically, so a class's first violation is its least.
+      if (recorded && (!best || combo < best->combo)) {
+        std::string reason;
+        if (checker.union_violates(V, context_for_combo(basis, combo),
+                                   &reason)) {
+          best = Witness{combo, V, std::move(reason)};
+          if (cur.empty()) break;
+        }
+      }
+      next_combination(combo, N);
     }
+    prev = std::move(cur);
   }
+  result.stats.qinfo_peak_bytes += closure_peak;
+  if (!best) return;
+  result.secure = false;
+  CounterExample ce;
+  for (int i : best->combo)
+    ce.observables.push_back(basis.obs[static_cast<std::size_t>(i)].name);
+  for (const Mask& v : best->V) ce.alpha |= v;
+  ce.reason = "set-level dependency check failed: " + best->reason;
+  result.counterexample = std::move(ce);
 }
 
 RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo) {
@@ -70,7 +132,7 @@ ReportAssembler::ReportAssembler(std::shared_ptr<const Basis> basis,
                                  VerifyOptions options)
     : basis_(std::move(basis)),
       options_(std::move(options)),
-      qinfo_(static_cast<int>(basis_->size())) {
+      deps_(basis_->vars.secret_vars.size()) {
   // The assembler renders from already-complete partials: nothing here may
   // block on a wall clock or report live progress.
   options_.time_limit = 0.0;
@@ -99,34 +161,8 @@ void ReportAssembler::add(PartialReport part) {
                           std::move(part.fail_reason)};
   }
 
-  if (options_.union_check && options_.notion != Notion::kProbing) {
-    // A live worker hands its RowContext over; a deserialized partial
-    // ships only rank + V, so the combination is recovered to rebuild it.
-    // Deps arrive rank-ascending (shards check in rank order), so one
-    // unrank seeds the walk and successor steps recover every later combo —
-    // cheaper than a full unrank per entry.
-    std::vector<int> combo;
-    std::uint64_t at = 0;
-    for (PartialReport::Dep& dep : part.deps) {
-      QInfo info;
-      if (dep.row.num_observables > 0) {
-        info.row = std::move(dep.row);
-      } else {
-        if (combo.empty() || dep.rank < at) {
-          combo = unrank_combination(N, part.k, dep.rank);
-        } else {
-          while (at < dep.rank) {
-            next_combination(combo, N);
-            ++at;
-          }
-        }
-        at = dep.rank;
-        info.row = context_for_combo(*basis_, combo);
-      }
-      info.V = std::move(dep.V);
-      qinfo_.insert(part.k, dep.rank, std::move(info));
-    }
-  }
+  if (options_.union_check && options_.notion != Notion::kProbing)
+    deps_.add_run(part.k, part.begin, std::move(part.deps));
 }
 
 CounterExample ReportAssembler::failure_counterexample() const {
@@ -159,8 +195,8 @@ VerifyResult ReportAssembler::finalize(sched::CancelToken* cancel) {
   result.stats.combinations = combinations_;
   result.stats.coefficients = base_coefficients + coefficients_;
   result.stats.region_cache = region_cache_;
-  result.stats.qinfo_entries = qinfo_.size();
-  result.stats.qinfo_peak_bytes = qinfo_.peak_bytes();
+  result.stats.qinfo_entries = deps_.size();
+  result.stats.qinfo_peak_bytes = deps_.bytes();
   result.stats.frozen_nodes =
       basis_stats_ ? static_cast<std::size_t>(basis_stats_->frozen_nodes)
                    : basis_->frozen.node_count();
@@ -220,15 +256,15 @@ VerifyResult ReportAssembler::finalize(sched::CancelToken* cancel) {
       result.timed_out = true;
     } else {
       result.stats.combinations = before + 1;
-      result.stats.qinfo_entries = qinfo_.count_ranks_below(bound);
+      result.stats.qinfo_entries = deps_.count_ranks_below(bound);
       result.secure = false;
       result.counterexample = failure_counterexample();
     }
   } else if (combinations_ < count_combinations_up_to(N, options_.order)) {
     result.timed_out = true;
   } else if (options_.union_check && options_.notion != Notion::kProbing) {
-    // The set-level pass over the merged store — sorted_combos() restores
-    // the serial iteration order, so the union witness is completion-order
+    // The set-level pass over the merged table — its witness is the
+    // lexicographically least violating Q, so it is completion-order
     // independent too.  A bare Checker hosts the pass: union_violates is
     // pure mask arithmetic, so no backend is prepared and the frozen forest
     // is never thawed — finalizing a drained scan costs checkpoint I/O plus
@@ -237,7 +273,7 @@ VerifyResult ReportAssembler::finalize(sched::CancelToken* cancel) {
                           options_.joint_share_count);
     ScopedPhase phase(result.stats.timers, "union");
     obs::Span span("union");
-    union_pass(*basis_, checker, qinfo_, cancel, result);
+    union_pass(*basis_, checker, deps_, cancel, result);
   }
   return result;
 }

@@ -14,8 +14,8 @@
 //
 // ReportAssembler folds partials in any order into the canonical merged
 // state — the order-minimal failing combination under the search order
-// (combo_before), summed counters, and the one QInfoStore holding every
-// recorded dependency entry — and finalize() renders it.  It is the only
+// (combo_before), summed counters, and the one DepTable holding every
+// recorded dependency run — and finalize() renders it.  It is the only
 // renderer of a verification result, with two feeders:
 //
 //  * the in-process shard executor (verify/parallel.h), for every --jobs
@@ -52,22 +52,25 @@ bool combo_before(const std::vector<int>& a, const std::vector<int>& b,
                   bool largest_first);
 
 /// The RowContext of a combination: a pure function of the observables'
-/// kinds, so a partial deserialized from disk (which ships only rank + V
-/// per dependency entry) reconstructs exactly the record a live worker
-/// would have handed over.
+/// kinds, recomputed wherever a check needs it (dependency records carry
+/// none).
 RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo);
 
-/// The set-level union pass over a dependency store: for every recorded
-/// combination Q, folds V over all sub-combinations of Q and applies the
-/// notion's set-level condition.  sorted_combos() restores the serial
-/// iteration order, so the witness (the first violating Q) is independent
-/// of how the store was populated.  Pure mask arithmetic end to end — no
-/// backend, no DD manager — which is what lets ReportAssembler::finalize
-/// run it without thawing the frozen forest.  `cancel` (optional) turns a
-/// fired deadline into result.timed_out, exactly as the in-driver pass
-/// does.
+/// The set-level union pass over a dependency table: for every recorded
+/// combination Q, the closed V(Q) — the union of the recorded masks of
+/// every nonempty sub-combination of Q — is tested against the notion's
+/// set-level condition.  Closed V is built one size class at a time,
+/// Vc(Q) = own(Q) | OR_j Vc(Q \ {j}), so each Q costs k rank lookups into
+/// the previous class, and only that class's closure is held while the
+/// next is tested (the top class is tested on the fly, never stored).  The
+/// witness is the lexicographically least violating Q over all sizes, so it
+/// is independent of how the table was populated.  Pure mask arithmetic —
+/// no backend, no DD manager — which is what lets ReportAssembler::finalize
+/// run it without thawing the frozen forest.  Adds the closure's peak
+/// bytes to result.stats.qinfo_peak_bytes.  `cancel` (optional) turns a
+/// fired deadline into result.timed_out.
 void union_pass(const Basis& basis, const Checker& checker,
-                const QInfoStore& qinfo, sched::CancelToken* cancel,
+                const DepTable& deps, sched::CancelToken* cancel,
                 VerifyResult& result);
 
 /// Outcome of one shard.  Engine-invariant fields (the failure, the
@@ -98,27 +101,22 @@ struct PartialReport {
   double convolution_seconds = 0.0;
   double verification_seconds = 0.0;
 
-  /// Union-check dependency record of one passing size-k combination.
-  /// `row` is recomputable from the basis (see ReportAssembler::add), so
-  /// the serialized form (store/manifest.h) carries only rank + V.
-  struct Dep {
-    std::uint64_t rank = 0;
-    RowContext row;
-    std::vector<Mask> V;
-  };
-  std::vector<Dep> deps;  // rank-ascending (shards check in rank order)
+  /// Union-check dependency masks of the passing combinations, S masks
+  /// (one per secret) each, for exactly the contiguous passing prefix
+  /// [begin, begin + deps.size() / S): a shard checks in rank order and
+  /// stops at its first failure, so the ranks are implied.
+  std::vector<Mask> deps;
 };
 
 /// Deterministic, associative fold over PartialReports.
 ///
 /// add() is commutative and associative in the merged *semantic* state:
 /// the best failure is the minimum of an associative min (combo_before is a
-/// strict total order on combinations), counters are sums, and the QInfo
-/// entries of distinct shards are disjoint (each combination belongs to
-/// exactly one shard), so insertion order cannot change the store's
-/// contents — only the arena layout, which sorted_combos() canonicalizes
-/// before the union pass reads it.  Hence any completion order, worker
-/// count or engine mixture finalizes to the same report.
+/// strict total order on combinations), counters are sums, and the
+/// dependency runs of distinct shards are disjoint (each combination
+/// belongs to exactly one shard) and kept sorted by first rank, so
+/// insertion order cannot change the table.  Hence any completion order,
+/// worker count or engine mixture finalizes to the same report.
 class ReportAssembler {
  public:
   /// `options` are the canonical semantic options of the scan (notion,
@@ -146,7 +144,9 @@ class ReportAssembler {
   /// The witness of the order-minimal failure, decoded against the basis.
   CounterExample failure_counterexample() const;
 
-  const QInfoStore& qinfo() const { return qinfo_; }
+  /// Hands the dependency table over (for the incremental summary); call
+  /// after finalize().
+  DepTable take_deps() { return std::move(deps_); }
 
   std::uint64_t combinations() const { return combinations_; }
   std::uint64_t coefficients() const { return coefficients_; }
@@ -158,7 +158,7 @@ class ReportAssembler {
   /// canonical phase set (thaw for the ADD engines / base / convolution /
   /// verification / union) independent of which engines produced the
   /// partials, and — when every combination passed and the notion has a
-  /// set-level condition — the union pass over the merged dependency store
+  /// set-level condition — the union pass over the merged dependency table
   /// (polling `cancel`'s deadline, when given).  An insecure verdict with
   /// witness combination F reports the search order's canonical counters:
   /// `combinations` counts the combinations ordered at or before F and
@@ -197,7 +197,7 @@ class ReportAssembler {
     std::uint64_t end;
   };
   std::vector<Covered> covered_;
-  QInfoStore qinfo_;
+  DepTable deps_;
   std::uint64_t combinations_ = 0;
   std::uint64_t coefficients_ = 0;
   CacheStats region_cache_;

@@ -290,7 +290,7 @@ std::string detailed_report(const circuit::Gadget& gadget,
   os << "caches: region cache " << result.stats.region_cache.hits << " hits / "
      << result.stats.region_cache.misses << " misses\n";
   if (result.stats.qinfo_entries > 0)
-    os << "union-check arena: " << result.stats.qinfo_entries
+    os << "union-check table: " << result.stats.qinfo_entries
        << " entries, peak " << result.stats.qinfo_peak_bytes << " bytes\n";
   if (result.stats.frozen_nodes > 0)
     os << "frozen forest: " << result.stats.frozen_nodes << " nodes, "

@@ -219,7 +219,7 @@ struct VerifyStats {
                                     // kept for perfbench, which reads it
   CacheStats region_cache;          // row-check region/predicate cache
   std::uint64_t qinfo_entries = 0;      // union-check combinations recorded
-  std::uint64_t qinfo_peak_bytes = 0;   // peak size of the union-check arena
+  std::uint64_t qinfo_peak_bytes = 0;   // peak bytes of the union-check table
   std::size_t frozen_nodes = 0;     // nodes in the Basis' frozen forest
   std::size_t frozen_bytes = 0;     // its serialized footprint
   double thaw_seconds = 0.0;        // frozen-forest import cost (summed

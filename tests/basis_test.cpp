@@ -243,76 +243,63 @@ TEST(Prepared, AddEnginesHonorJobsOverSharedBasis) {
 }
 
 // ---------------------------------------------------------------------------
-// QInfoStore: rank-keyed arena must behave like the old per-path map.
+// DepTable: runs of consecutive ranks, S masks per entry, ranks implied.
 // ---------------------------------------------------------------------------
 
-// Records `combo` in a store over n observables, keyed as the executor keys
-// it: by size and lexicographic rank.
-void insert_combo(QInfoStore& store, int n, const std::vector<int>& combo,
-                  QInfo info) {
-  store.insert(static_cast<int>(combo.size()), combination_rank(n, combo),
-               std::move(info));
-}
-
-TEST(QInfoStore, FindsInsertedCombosAndSortsLexicographically) {
-  QInfoStore store(5);
-  // Insertion order deliberately not lexicographic.
-  for (const std::vector<int>& combo : std::vector<std::vector<int>>{
-           {1, 3}, {0}, {2, 4}, {0, 1}, {4}, {1}}) {
-    QInfo info;
-    info.row.num_observables = static_cast<int>(combo.size());
-    info.V.assign(1, Mask{});
-    info.V[0].set(combo.front());
-    insert_combo(store, 5, combo, std::move(info));
+// One run of `count` entries from `begin`, entry i's masks {bit(begin + i),
+// bit(k)} — so every read-back names its own rank and size.
+std::vector<Mask> run_masks(int k, std::uint64_t begin, std::uint64_t count) {
+  std::vector<Mask> masks;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    masks.push_back(Mask::bit(static_cast<int>(begin + i)));
+    masks.push_back(Mask::bit(k));
   }
-  EXPECT_EQ(store.size(), 6u);
-  const QInfo* hit = store.find({1, 3});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->row.num_observables, 2);
-  EXPECT_TRUE(hit->V[0].test(1));
-  EXPECT_EQ(store.find({3}), nullptr);
-  EXPECT_EQ(store.find({0, 2}), nullptr);
-
-  const std::vector<std::vector<int>> want = {{0},    {0, 1}, {1},
-                                              {1, 3}, {2, 4}, {4}};
-  EXPECT_EQ(store.sorted_combos(), want);
-  EXPECT_GT(store.bytes(), 0u);
-  EXPECT_GE(store.peak_bytes(), store.bytes());
+  return masks;
 }
 
-TEST(QInfoStore, MergesDisjointStores) {
-  QInfoStore a(6), b(6);
-  QInfo info;
-  info.V.assign(1, Mask{});
-  insert_combo(a, 6, {0, 2}, info);
-  insert_combo(b, 6, {1, 5}, info);
-  insert_combo(b, 6, {3}, info);
-  a.merge_from(b);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_NE(a.find({0, 2}), nullptr);
-  EXPECT_NE(a.find({1, 5}), nullptr);
-  EXPECT_NE(a.find({3}), nullptr);
-  const std::vector<std::vector<int>> want = {{0, 2}, {1, 5}, {3}};
-  EXPECT_EQ(a.sorted_combos(), want);
+TEST(DepTable, RunsAreKeptInSizeAndRankOrder) {
+  DepTable table(2);
+  // Insertion order deliberately not (k, begin) order; a gap at ranks 3..4
+  // of class 2.
+  table.add_run(2, 5, run_masks(2, 5, 3));
+  table.add_run(1, 0, run_masks(1, 0, 4));
+  table.add_run(2, 0, run_masks(2, 0, 3));
+  table.add_run(1, 4, {});  // no passing combination: nothing recorded
+  EXPECT_EQ(table.size(), 10u);
+  EXPECT_GE(table.bytes(), 10 * 2 * sizeof(Mask));
+
+  std::vector<std::pair<int, std::uint64_t>> seen;
+  for (const DepTable::Run& run : table.runs()) {
+    ASSERT_EQ(run.masks.size(), 2 * run.count);
+    for (std::uint64_t i = 0; i < run.count; ++i) {
+      EXPECT_EQ(run.masks[2 * i], Mask::bit(static_cast<int>(run.begin + i)));
+      EXPECT_EQ(run.masks[2 * i + 1], Mask::bit(run.k));
+      seen.emplace_back(run.k, run.begin + i);
+    }
+  }
+  const std::vector<std::pair<int, std::uint64_t>> want = {
+      {1, 0}, {1, 1}, {1, 2}, {1, 3}, {2, 0},
+      {2, 1}, {2, 2}, {2, 5}, {2, 6}, {2, 7}};
+  EXPECT_EQ(seen, want);
 }
 
-TEST(QInfoStore, CountRanksBelowBoundsEachSizeClass) {
+TEST(DepTable, CountRanksBelowBoundsEachSizeClass) {
   // A size-k record counts iff its rank lies below bound[k]; sizes past the
   // end of the bound vector count nothing.
-  const int n = 6;
-  QInfoStore store(n);
-  QInfo info;
-  info.V.assign(1, Mask{});
-  const std::vector<std::vector<int>> combos = {
-      {0}, {3}, {5}, {0, 1}, {1, 4}, {2, 5}, {4, 5}, {0, 1, 2}, {1, 2, 3}};
-  for (const auto& combo : combos) insert_combo(store, n, combo, info);
+  DepTable table(1);
+  const std::vector<std::pair<int, std::vector<std::uint64_t>>> runs = {
+      {1, {0, 1}}, {1, {3}}, {2, {1, 2, 3, 4}}, {2, {9}}, {3, {2, 3}}};
+  for (const auto& [k, ranks] : runs)
+    table.add_run(k, ranks.front(),
+                  std::vector<Mask>(ranks.size(), Mask::bit(k)));
 
   const auto brute = [&](const std::vector<std::uint64_t>& bound) {
     std::size_t count = 0;
-    for (const auto& combo : combos) {
-      const std::size_t k = combo.size();
-      if (k < bound.size() && combination_rank(n, combo) < bound[k]) ++count;
-    }
+    for (const auto& [k, ranks] : runs)
+      for (std::uint64_t r : ranks)
+        if (static_cast<std::size_t>(k) < bound.size() &&
+            r < bound[static_cast<std::size_t>(k)])
+          ++count;
     return count;
   };
   for (const std::vector<std::uint64_t>& bound :
@@ -322,15 +309,15 @@ TEST(QInfoStore, CountRanksBelowBoundsEachSizeClass) {
            {0, 4},
            {0, 6, 15},
            {0, 6, 15, 20},
-           {0, 1, 7, 10},
-           {0, 3, 0, 1}}) {
-    EXPECT_EQ(store.count_ranks_below(bound), brute(bound));
+           {0, 1, 3, 10},
+           {0, 3, 0, 3}}) {
+    EXPECT_EQ(table.count_ranks_below(bound), brute(bound));
   }
-  EXPECT_EQ(store.count_ranks_below({0, 4}), 2u);  // {0}, {3}
-  EXPECT_EQ(store.count_ranks_below({0, 6, 15, 20}), combos.size());
+  EXPECT_EQ(table.count_ranks_below({0, 4}), 3u);  // ranks 0, 1, 3
+  EXPECT_EQ(table.count_ranks_below({0, 6, 15, 20}), table.size());
 }
 
-TEST(QInfoStore, PeakBytesReportedInStats) {
+TEST(DepTable, PeakBytesReportedInStats) {
   circuit::Gadget g = gadgets::by_name("dom-2");
   VerifyOptions opt;
   opt.notion = Notion::kSNI;

@@ -505,5 +505,41 @@ TEST(SummarySerial, RejectsAlienFraming) {
   EXPECT_THROW(deserialize_basis(*image), SerializationError);
 }
 
+TEST(SummarySerial, RejectsDependencyEntriesOfTheWrongShape) {
+  // A summary whose dependency entry is narrower than num_secrets, or whose
+  // size lies outside [1, order], is hash-valid (serialize_summary frames
+  // whatever it is given) but would misalign the replayed dependency runs:
+  // the reader refuses it, and the store quarantines it as a miss.
+  const circuit::Gadget g = gadgets::by_name("dom-1");
+  verify::VerifyOptions opt;
+  opt.order = 1;
+  opt.incremental = true;
+  TempDir dir("hostile");
+  ArtifactStore store({dir.str(), 0});
+  verify_with_store(g, opt, store, nullptr);
+  const auto head = store.family_head(summary_family_key(g, opt));
+  ASSERT_TRUE(head.has_value());
+  const std::shared_ptr<const verify::ConeSummary> s =
+      store.load_summary(*head);
+  ASSERT_NE(s, nullptr);
+  ASSERT_FALSE(s->deps.empty());
+  ASSERT_EQ(s->deps[0].V.size(), s->num_secrets);
+  EXPECT_NO_THROW(deserialize_summary(serialize_summary(*s)));
+
+  std::vector<verify::ConeSummary> hostile(3, *s);
+  hostile[0].deps[0].V.pop_back();  // short V
+  hostile[1].deps[0].k = 0;
+  hostile[2].deps[0].k = s->order + 1;
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    const std::string image = serialize_summary(hostile[i]);
+    EXPECT_THROW(deserialize_summary(image), SerializationError) << i;
+    const std::string key(64, static_cast<char>('a' + i));
+    ASSERT_TRUE(store.put(key, image));
+    const std::uint64_t before = store.stats().quarantined;
+    EXPECT_EQ(store.load_summary(key), nullptr) << i;
+    EXPECT_EQ(store.stats().quarantined, before + 1) << i;
+  }
+}
+
 }  // namespace
 }  // namespace sani::store

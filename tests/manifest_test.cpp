@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -169,10 +170,10 @@ TEST(Manifest, PartialRoundTripWithFailureAndDeps) {
   p.fail_reason = "leaks s0";
   p.combinations = 6;
   p.coefficients = 99;
-  verify::PartialReport::Dep dep;
-  dep.rank = 12;
-  dep.V = {Mask::bit(1), Mask()};
-  p.deps.push_back(dep);
+  // Ranks 10..14 passed (two secrets each); 15 failed.
+  p.deps = {Mask::bit(1), Mask(),          Mask::bit(1), Mask(),
+            Mask::bit(2), Mask::bit(65),  Mask::bit(1), Mask(),
+            Mask::bit(2), Mask::bit(65)};
 
   const verify::PartialReport back =
       deserialize_partial(serialize_partial(p, 2), 2);
@@ -187,11 +188,65 @@ TEST(Manifest, PartialRoundTripWithFailureAndDeps) {
   EXPECT_EQ(back.fail_reason, p.fail_reason);
   EXPECT_EQ(back.combinations, p.combinations);
   EXPECT_EQ(back.coefficients, p.coefficients);
-  ASSERT_EQ(back.deps.size(), 1u);
-  EXPECT_EQ(back.deps[0].rank, 12u);
-  ASSERT_EQ(back.deps[0].V.size(), 2u);
-  EXPECT_EQ(back.deps[0].V[0], dep.V[0]);
-  EXPECT_EQ(back.deps[0].V[1], dep.V[1]);
+  EXPECT_EQ(back.deps, p.deps);
+}
+
+TEST(Manifest, PartialRejectsRangesOutsideItsShard) {
+  verify::PartialReport p;
+  p.k = 1;
+  p.begin = 4;
+  p.end = 8;
+  p.covered_end = 6;
+  p.complete = true;
+  p.deps = {Mask::bit(0), Mask::bit(1)};
+  EXPECT_NO_THROW(deserialize_partial(serialize_partial(p, 1), 1));
+
+  verify::PartialReport bad = p;
+  bad.covered_end = 9;  // past the shard's end
+  EXPECT_THROW(deserialize_partial(serialize_partial(bad, 1), 1),
+               SerializationError);
+  bad = p;
+  bad.covered_end = 5;  // two deps, one covered rank
+  EXPECT_THROW(deserialize_partial(serialize_partial(bad, 1), 1),
+               SerializationError);
+  bad = p;
+  bad.has_failure = true;
+  bad.fail_rank = 6;  // not a covered rank
+  EXPECT_THROW(deserialize_partial(serialize_partial(bad, 1), 1),
+               SerializationError);
+  // A dependency section that is not whole S-mask entries cannot be
+  // written.
+  bad = p;
+  bad.deps.push_back(Mask());
+  EXPECT_THROW(serialize_partial(bad, 2), SerializationError);
+}
+
+TEST(ScanDirTest, SwappedCheckpointFilesAreRejected) {
+  TempDir tmp("swap");
+  ScanDir scan = ScanDir::create(tmp.str() + "/scan", tiny_manifest());
+  for (std::size_t i : {0, 1}) {
+    const sched::Shard& shard = scan.manifest().shards[i];
+    verify::PartialReport p;
+    p.k = shard.k;
+    p.begin = shard.begin;
+    p.end = shard.end;
+    p.covered_end = shard.end;
+    p.complete = true;
+    p.combinations = shard.size();
+    p.deps.assign(2 * shard.size(), Mask::bit(static_cast<int>(i)));
+    ASSERT_TRUE(scan.write_checkpoint(i, p));
+  }
+  ASSERT_TRUE(scan.read_checkpoint(0).has_value());
+  ASSERT_TRUE(scan.read_checkpoint(1).has_value());
+
+  // Both files stay hash-valid SANIPAR images of this job; only the shard
+  // identity inside tells them apart.
+  const fs::path parts = fs::path(scan.dir()) / "parts";
+  fs::rename(parts / "000000.part", parts / "tmp");
+  fs::rename(parts / "000001.part", parts / "000000.part");
+  fs::rename(parts / "tmp", parts / "000001.part");
+  EXPECT_THROW(scan.read_checkpoint(0), SerializationError);
+  EXPECT_THROW(scan.read_checkpoint(1), SerializationError);
 }
 
 TEST(Manifest, IncompletePartialRefusesToSerialize) {
@@ -247,6 +302,23 @@ TEST(ScanDirTest, ClaimLeaseStealAndRelease) {
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->index, c1->index);
   EXPECT_FALSE(again->reclaimed);
+}
+
+TEST(ScanDirTest, LeaseZeroStealsAClaimStampedAheadOfTheClock) {
+  // A fresh claim's mtime can read ahead of time(); lease 0 must still
+  // treat it as stale.
+  TempDir tmp("ahead");
+  ScanDir scan = ScanDir::create(tmp.str() + "/scan", tiny_manifest());
+  std::vector<std::size_t> held;
+  while (std::optional<ScanDir::Claim> c = scan.claim_next(3600.0))
+    held.push_back(c->index);
+  ASSERT_EQ(held.size(), 3u);
+  for (const auto& entry : fs::directory_iterator(tmp.str() + "/scan/claims"))
+    fs::last_write_time(entry.path(), fs::file_time_type::clock::now() +
+                                          std::chrono::seconds(5));
+  std::optional<ScanDir::Claim> stolen = scan.claim_next(0.0);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_TRUE(stolen->reclaimed);
 }
 
 TEST(ScanDirTest, CheckpointMarksDoneAndSkipsClaim) {

@@ -266,6 +266,41 @@ TEST(Serial, RejectsTamperedImages) {
   EXPECT_THROW(deserialize_basis(image + "x"), SerializationError);
 }
 
+// Wraps `payload` in SANIBAS framing under format version `version`.
+std::string reframe(const std::string& payload, std::uint32_t version) {
+  ByteWriter file;
+  for (char c : kMagic) file.u8(static_cast<std::uint8_t>(c));
+  file.u32(version);
+  Sha256 hash;
+  hash.update(payload);
+  std::uint8_t digest[32];
+  hash.digest(digest);
+  for (std::uint8_t b : digest) file.u8(b);
+  file.u64(payload.size());
+  return file.take() + payload;
+}
+
+// The v3 image minus its trailing cone-index section (added in v3): a
+// populated section is flag(1) + varmap(32) + count(8) + count digests of
+// 32 bytes; an empty one is the single zero flag byte.
+std::string strip_cone_index(std::string payload, std::uint64_t count) {
+  const std::size_t full_cones =
+      1 + 32 + 8 + 32 * static_cast<std::size_t>(count);
+  if (payload.size() >= full_cones &&
+      payload[payload.size() - full_cones] == 1)
+    payload.resize(payload.size() - full_cones);
+  else
+    payload.resize(payload.size() - 1);
+  return payload;
+}
+
+// Rewrites a current file image as the v2 format: version field 2 and no
+// trailing cone-index section.  Every other payload byte is identical.
+std::string downgrade_image_to_v2(const std::string& v3_image,
+                                  std::uint64_t num_observables) {
+  return reframe(strip_cone_index(v3_image.substr(52), num_observables), 2);
+}
+
 // Rewrites a current file image as the v1 format the oldest release wrote:
 // version field 1, observable metadata without the per-observable support
 // masks (added in v2) and no trailing cone-index section (added in v3).
@@ -310,86 +345,52 @@ std::string downgrade_image_to_v1(const std::string& v2_image) {
     r.u64();
   }
   v1_payload += obs.bytes();
-  std::string rest = payload.substr(pos());
-  // Strip the v3 cone-index tail: a populated section is
-  // flag(1) + varmap(32) + count(8) + count digests of 32 bytes; an empty
-  // one is the single zero flag byte.
-  const std::size_t full_cones =
-      1 + 32 + 8 + 32 * static_cast<std::size_t>(count);
-  if (rest.size() >= full_cones && rest[rest.size() - full_cones] == 1)
-    rest.resize(rest.size() - full_cones);
-  else
-    rest.resize(rest.size() - 1);
-  v1_payload += rest;
-
-  ByteWriter file;
-  for (char c : kMagic) file.u8(static_cast<std::uint8_t>(c));
-  file.u32(1);
-  Sha256 hash;
-  hash.update(v1_payload);
-  std::uint8_t digest[32];
-  hash.digest(digest);
-  for (std::uint8_t b : digest) file.u8(b);
-  file.u64(v1_payload.size());
-  return file.take() + v1_payload;
+  v1_payload += strip_cone_index(payload.substr(pos()), count);
+  return reframe(v1_payload, 1);
 }
 
-// Backward compatibility: a SANIBAS v1 artifact (previous release's writer)
-// must load quarantine-free, with the support masks recomputed from the
-// stored spectra.
-TEST(Serial, V1ArtifactsStillDeserialize) {
+// The store is a cache: SANIBAS v1/v2 images (older writers) are not
+// migrated.  They fail the version check like any other foreign image.
+TEST(Serial, V1AndV2ArtifactsAreRejected) {
   const circuit::Gadget g = gadgets::by_name("dom-2");
   for (verify::EngineKind engine :
        {verify::EngineKind::kMAPI, verify::EngineKind::kFUJITA}) {
     verify::VerifyOptions opt;
     opt.engine = engine;
     std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
-    const std::string v2 = serialize_basis(*basis, needs_of(engine));
-    const std::string v1 = downgrade_image_to_v1(v2);
-    ASSERT_NE(v1, v2);
+    const std::string v3 = serialize_basis(*basis, needs_of(engine));
+    const std::string v2 = downgrade_image_to_v2(v3, basis->obs.size());
+    const std::string v1 = downgrade_image_to_v1(v3);
+    EXPECT_LT(v2.size(), v3.size());
     EXPECT_LT(v1.size(), v2.size());
-
-    std::shared_ptr<const verify::Basis> back = deserialize_basis(v1);
-    ASSERT_NE(back, nullptr) << verify::engine_name(engine);
-    ASSERT_EQ(back->obs.size(), basis->obs.size());
-    ASSERT_EQ(back->flat.size(), basis->flat.size());
-    for (std::size_t i = 0; i < basis->flat.size(); ++i) {
-      ASSERT_EQ(back->flat[i].size(), basis->flat[i].size());
-      for (std::size_t s = 0; s < basis->flat[i].size(); ++s)
-        EXPECT_TRUE(back->flat[i][s] == basis->flat[i][s]);
-    }
-    for (std::size_t i = 0; i < basis->obs.size(); ++i) {
-      if (needs_of(engine).spectra) {
-        // Recomputed from the spectra — must match what the build recorded.
-        EXPECT_TRUE(back->obs[i].support == basis->obs[i].support)
-            << verify::engine_name(engine) << " obs " << i;
-      } else {
-        // Spectra-free artifacts have nothing to recompute from; the empty
-        // mask is the documented degraded state (nothing reads it there).
-        EXPECT_TRUE(back->obs[i].support == Mask{});
-      }
-    }
+    EXPECT_NO_THROW(deserialize_basis(v3));
+    EXPECT_THROW(deserialize_basis(v2), SerializationError)
+        << verify::engine_name(engine);
+    EXPECT_THROW(deserialize_basis(v1), SerializationError)
+        << verify::engine_name(engine);
+    EXPECT_THROW(peek_needs(v1), SerializationError);
   }
 }
 
-TEST(Store, V1ArtifactsLoadQuarantineFree) {
+TEST(Store, V1AndV2ArtifactsLoadAsQuarantinedMisses) {
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
   opt.engine = verify::EngineKind::kMAPI;  // an image with a frozen forest
   std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
-  const std::string v1 =
-      downgrade_image_to_v1(serialize_basis(*basis, needs_of(opt.engine)));
+  const std::string v3 = serialize_basis(*basis, needs_of(opt.engine));
 
-  TempDir dir("v1_compat");
+  TempDir dir("old_versions");
   ArtifactStore store({dir.str(), 0});
-  const std::string key(64, 'b');
-  ASSERT_TRUE(store.put(key, v1));
-  std::shared_ptr<const verify::Basis> back = store.load_basis(key);
-  ASSERT_NE(back, nullptr);
-  EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_EQ(store.stats().quarantined, 0u);
-  EXPECT_FALSE(fs::exists(fs::path(dir.str()) / "quarantine" / key));
-  ASSERT_EQ(back->flat.size(), basis->flat.size());
+  const std::string v1_key(64, 'b');
+  const std::string v2_key(64, 'c');
+  ASSERT_TRUE(store.put(v1_key, downgrade_image_to_v1(v3)));
+  ASSERT_TRUE(store.put(v2_key, downgrade_image_to_v2(v3, basis->obs.size())));
+  EXPECT_EQ(store.load_basis(v1_key), nullptr);
+  EXPECT_EQ(store.load_basis(v2_key), nullptr);
+  EXPECT_EQ(store.stats().hits, 0u);
+  EXPECT_EQ(store.stats().quarantined, 2u);
+  EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v1_key));
+  EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v2_key));
 }
 
 TEST(Serial, Sha256KnownAnswers) {

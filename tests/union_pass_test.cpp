@@ -1,0 +1,203 @@
+// Oracle test of the set-level union pass (verify/partial.h union_pass, run
+// by ReportAssembler::finalize).  Seeded random dependency tables are cut
+// into shards, folded through ReportAssembler partials in a shuffled order,
+// and the finalized verdict is compared with the direct definition: walk
+// every recorded combination Q in lexicographic order, OR the recorded
+// masks of all 2^|Q| - 1 nonempty sub-combinations, and report the first Q
+// that fails Checker::union_violates.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "util/combinations.h"
+#include "util/mask.h"
+#include "verify/basis.h"
+#include "verify/checker.h"
+#include "verify/partial.h"
+#include "verify/types.h"
+
+namespace sani::verify {
+namespace {
+
+struct Instance {
+  std::shared_ptr<Basis> basis;
+  VerifyOptions options;
+  // own[k][rank]: the S masks recorded for the size-k combination `rank`.
+  std::map<int, std::vector<std::vector<Mask>>> own;
+};
+
+Instance random_instance(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  Instance in;
+  auto basis = std::make_shared<Basis>();
+  const int S = pick(1, 3);
+  const int d = pick(1, 4);  // shares per secret
+  circuit::VarMap& vars = basis->vars;
+  vars.secret_vars.assign(static_cast<std::size_t>(S), Mask{});
+  vars.secret_share_var.assign(static_cast<std::size_t>(S), {});
+  for (int s = 0; s < S; ++s)
+    for (int j = 0; j < d; ++j) {
+      const int v = s * d + j;
+      vars.secret_vars[static_cast<std::size_t>(s)].set(v);
+      vars.secret_share_var[static_cast<std::size_t>(s)].push_back(v);
+      vars.share_vars.set(v);
+    }
+  vars.random_vars = Mask::bit(S * d) | Mask::bit(S * d + 1);
+  vars.num_vars = S * d + 2;
+
+  const int N = pick(1, 9);
+  for (int i = 0; i < N; ++i) {
+    ObservableInfo o;
+    o.name = "o" + std::to_string(i);
+    if (pick(0, 2) == 0) {
+      o.kind = Observable::Kind::kOutput;
+      o.output_group = 0;
+      o.output_share_index = pick(0, d - 1);
+      ++basis->num_outputs;
+    } else {
+      o.kind = Observable::Kind::kProbe;
+    }
+    basis->obs.push_back(o);
+  }
+
+  VerifyOptions& opt = in.options;
+  constexpr Notion kNotions[] = {Notion::kNI, Notion::kSNI, Notion::kPINI};
+  opt.notion = kNotions[pick(0, 2)];
+  opt.order = pick(1, std::min(4, N));
+  opt.joint_share_count = opt.notion != Notion::kPINI && pick(0, 3) == 0;
+  opt.search_order =
+      pick(0, 1) ? SearchOrder::kLargestFirst : SearchOrder::kDepthFirst;
+  opt.engine = EngineKind::kDIRECT;
+
+  // Sparse own masks, so that secure and insecure tables both occur and
+  // the closure (not Q's own masks) often decides.
+  constexpr int kPercent[] = {2, 5, 10, 25};
+  const int percent = kPercent[pick(0, 3)];
+  for (int k = 1; k <= opt.order; ++k) {
+    std::vector<std::vector<Mask>>& table = in.own[k];
+    table.resize(binomial(N, k));
+    for (std::vector<Mask>& V : table) {
+      V.assign(static_cast<std::size_t>(S), Mask{});
+      for (int s = 0; s < S; ++s)
+        for (int j = 0; j < d; ++j)
+          if (pick(0, 99) < percent) V[static_cast<std::size_t>(s)].set(s * d + j);
+    }
+  }
+  in.basis = std::move(basis);
+  return in;
+}
+
+/// The pre-closure union pass: every recorded Q in lexicographic vector
+/// order, V(Q) the OR over all nonempty sub-combinations' recorded masks.
+VerifyResult reference_union_pass(const Instance& in) {
+  const Basis& basis = *in.basis;
+  const int N = static_cast<int>(basis.size());
+  const Checker checker(basis.vars, in.options.notion,
+                        in.options.joint_share_count);
+  std::vector<std::vector<int>> combos;
+  for (int k = 1; k <= in.options.order; ++k) {
+    CombinationIter it(N, k);
+    do combos.push_back(it.indices());
+    while (it.next());
+  }
+  std::sort(combos.begin(), combos.end());
+  VerifyResult result;
+  for (const std::vector<int>& q : combos) {
+    std::vector<Mask> V(basis.vars.secret_vars.size());
+    const std::size_t k = q.size();
+    for (std::size_t sel = 1; sel < (std::size_t{1} << k); ++sel) {
+      std::vector<int> sub;
+      for (std::size_t j = 0; j < k; ++j)
+        if (sel & (std::size_t{1} << j)) sub.push_back(q[j]);
+      const std::vector<Mask>& own =
+          in.own.at(static_cast<int>(sub.size()))[combination_rank(N, sub)];
+      for (std::size_t s = 0; s < V.size(); ++s) V[s] |= own[s];
+    }
+    std::string reason;
+    if (checker.union_violates(V, context_for_combo(basis, q), &reason)) {
+      result.secure = false;
+      CounterExample ce;
+      for (int i : q)
+        ce.observables.push_back(basis.obs[static_cast<std::size_t>(i)].name);
+      for (const Mask& v : V) ce.alpha |= v;
+      ce.reason = "set-level dependency check failed: " + reason;
+      result.counterexample = std::move(ce);
+      return result;
+    }
+  }
+  return result;
+}
+
+/// The table cut into random shards, folded in a shuffled order.
+VerifyResult assembled_union_pass(const Instance& in, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<PartialReport> parts;
+  for (const auto& [k, table] : in.own) {
+    std::uint64_t begin = 0;
+    while (begin < table.size()) {
+      const std::uint64_t end = std::min<std::uint64_t>(
+          table.size(), begin + 1 + rng() % (table.size() / 2 + 1));
+      PartialReport p;
+      p.k = k;
+      p.begin = begin;
+      p.end = end;
+      p.covered_end = end;
+      p.complete = true;
+      p.combinations = end - begin;
+      for (std::uint64_t r = begin; r < end; ++r)
+        p.deps.insert(p.deps.end(), table[r].begin(), table[r].end());
+      parts.push_back(std::move(p));
+      begin = end;
+    }
+  }
+  std::shuffle(parts.begin(), parts.end(), rng);
+  ReportAssembler assembler(in.basis, in.options);
+  for (PartialReport& p : parts) assembler.add(std::move(p));
+  return assembler.finalize();
+}
+
+TEST(UnionPass, ClosureMatchesTheSubCombinationWalk) {
+  int insecure = 0;
+  int deep_witnesses = 0;  // |Q| >= 2: decided by the closure
+  constexpr std::uint32_t kSeeds = 400;
+  for (std::uint32_t seed = 0; seed < kSeeds; ++seed) {
+    const Instance in = random_instance(seed);
+    const VerifyResult want = reference_union_pass(in);
+    const VerifyResult got = assembled_union_pass(in, seed * 7919 + 1);
+    const std::string ctx = "seed " + std::to_string(seed) + " N=" +
+                            std::to_string(in.basis->size()) + " order=" +
+                            std::to_string(in.options.order) + " " +
+                            notion_name(in.options.notion);
+    ASSERT_FALSE(got.timed_out) << ctx;
+    ASSERT_EQ(got.secure, want.secure) << ctx;
+    std::uint64_t entries = 0;
+    for (const auto& [k, table] : in.own) entries += table.size();
+    EXPECT_EQ(got.stats.qinfo_entries, entries) << ctx;
+    EXPECT_GT(got.stats.qinfo_peak_bytes, 0u) << ctx;
+    if (want.secure) continue;
+    ++insecure;
+    ASSERT_TRUE(got.counterexample.has_value()) << ctx;
+    EXPECT_EQ(got.counterexample->observables, want.counterexample->observables)
+        << ctx;
+    EXPECT_EQ(got.counterexample->alpha, want.counterexample->alpha) << ctx;
+    EXPECT_EQ(got.counterexample->reason, want.counterexample->reason) << ctx;
+    if (want.counterexample->observables.size() >= 2) ++deep_witnesses;
+  }
+  // Both verdicts, and witnesses above size 1, must actually occur.
+  EXPECT_GT(insecure, static_cast<int>(kSeeds) / 10);
+  EXPECT_LT(insecure, static_cast<int>(kSeeds) * 9 / 10);
+  EXPECT_GT(deep_witnesses, 10);
+}
+
+}  // namespace
+}  // namespace sani::verify
