@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "store/sha256.h"
+#include "util/sha256.h"
 #include "verify/backends/registry.h"
 
 namespace sani::daemon {
@@ -140,7 +140,7 @@ std::string job_digest(const VerifyRequest& request,
            << "scan:" << request.scan << '\n'
            << "format:" << (request.json_format ? "json" : "text") << '\n'
            << "label:" << request.gadget_name << '\n';
-  return store::sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 std::string accepted_frame(std::uint64_t id, const std::string& key,

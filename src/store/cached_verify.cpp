@@ -6,8 +6,8 @@
 
 #include "circuit/ilang.h"
 #include "circuit/unfold.h"
-#include "store/sha256.h"
 #include "store/serial.h"
+#include "util/sha256.h"
 #include "verify/incremental.h"
 #include "verify/backends/registry.h"
 #include "verify/basis.h"
@@ -36,7 +36,8 @@ std::string artifact_key(const std::string& canonical_ilang,
   // stop being referenced (and age out of the LRU) instead of being
   // misread.
   material << "sani-artifact-key-v" << kFormatVersion << '\n'
-           << "netlist-sha256:" << sha256_hex(canonical_ilang) << '\n'
+           << "netlist-sha256:" << util::sha256_hex(canonical_ilang)
+           << '\n'
            << "probes:include_inputs=" << options.probes.include_inputs
            << ",dedupe=" << options.probes.dedupe
            << ",glitch_robust=" << options.probes.glitch_robust << '\n'
@@ -46,7 +47,7 @@ std::string artifact_key(const std::string& canonical_ilang,
            << "needs:spectra=" << needs.spectra << ",lil=" << needs.lil
            << ",frozen_fns=" << needs.frozen_fns
            << ",frozen_spectra=" << needs.frozen_spectra << '\n';
-  return sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 std::string artifact_key(const circuit::Gadget& gadget,
@@ -67,7 +68,7 @@ std::string summary_family_key(const circuit::Gadget& gadget,
            << "union:" << options.union_check << '\n'
            << "var_order:" << static_cast<int>(options.var_order) << '\n'
            << "sift:" << options.sift_after_unfold << '\n';
-  return sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 std::string summary_object_key(const std::string& family_key,
@@ -76,7 +77,7 @@ std::string summary_object_key(const std::string& family_key,
   material << "sani-summary-key-v" << kSummaryFormatVersion << '\n'
            << "family:" << family_key << '\n'
            << "artifact:" << artifact_key << '\n';
-  return sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 namespace {
@@ -93,9 +94,9 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
                                      sched::CancelToken* cancel) {
   const std::string family = summary_family_key(gadget, options);
 
+  const std::optional<std::string> head = store.family_head(family);
   std::shared_ptr<const verify::ConeSummary> prior;
-  if (std::optional<std::string> head = store.family_head(family))
-    prior = store.load_summary(*head);
+  if (head) prior = store.load_summary(*head);
   std::optional<verify::IncrementalPlan> plan;
   if (prior) plan = verify::IncrementalPlan::build(*basis, prior, options);
 
@@ -104,7 +105,7 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
   const bool collect = basis->cones.available;
   const int n = static_cast<int>(basis->size());
   verify::SummaryCollector collector(n, options.order);
-  verify::DepTable deps;
+  verify::DepTable deps(basis->vars.secret_vars.size());
 
   verify::IncrementalContext ctx;
   if (plan) ctx.plan = &*plan;
@@ -123,9 +124,16 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
   result.stats.incremental.cones_total = static_cast<std::uint64_t>(n);
   if (plan) result.stats.incremental.cones_reused = plan->cones_reused();
 
-  if (collect) {
-    const verify::ConeSummary summary =
-        verify::make_summary(*basis, options, std::move(collector), deps);
+  const std::string skey = summary_object_key(family, key);
+  // An unchanged resubmission: the head already names this revision's
+  // summary and every verdict was replayed from it, so the summary this run
+  // would write records nothing that object lacks — leave it (and the head)
+  // untouched rather than rewrite the same coverage.
+  const bool unchanged = plan && head == skey && !result.timed_out &&
+                         result.stats.incremental.combinations_rechecked == 0;
+  if (collect && !unchanged) {
+    const verify::ConeSummary summary = verify::make_summary(
+        *basis, options, std::move(collector), std::move(deps));
     // A timed-out run publishes the summary of its completed prefix too —
     // unchecked ranks stay 0 in the bitmaps and classify as dirty on
     // replay, so the next attempt resumes past the verdicts this one paid
@@ -139,7 +147,6 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
                 (!prior || verify::summary_checked_count(*prior) < checked);
     }
     if (publish) {
-      const std::string skey = summary_object_key(family, key);
       const bool saved = store.save_summary(skey, summary) &&
                          store.set_family_head(family, skey);
       if (outcome) outcome->summary_saved = saved;

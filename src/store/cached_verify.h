@@ -93,11 +93,14 @@ struct StoreOutcome {
 /// family head, loads the prior summary and replays verdicts for clean
 /// combinations (verify/incremental.h) — verdict, witness and deterministic
 /// report stay byte-identical to a cold run — and (b) collects a fresh
-/// summary and repoints the family head at it, unless the run timed out
-/// (a truncated bitmap is safe — unchecked ranks classify dirty — but it
-/// must not displace a more complete head).  Both halves are best-effort:
-/// no prior summary, a
-/// quarantined one, or a plan rejection just mean a cold scan.
+/// summary and repoints the family head at it.  A timed-out run publishes
+/// its checked prefix only when that covers more ranks than the head does
+/// (unchecked ranks classify dirty, but a short run must not displace a
+/// more complete head).  An unchanged resubmission — the head already
+/// names this revision's summary, which seeded the run, and nothing was
+/// re-checked — writes nothing (summary_saved stays false).  Both halves
+/// are best-effort: no prior summary, a quarantined one, or a plan
+/// rejection just mean a cold scan.
 verify::VerifyResult verify_with_store(const circuit::Gadget& gadget,
                                        const verify::VerifyOptions& options,
                                        ArtifactStore& store,

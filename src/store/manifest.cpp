@@ -16,7 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/serial.h"
-#include "store/sha256.h"
+#include "util/sha256.h"
 
 namespace sani::store {
 
@@ -121,7 +121,7 @@ std::string manifest_key(const ScanManifest& m) {
            << "var_order:" << static_cast<int>(o.var_order) << '\n'
            << "sift:" << o.sift_after_unfold << '\n'
            << "shard_size:" << o.shard_size << '\n';
-  return sha256_hex(material.str());
+  return util::sha256_hex(material.str());
 }
 
 std::string serialize_manifest(const ScanManifest& m) {
@@ -164,7 +164,7 @@ std::string serialize_manifest(const ScanManifest& m) {
 }
 
 ScanManifest deserialize_manifest(const std::string& file_image) {
-  const std::string payload =
+  const std::string_view payload =
       checked_payload_for(file_image, kManifestMagic, kManifestFormatVersion);
   ByteReader r(payload);
   ScanManifest m;
@@ -289,7 +289,7 @@ std::string serialize_partial(const verify::PartialReport& part,
 verify::PartialReport deserialize_partial(const std::string& file_image,
                                           std::uint32_t num_secrets,
                                           const std::string& expected_trace_id) {
-  const std::string payload =
+  const std::string_view payload =
       checked_payload_for(file_image, kPartialMagic, kPartialFormatVersion);
   ByteReader r(payload);
   const std::string stored_trace_id = r.str();

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "spectral/lil_spectrum.h"
-#include "store/sha256.h"
+#include "util/combinations.h"
 #include "util/mask.h"
+#include "util/sha256.h"
 
 namespace sani::store {
 
@@ -186,7 +188,7 @@ constexpr std::size_t kHeaderBytes = 8 + 4 + 32 + 8;
 // cone-summary object (different magics, independent version counters).
 std::string frame(const char (&magic)[8], std::uint32_t version,
                   const std::string& body) {
-  Sha256 hash;
+  util::Sha256 hash;
   hash.update(body);
   std::uint8_t digest[32];
   hash.digest(digest);
@@ -202,9 +204,9 @@ std::string frame(const char (&magic)[8], std::uint32_t version,
 }
 
 // Validates the common framing; returns the payload slice.
-std::string checked_payload_for(const std::string& file_image,
-                                const char (&magic)[8],
-                                std::uint32_t version) {
+std::string_view checked_payload_for(const std::string& file_image,
+                                     const char (&magic)[8],
+                                     std::uint32_t version) {
   if (file_image.size() < kHeaderBytes)
     throw SerializationError("artifact: file shorter than header");
   if (std::memcmp(file_image.data(), magic, sizeof(kMagic)) != 0)
@@ -221,9 +223,10 @@ std::string checked_payload_for(const std::string& file_image,
   const std::uint64_t payload_len = header.u64();
   if (payload_len != file_image.size() - kHeaderBytes)
     throw SerializationError("artifact: payload length mismatch");
-  std::string payload = file_image.substr(kHeaderBytes);
-  Sha256 hash;
-  hash.update(payload);
+  const std::string_view payload =
+      std::string_view(file_image).substr(kHeaderBytes);
+  util::Sha256 hash;
+  hash.update(payload.data(), payload.size());
   std::uint8_t got_digest[32];
   hash.digest(got_digest);
   if (std::memcmp(want_digest, got_digest, 32) != 0)
@@ -241,6 +244,21 @@ void ByteWriter::u32(std::uint32_t v) {
 void ByteWriter::u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i)
     out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+}
+
+static_assert(sizeof(Mask) == 16 && std::is_trivially_copyable_v<Mask>,
+              "mask arrays are copied as (lo, hi) u64 pairs");
+
+void ByteWriter::masks(const Mask* m, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    out_.append(reinterpret_cast<const char*>(m), n * sizeof(Mask));
+  } else {
+    out_.reserve(out_.size() + n * sizeof(Mask));
+    for (std::size_t i = 0; i < n; ++i) {
+      u64(m[i].lo);
+      u64(m[i].hi);
+    }
+  }
 }
 
 void ByteWriter::vu64(std::uint64_t v) {
@@ -307,8 +325,24 @@ double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 std::string ByteReader::str() {
   const std::uint32_t len = u32();
   need(len);
-  std::string out = s_.substr(pos_, len);
+  std::string out(s_.substr(pos_, len));
   pos_ += len;
+  return out;
+}
+
+std::vector<Mask> ByteReader::masks(std::uint64_t n) {
+  if (n > remaining() / sizeof(Mask))
+    throw SerializationError("artifact: truncated stream");
+  std::vector<Mask> out(static_cast<std::size_t>(n));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out.data(), s_.data() + pos_, out.size() * sizeof(Mask));
+    pos_ += out.size() * sizeof(Mask);
+  } else {
+    for (Mask& m : out) {
+      m.lo = u64();
+      m.hi = u64();
+    }
+  }
   return out;
 }
 
@@ -421,7 +455,7 @@ std::string serialize_basis(const verify::Basis& basis,
 }
 
 verify::BasisNeeds peek_needs(const std::string& file_image) {
-  const std::string payload =
+  const std::string_view payload =
       checked_payload_for(file_image, kMagic, kFormatVersion);
   ByteReader r(payload);
   return unpack_needs(r.u8());
@@ -429,7 +463,7 @@ verify::BasisNeeds peek_needs(const std::string& file_image) {
 
 std::shared_ptr<const verify::Basis> deserialize_basis(
     const std::string& file_image) {
-  const std::string payload =
+  const std::string_view payload =
       checked_payload_for(file_image, kMagic, kFormatVersion);
   ByteReader r(payload);
 
@@ -521,19 +555,21 @@ std::string serialize_summary(const verify::ConeSummary& summary) {
     write_mask(payload, f.alpha);
     payload.str(f.reason);
   }
-  payload.u64(summary.deps.size());
-  for (const verify::ConeSummary::DepEntry& d : summary.deps) {
-    payload.i32(d.k);
-    payload.u64(d.rank);
-    payload.u64(d.V.size());
-    for (const Mask& m : d.V) write_mask(payload, m);
+  const std::vector<verify::DepTable::Run>& runs = summary.deps.runs();
+  payload.u64(runs.size());
+  for (const verify::DepTable::Run& run : runs) {
+    payload.i32(run.k);
+    payload.u64(run.begin);
+    payload.u64(run.count);
+    payload.u64(run.masks.size());
+    payload.masks(run.masks.data(), run.masks.size());
   }
   return frame(kSummaryMagic, kSummaryFormatVersion, payload.bytes());
 }
 
 std::shared_ptr<const verify::ConeSummary> deserialize_summary(
     const std::string& file_image) {
-  const std::string payload =
+  const std::string_view payload =
       checked_payload_for(file_image, kSummaryMagic, kSummaryFormatVersion);
   ByteReader r(payload);
   auto summary = std::make_shared<verify::ConeSummary>();
@@ -573,18 +609,36 @@ std::shared_ptr<const verify::ConeSummary> deserialize_summary(
     f.alpha = read_mask(r);
     f.reason = r.str();
   }
-  summary->deps.resize(read_count(r, 20));
-  for (verify::ConeSummary::DepEntry& d : summary->deps) {
-    d.k = r.i32();
-    if (d.k < 1 || d.k > summary->order)
+  // Dependency runs: the plan binary-searches them and replays masks by
+  // offset, so everything an offset depends on is checked here.
+  const std::uint64_t num_runs = read_count(r, 28);
+  const std::uint64_t S = summary->num_secrets;
+  const int old_n = static_cast<int>(summary->digests.size());
+  summary->deps = verify::DepTable(S);
+  int prev_k = 0;
+  std::uint64_t prev_end = 0;
+  for (std::uint64_t i = 0; i < num_runs; ++i) {
+    const std::int32_t k = r.i32();
+    if (k < 1 || k > summary->order)
       throw SerializationError("summary: dependency size out of range");
-    d.rank = r.u64();
-    d.V.resize(read_count(r, 16));
-    // Replayed masks are spliced into S-wide dependency runs: any other
-    // width would shift every later entry.
-    if (d.V.size() != summary->num_secrets)
+    const std::uint64_t begin = r.u64();
+    const std::uint64_t count = r.u64();
+    const std::uint64_t ranks = binomial(old_n, k);
+    if (count == 0 || count > ranks || begin > ranks - count)
+      throw SerializationError("summary: dependency run outside rank space");
+    if (k < prev_k || (k == prev_k && begin < prev_end))
+      throw SerializationError("summary: dependency runs unsorted or overlap");
+    prev_k = k;
+    prev_end = begin + count;
+    std::vector<Mask> masks = r.masks(r.u64());
+    // Replayed masks are spliced in S at a time: any other width would
+    // shift every later combination.
+    const bool width_ok = S == 0 ? masks.empty()
+                                 : masks.size() % S == 0 &&
+                                       masks.size() / S == count;
+    if (!width_ok)
       throw SerializationError("summary: dependency width mismatch");
-    for (Mask& m : d.V) m = read_mask(r);
+    summary->deps.add_run(k, begin, std::move(masks));
   }
   if (!r.at_end())
     throw SerializationError("summary: trailing bytes after payload");

@@ -2,8 +2,8 @@
 // Versioned, endianness-explicit binary serialization of prepared
 // verification artifacts (dd::FrozenForest + verify::Basis).
 //
-// Layout (all multi-byte integers little-endian, written byte-by-byte so
-// the format is identical on any host):
+// Layout (all multi-byte integers little-endian whatever the host's byte
+// order, so the format is identical on any host):
 //
 //   [0..7]   magic "SANIBAS\x01"
 //   [8..11]  u32 format version (kFormatVersion)
@@ -39,9 +39,11 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dd/freeze.h"
+#include "util/mask.h"
 #include "verify/basis.h"
 #include "verify/incremental.h"
 
@@ -57,7 +59,12 @@ inline constexpr char kMagic[8] = {'S', 'A', 'N', 'I', 'B', 'A', 'S', '\x01'};
 /// any ConeSummary layout change; old-version summaries are rejected (a
 /// clean miss — the next run is cold and writes a fresh one), never
 /// migrated.
-inline constexpr std::uint32_t kSummaryFormatVersion = 1;
+///
+/// v2 (current) stores the dependency masks as the scan's DepTable runs —
+/// (k, first rank, count) and one length-prefixed array of count *
+/// num_secrets masks per run, ranks implied — where v1 stored one
+/// (k, rank, V) entry per combination.
+inline constexpr std::uint32_t kSummaryFormatVersion = 2;
 inline constexpr char kSummaryMagic[8] = {'S', 'A', 'N', 'I',
                                           'S', 'U', 'M', '\x01'};
 
@@ -81,6 +88,9 @@ class ByteWriter {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
   void str(const std::string& s);
+  /// `n` masks as consecutive (lo, hi) u64 pairs, appended in one piece
+  /// (a single copy on a little-endian host).
+  void masks(const Mask* m, std::size_t n);
 
   const std::string& bytes() const { return out_; }
   std::string take() { return std::move(out_); }
@@ -89,11 +99,11 @@ class ByteWriter {
   std::string out_;
 };
 
-/// Bounds-checked little-endian reader; throws SerializationError on any
-/// overrun or malformed field.
+/// Bounds-checked little-endian reader over bytes it does not own; throws
+/// SerializationError on any overrun or malformed field.
 class ByteReader {
  public:
-  explicit ByteReader(const std::string& bytes) : s_(bytes) {}
+  explicit ByteReader(std::string_view bytes) : s_(bytes) {}
 
   std::uint8_t u8();
   std::uint32_t u32();
@@ -103,6 +113,8 @@ class ByteReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   std::string str();
+  /// `n` masks written by ByteWriter::masks.
+  std::vector<Mask> masks(std::uint64_t n);
 
   bool at_end() const { return pos_ == s_.size(); }
   std::size_t remaining() const { return s_.size() - pos_; }
@@ -110,7 +122,7 @@ class ByteReader {
  private:
   void need(std::size_t n) const;
 
-  const std::string& s_;
+  std::string_view s_;
   std::size_t pos_ = 0;
 };
 
@@ -127,13 +139,14 @@ Mask read_mask(ByteReader& r);
 /// Common file framing (magic + u32 version + payload SHA-256 + u64 length
 /// + payload) shared by every store artifact format: SANIBAS, SANISUM and
 /// the scan manifest/checkpoint files.  checked_payload_for validates and
-/// returns the payload slice, throwing SerializationError on any mismatch
-/// (including any version other than `version`).
+/// returns the payload slice — a view into `file_image`, no copy — throwing
+/// SerializationError on any mismatch (including any version other than
+/// `version`).
 std::string frame(const char (&magic)[8], std::uint32_t version,
                   const std::string& body);
-std::string checked_payload_for(const std::string& file_image,
-                                const char (&magic)[8],
-                                std::uint32_t version);
+std::string_view checked_payload_for(const std::string& file_image,
+                                     const char (&magic)[8],
+                                     std::uint32_t version);
 
 /// Full artifact file image (header + integrity hash + payload).
 std::string serialize_basis(const verify::Basis& basis,
@@ -154,9 +167,10 @@ verify::BasisNeeds peek_needs(const std::string& file_image);
 std::string serialize_summary(const verify::ConeSummary& summary);
 
 /// Parses a cone-summary file image.  Checks magic, version and payload
-/// hash, and that every dependency entry is num_secrets wide with a size in
-/// [1, order]; throws SerializationError on any mismatch (the store
-/// quarantines and reports a miss).
+/// hash, and that the dependency runs are sorted and disjoint, have a size
+/// in [1, order], lie inside the old rank space C(digests, k) and hold
+/// exactly count * num_secrets masks; throws SerializationError on any
+/// mismatch (the store quarantines and reports a miss).
 std::shared_ptr<const verify::ConeSummary> deserialize_summary(
     const std::string& file_image);
 

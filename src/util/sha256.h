@@ -10,6 +10,12 @@
 // MaskHash-style mixers (those are seeds for hash tables, not content
 // addresses).  No external crypto dependency: the container image only
 // guarantees the C++ toolchain.
+//
+// The block compression runs on the x86 SHA extensions when CPUID reports
+// them (SHA, SSSE3 and SSE4.1), chosen once per process; every other host,
+// and every non-x86 build, runs the portable FIPS loop.  Both produce the
+// same state for the same blocks (tests/util_test.cpp checks them against
+// each other), so digests never depend on the host.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,8 +39,6 @@ class Sha256 {
   std::string hex_digest() const;
 
  private:
-  void compress(const std::uint8_t block[64]);
-
   std::uint32_t state_[8];
   std::uint64_t total_bytes_ = 0;
   std::uint8_t buffer_[64];
@@ -43,5 +47,20 @@ class Sha256 {
 
 /// One-shot convenience: SHA-256 of `s`, as lowercase hex.
 std::string sha256_hex(const std::string& s);
+
+namespace detail {
+
+/// Compresses `blocks` consecutive 64-byte blocks into `state` with the
+/// portable FIPS 180-4 loop — the reference the hardware path is tested
+/// against.
+void sha256_compress_portable(std::uint32_t state[8],
+                              const std::uint8_t* data, std::size_t blocks);
+
+/// The compression Sha256 uses: the SHA-extension kernel when this CPU has
+/// it, else sha256_compress_portable.
+void sha256_compress(std::uint32_t state[8], const std::uint8_t* data,
+                     std::size_t blocks);
+
+}  // namespace detail
 
 }  // namespace sani::util

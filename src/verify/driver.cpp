@@ -87,7 +87,9 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
         if (collector_) collector_->note_pass(combo);
         // Splice the replayed dependency masks in, so the union pass
         // consumes exactly the table a cold run would have built.
-        if (c.V) deps.insert(deps.end(), c.V->begin(), c.V->end());
+        if (c.V)
+          deps.insert(deps.end(), c.V,
+                      c.V + basis_->vars.secret_vars.size());
         return std::nullopt;
       }
       CheckFailure failure{c.fail->alpha, c.fail->reason};

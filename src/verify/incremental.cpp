@@ -84,7 +84,7 @@ void SummaryCollector::merge_from(const SummaryCollector& other) {
 
 ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
                          SummaryCollector&& collector,
-                         const DepTable& deps) {
+                         DepTable&& deps) {
   ConeSummary s;
   s.notion = options.notion;
   s.glitch_robust = options.probes.glitch_robust;
@@ -100,13 +100,7 @@ ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
             [](const ConeSummary::Failure& a, const ConeSummary::Failure& b) {
               return a.k != b.k ? a.k < b.k : a.rank < b.rank;
             });
-  s.deps.reserve(deps.size());
-  for (const DepTable::Run& run : deps.runs())
-    for (std::uint64_t i = 0; i < run.count; ++i) {
-      const auto V = run.masks.begin() + i * deps.num_secrets();
-      s.deps.push_back(ConeSummary::DepEntry{
-          run.k, run.begin + i, {V, V + deps.num_secrets()}});
-    }
+  s.deps = std::move(deps);
   return s;
 }
 
@@ -163,8 +157,6 @@ std::optional<IncrementalPlan> IncrementalPlan::build(
 
   for (const ConeSummary::Failure& f : s.failures)
     plan.failures_.emplace(key_of(f.k, f.rank), &f);
-  for (const ConeSummary::DepEntry& d : s.deps)
-    plan.deps_.emplace(key_of(d.k, d.rank), &d);
   return plan;
 }
 
@@ -191,9 +183,17 @@ IncrementalPlan::Classification IncrementalPlan::classify(
   if (rank >= t.num_ranks || !bit(t.checked, rank)) return c;
   if (bit(t.passed, rank)) {
     if (need_deps_) {
-      const auto it = deps_.find(key_of(k, rank));
-      if (it == deps_.end()) return c;  // no recorded masks — re-check
-      c.V = &it->second->V;
+      // The run holding (k, rank) is the last one starting at or before it.
+      const std::vector<DepTable::Run>& runs = summary_->deps.runs();
+      const auto after = std::upper_bound(
+          runs.begin(), runs.end(), rank, [k](std::uint64_t r,
+                                              const DepTable::Run& run) {
+            return k < run.k || (k == run.k && r < run.begin);
+          });
+      if (after == runs.begin()) return c;  // no recorded masks — re-check
+      const DepTable::Run& run = *(after - 1);
+      if (run.k != k || rank - run.begin >= run.count) return c;
+      c.V = run.masks.data() + (rank - run.begin) * summary_->num_secrets;
     }
     c.kind = Kind::kCleanPass;
     return c;

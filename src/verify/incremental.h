@@ -77,14 +77,11 @@ struct ConeSummary {
   };
   std::vector<Failure> failures;  // sorted by (k, rank)
 
-  /// Per-secret dependency masks of one passing combination (num_secrets
-  /// wide; k in [1, order]).
-  struct DepEntry {
-    std::int32_t k = 0;
-    std::uint64_t rank = 0;
-    std::vector<Mask> V;
-  };
-  std::vector<DepEntry> deps;  // sorted by (k, rank)
+  /// Per-secret dependency masks of the passing combinations, exactly as
+  /// the scan's union-check table held them: runs of consecutive ranks of
+  /// one size k in [1, order], num_secrets masks per combination, ranks
+  /// implied, runs sorted by (k, first rank) and disjoint.
+  DepTable deps;
 };
 
 /// Records per-combination outcomes during a scan (cold or incremental) so
@@ -104,7 +101,7 @@ class SummaryCollector {
   friend ConeSummary make_summary(const Basis& basis,
                                   const VerifyOptions& options,
                                   SummaryCollector&& collector,
-                                  const DepTable& deps);
+                                  DepTable&& deps);
 
   void note(const std::vector<int>& combo, bool passed);
 
@@ -115,9 +112,10 @@ class SummaryCollector {
 };
 
 /// Assembles the summary of a finished scan from the basis' cone index,
-/// the collected verdict bitmaps and the (merged) union-check table.
+/// the collected verdict bitmaps and the (merged) union-check table, which
+/// it takes over as is.
 ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
-                         SummaryCollector&& collector, const DepTable& deps);
+                         SummaryCollector&& collector, DepTable&& deps);
 
 /// Total ranks marked checked across the summary's verdict tables — the
 /// coverage a seeded run can replay.  A timed-out run publishes the summary
@@ -141,8 +139,9 @@ class IncrementalPlan {
 
   struct Classification {
     Kind kind = Kind::kDirty;
-    /// Replayed dependency masks (clean-pass on union-checking runs only).
-    const std::vector<Mask>* V = nullptr;
+    /// Replayed dependency masks, num_secrets wide (clean-pass on
+    /// union-checking runs only).
+    const Mask* V = nullptr;
     /// Replayed witness (clean-fail).
     const ConeSummary::Failure* fail = nullptr;
   };
@@ -162,7 +161,6 @@ class IncrementalPlan {
   bool need_deps_ = false;
   // (rank << 6 | k) lookups.
   std::unordered_map<std::uint64_t, const ConeSummary::Failure*> failures_;
-  std::unordered_map<std::uint64_t, const ConeSummary::DepEntry*> deps_;
 };
 
 /// What the engine layer threads through to the Driver(s): an optional

@@ -173,8 +173,9 @@ TEST(Incremental, EditResubmitMatchesColdAcrossTheRegistry) {
         verify_with_store(edited, opt, store, &again);
     EXPECT_TRUE(again.hit) << name;  // Basis artifact warm this time
     EXPECT_TRUE(again.summary_hit) << name;
-    if (r_cold.secure || jobs == 1)
+    if (r_cold.secure || jobs == 1) {
       EXPECT_EQ(r_again.stats.incremental.combinations_rechecked, 0u) << name;
+    }
     EXPECT_EQ(r_again.stats.incremental.cones_reused,
               r_again.stats.incremental.cones_total)
         << name;
@@ -431,12 +432,109 @@ TEST(SummarySerial, RoundTripPreservesEveryField) {
     EXPECT_TRUE(back->failures[i].alpha == s->failures[i].alpha);
     EXPECT_EQ(back->failures[i].reason, s->failures[i].reason);
   }
-  ASSERT_EQ(back->deps.size(), s->deps.size());
-  for (std::size_t i = 0; i < s->deps.size(); ++i) {
-    EXPECT_EQ(back->deps[i].k, s->deps[i].k);
-    EXPECT_EQ(back->deps[i].rank, s->deps[i].rank);
-    EXPECT_EQ(back->deps[i].V.size(), s->deps[i].V.size());
+  EXPECT_EQ(back->deps.num_secrets(), s->deps.num_secrets());
+  EXPECT_EQ(back->deps.size(), s->deps.size());
+  ASSERT_EQ(back->deps.runs().size(), s->deps.runs().size());
+  for (std::size_t i = 0; i < s->deps.runs().size(); ++i) {
+    const verify::DepTable::Run& a = back->deps.runs()[i];
+    const verify::DepTable::Run& b = s->deps.runs()[i];
+    EXPECT_EQ(a.k, b.k);
+    EXPECT_EQ(a.begin, b.begin);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_TRUE(a.masks == b.masks) << i;
   }
+}
+
+TEST(SummarySerial, V2RoundTripKeepsTheDependencyRunsFlat) {
+  // A secure order-2 scan with several secrets: every passing combination's
+  // masks land in the v2 runs, count * num_secrets wide, and survive the
+  // round trip mask for mask.
+  const circuit::Gadget g = gadgets::by_name("dom-2");
+  verify::VerifyOptions opt;
+  opt.order = 2;
+  opt.incremental = true;
+
+  TempDir dir("v2");
+  ArtifactStore store({dir.str(), 0});
+  const verify::VerifyResult r = verify_with_store(g, opt, store, nullptr);
+  ASSERT_TRUE(r.secure);
+  const auto head = store.family_head(summary_family_key(g, opt));
+  ASSERT_TRUE(head.has_value());
+  const auto image = store.get(*head);
+  ASSERT_TRUE(image.has_value());
+  ASSERT_GE(image->size(), 12u);
+  EXPECT_EQ(image->compare(0, 8, std::string(kSummaryMagic, 8)), 0);
+  EXPECT_EQ(static_cast<std::uint8_t>((*image)[8]), kSummaryFormatVersion);
+  EXPECT_EQ(kSummaryFormatVersion, 2u);
+
+  const std::shared_ptr<const verify::ConeSummary> s =
+      deserialize_summary(*image);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->deps.size(), r.stats.combinations);
+  ASSERT_FALSE(s->deps.runs().empty());
+  for (const verify::DepTable::Run& run : s->deps.runs())
+    EXPECT_EQ(run.masks.size(), run.count * s->num_secrets);
+  EXPECT_EQ(serialize_summary(*s), *image);
+}
+
+// The payload of `image`, the current encoding of `s`, without its trailing
+// dependency section (run count, then k, begin, count, mask count and the
+// masks of each run).
+std::string payload_without_deps(const std::string& image,
+                                 const verify::ConeSummary& s) {
+  std::size_t deps = 8;
+  for (const verify::DepTable::Run& run : s.deps.runs())
+    deps += 4 + 8 + 8 + 8 + run.masks.size() * sizeof(Mask);
+  std::string payload = image.substr(52);
+  payload.resize(payload.size() - deps);
+  return payload;
+}
+
+// Rewrites a current summary image's trailing dependency section in the v1
+// layout — one (k, rank, width, V) entry per combination — under version 1.
+// Every other payload byte is identical, so this is what a v1 writer
+// produced for the same scan.
+std::string downgrade_summary_to_v1(const std::string& image,
+                                    const verify::ConeSummary& s) {
+  const std::string payload = payload_without_deps(image, s);
+  ByteWriter deps;
+  deps.u64(s.deps.size());
+  const std::size_t S = s.num_secrets;
+  for (const verify::DepTable::Run& run : s.deps.runs())
+    for (std::uint64_t i = 0; i < run.count; ++i) {
+      deps.i32(run.k);
+      deps.u64(run.begin + i);
+      deps.u64(S);
+      for (std::size_t j = 0; j < S; ++j)
+        write_mask(deps, run.masks[i * S + j]);
+    }
+  return frame(kSummaryMagic, 1, payload + deps.bytes());
+}
+
+TEST(Store, V1SummaryLoadsAsQuarantinedMiss) {
+  const circuit::Gadget g = gadgets::by_name("dom-1");
+  verify::VerifyOptions opt;
+  opt.order = 1;
+  opt.incremental = true;
+  TempDir dir("v1_summary");
+  ArtifactStore store({dir.str(), 0});
+  verify_with_store(g, opt, store, nullptr);
+  const auto head = store.family_head(summary_family_key(g, opt));
+  ASSERT_TRUE(head.has_value());
+  const std::shared_ptr<const verify::ConeSummary> s =
+      store.load_summary(*head);
+  ASSERT_NE(s, nullptr);
+  ASSERT_FALSE(s->deps.runs().empty());
+  const std::string v1 = downgrade_summary_to_v1(*store.get(*head), *s);
+
+  const std::string v1_key(64, 'b');
+  ASSERT_TRUE(store.put(v1_key, v1));
+  const ArtifactStore::Stats before = store.stats();
+  EXPECT_THROW(deserialize_summary(v1), SerializationError);
+  EXPECT_EQ(store.load_summary(v1_key), nullptr);
+  EXPECT_EQ(store.stats().hits, before.hits);
+  EXPECT_EQ(store.stats().quarantined, before.quarantined + 1);
+  EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v1_key));
 }
 
 TEST(SummarySerial, CorruptSummaryQuarantinesAsAMiss) {
@@ -505,11 +603,40 @@ TEST(SummarySerial, RejectsAlienFraming) {
   EXPECT_THROW(deserialize_basis(*image), SerializationError);
 }
 
-TEST(SummarySerial, RejectsDependencyEntriesOfTheWrongShape) {
-  // A summary whose dependency entry is narrower than num_secrets, or whose
-  // size lies outside [1, order], is hash-valid (serialize_summary frames
-  // whatever it is given) but would misalign the replayed dependency runs:
-  // the reader refuses it, and the store quarantines it as a miss.
+// One dependency run as the v2 encoder lays it out.
+struct RawRun {
+  std::int32_t k;
+  std::uint64_t begin;
+  std::uint64_t count;
+  std::size_t masks;
+};
+
+// `image` with its trailing dependency section replaced by `runs` (zero
+// masks), re-framed: hash-valid, so only the decoder's checks stand between
+// the table and the plan.
+std::string with_dep_runs(const std::string& image,
+                          const verify::ConeSummary& s,
+                          const std::vector<RawRun>& runs) {
+  const std::string payload = payload_without_deps(image, s);
+  ByteWriter deps;
+  deps.u64(runs.size());
+  for (const RawRun& run : runs) {
+    deps.i32(run.k);
+    deps.u64(run.begin);
+    deps.u64(run.count);
+    deps.u64(run.masks);
+    const std::vector<Mask> zeros(run.masks);
+    deps.masks(zeros.data(), zeros.size());
+  }
+  return frame(kSummaryMagic, kSummaryFormatVersion, payload + deps.bytes());
+}
+
+TEST(SummarySerial, RejectsDependencyRunsOfTheWrongShape) {
+  // Runs the plan would binary-search or index wrongly are hash-valid
+  // (frame() wraps whatever it is given), so the reader refuses them: out of
+  // order, overlapping, empty, masks not count * num_secrets, past the old
+  // rank space C(n_old, k), or a size outside [1, order].  The store
+  // quarantines each as a miss.
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
   opt.order = 1;
@@ -522,23 +649,119 @@ TEST(SummarySerial, RejectsDependencyEntriesOfTheWrongShape) {
   const std::shared_ptr<const verify::ConeSummary> s =
       store.load_summary(*head);
   ASSERT_NE(s, nullptr);
-  ASSERT_FALSE(s->deps.empty());
-  ASSERT_EQ(s->deps[0].V.size(), s->num_secrets);
-  EXPECT_NO_THROW(deserialize_summary(serialize_summary(*s)));
+  ASSERT_FALSE(s->deps.runs().empty());
+  const std::string image = *store.get(*head);
+  const std::size_t S = s->num_secrets;
+  const std::uint64_t n_old = s->digests.size();
+  ASSERT_GE(S, 1u);
+  ASSERT_GE(n_old, 3u);
 
-  std::vector<verify::ConeSummary> hostile(3, *s);
-  hostile[0].deps[0].V.pop_back();  // short V
-  hostile[1].deps[0].k = 0;
-  hostile[2].deps[0].k = s->order + 1;
+  // Adjacent runs and a run ending exactly at C(n_old, 1) are well formed.
+  for (const std::vector<RawRun>& ok :
+       {std::vector<RawRun>{{1, 0, 1, S}, {1, 1, 2, 2 * S}},
+        std::vector<RawRun>{{1, n_old - 2, 2, 2 * S}}}) {
+    const auto back = deserialize_summary(with_dep_runs(image, *s, ok));
+    std::uint64_t entries = 0;
+    for (const RawRun& run : ok) entries += run.count;
+    EXPECT_EQ(back->deps.size(), entries);
+  }
+
+  const std::vector<std::vector<RawRun>> hostile = {
+      {{1, 2, 1, S}, {1, 0, 1, S}},           // unsorted
+      {{1, 0, 2, 2 * S}, {1, 1, 1, S}},       // overlapping
+      {{1, 0, 0, 0}},                         // empty
+      {{1, 0, 2, 2 * S - 1}},                 // short mask array
+      {{1, 0, 2, 2 * S + 1}},                 // long mask array
+      {{1, n_old - 1, 2, 2 * S}},             // past C(n_old, 1)
+      {{0, 0, 1, S}},                         // k below 1
+      {{s->order + 1, 0, 1, S}},              // k above the order
+  };
   for (std::size_t i = 0; i < hostile.size(); ++i) {
-    const std::string image = serialize_summary(hostile[i]);
-    EXPECT_THROW(deserialize_summary(image), SerializationError) << i;
-    const std::string key(64, static_cast<char>('a' + i));
-    ASSERT_TRUE(store.put(key, image));
+    const std::string bad = with_dep_runs(image, *s, hostile[i]);
+    EXPECT_THROW(deserialize_summary(bad), SerializationError) << i;
+    const std::string key(64, "0123456789abcdef"[i]);
+    ASSERT_TRUE(store.put(key, bad));
     const std::uint64_t before = store.stats().quarantined;
     EXPECT_EQ(store.load_summary(key), nullptr) << i;
     EXPECT_EQ(store.stats().quarantined, before + 1) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// No rewrite of an unchanged summary
+// ---------------------------------------------------------------------------
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Incremental, UnchangedResubmissionLeavesTheSummaryUntouched) {
+  const circuit::Gadget g = gadgets::by_name("dom-2");
+  verify::VerifyOptions opt;
+  opt.order = 2;
+  opt.deterministic_report = true;
+  opt.incremental = true;
+
+  TempDir dir("unchanged");
+  ArtifactStore store({dir.str(), 0});
+  StoreOutcome first;
+  const verify::VerifyResult r_first = verify_with_store(g, opt, store, &first);
+  ASSERT_TRUE(first.summary_saved);
+  const std::string family = summary_family_key(g, opt);
+  const auto head = store.family_head(family);
+  ASSERT_TRUE(head.has_value());
+  const fs::path object = fs::path(dir.str()) / "objects" /
+                          head->substr(0, 2) / head->substr(2);
+  const fs::path head_file = fs::path(dir.str()) / "heads" / family;
+  const std::string object_bytes = file_bytes(object);
+  const std::string head_bytes = file_bytes(head_file);
+  const auto object_time = fs::last_write_time(object);
+  const auto head_time = fs::last_write_time(head_file);
+
+  StoreOutcome again;
+  const verify::VerifyResult r_again = verify_with_store(g, opt, store, &again);
+  EXPECT_TRUE(again.hit);
+  EXPECT_TRUE(again.summary_hit);
+  EXPECT_FALSE(again.summary_saved);
+  EXPECT_EQ(r_again.stats.incremental.combinations_rechecked, 0u);
+  EXPECT_EQ(verify::json_report("dom-2", opt, r_again, 2.0),
+            verify::json_report("dom-2", opt, r_first, 1.0));
+  EXPECT_EQ(file_bytes(object), object_bytes);
+  EXPECT_EQ(file_bytes(head_file), head_bytes);
+  EXPECT_EQ(fs::last_write_time(object), object_time);
+  EXPECT_EQ(fs::last_write_time(head_file), head_time);
+}
+
+TEST(Incremental, HigherOrderResubmissionStillWrites) {
+  // Same netlist, same summary object key, but order 3 re-checks the
+  // size-3 combinations the order-2 summary never covered: the run must
+  // write the wider summary.
+  const circuit::Gadget g = gadgets::by_name("dom-3");
+  verify::VerifyOptions opt;
+  opt.order = 2;
+  opt.incremental = true;
+
+  TempDir dir("order3");
+  ArtifactStore store({dir.str(), 0});
+  StoreOutcome first;
+  verify_with_store(g, opt, store, &first);
+  ASSERT_TRUE(first.summary_saved);
+  const auto head = store.family_head(summary_family_key(g, opt));
+  ASSERT_TRUE(head.has_value());
+
+  opt.order = 3;
+  StoreOutcome wider;
+  const verify::VerifyResult r = verify_with_store(g, opt, store, &wider);
+  EXPECT_TRUE(wider.summary_hit);
+  EXPECT_TRUE(wider.summary_saved);
+  EXPECT_GT(r.stats.incremental.combinations_skipped, 0u);
+  EXPECT_GT(r.stats.incremental.combinations_rechecked, 0u);
+  EXPECT_EQ(store.family_head(summary_family_key(g, opt)), head);
+  const std::shared_ptr<const verify::ConeSummary> s =
+      store.load_summary(*head);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->order, 3);
 }
 
 }  // namespace

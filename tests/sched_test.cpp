@@ -69,7 +69,9 @@ TEST(Pool, StealingMovesWorkToIdleWorkers) {
     done.fetch_add(1);
   });
   EXPECT_EQ(stats.tasks_run, n);
-  if (Pool::hardware_threads() > 1) EXPECT_GT(stats.tasks_stolen, 0u);
+  if (Pool::hardware_threads() > 1) {
+    EXPECT_GT(stats.tasks_stolen, 0u);
+  }
 }
 
 TEST(Pool, FirstExceptionPropagatesAndJobStillDrains) {
@@ -235,7 +237,9 @@ TEST(Shards, FixedSizeIsHonored) {
   for (const Shard& s : shards) {
     EXPECT_LE(s.size(), 7u);
     // Only the last shard of a size class may be short.
-    if (s.end != binomial(12, s.k)) EXPECT_EQ(s.size(), 7u);
+    if (s.end != binomial(12, s.k)) {
+      EXPECT_EQ(s.size(), 7u);
+    }
   }
 }
 

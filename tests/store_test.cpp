@@ -19,9 +19,9 @@
 #include "spectral/spectrum.h"
 #include "store/cached_verify.h"
 #include "store/serial.h"
-#include "store/sha256.h"
 #include "store/store.h"
 #include "util/mask.h"
+#include "util/sha256.h"
 #include "verify/backends/registry.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
@@ -271,7 +271,7 @@ std::string reframe(const std::string& payload, std::uint32_t version) {
   ByteWriter file;
   for (char c : kMagic) file.u8(static_cast<std::uint8_t>(c));
   file.u32(version);
-  Sha256 hash;
+  util::Sha256 hash;
   hash.update(payload);
   std::uint8_t digest[32];
   hash.digest(digest);
@@ -391,17 +391,6 @@ TEST(Store, V1AndV2ArtifactsLoadAsQuarantinedMisses) {
   EXPECT_EQ(store.stats().quarantined, 2u);
   EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v1_key));
   EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v2_key));
-}
-
-TEST(Serial, Sha256KnownAnswers) {
-  // FIPS 180-4 test vectors.
-  EXPECT_EQ(sha256_hex(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(sha256_hex("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(
-      sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "util/cli.h"
 #include "util/combinations.h"
 #include "util/mask.h"
+#include "util/sha256.h"
 #include "util/table.h"
 #include "obs/clock.h"
 
@@ -109,6 +115,65 @@ TEST(Combinations, Binomial) {
   EXPECT_EQ(binomial(4, 5), 0u);
   EXPECT_EQ(binomial(60, 30), 118264581564861424ull);
   EXPECT_EQ(count_combinations_up_to(4, 2), 4u + 6u);
+}
+
+TEST(Sha256, KnownAnswers) {
+  // FIPS 180-4 test vectors.
+  EXPECT_EQ(util::sha256_hex(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(util::sha256_hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      util::sha256_hex(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(util::sha256_hex(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  // Padding boundaries: the tail fills exactly one block (55 bytes), spills
+  // into a second (63), or is empty after a whole block (64).
+  EXPECT_EQ(util::sha256_hex(std::string(55, 'a')),
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+  EXPECT_EQ(util::sha256_hex(std::string(63, 'a')),
+            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34");
+  EXPECT_EQ(util::sha256_hex(std::string(64, 'a')),
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+}
+
+TEST(Sha256, ChunkedUpdatesMatchOneShot) {
+  std::string msg(300, '\0');
+  for (std::size_t i = 0; i < msg.size(); ++i)
+    msg[i] = static_cast<char>(i * 131 + 7);
+  const std::string want = util::sha256_hex(msg);
+  for (std::size_t split = 0; split <= msg.size(); ++split) {
+    util::Sha256 h;
+    h.update(msg.data(), split);
+    h.update(msg.data() + split, msg.size() - split);
+    EXPECT_EQ(h.hex_digest(), want) << "split " << split;
+  }
+}
+
+TEST(Sha256, DispatchedCompressMatchesPortable) {
+  // Whichever kernel this host dispatches to must agree with the portable
+  // FIPS loop block for block; on a host without the SHA extensions both
+  // sides are the portable loop.
+  std::uint64_t state = 0x243F6A8885A308D3ull;
+  auto next_byte = [&state]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<std::uint8_t>(state >> 24);
+  };
+  for (std::size_t len = 0; len <= 4096; len += 37) {
+    std::vector<std::uint8_t> msg(len);
+    for (std::uint8_t& b : msg) b = next_byte();
+    std::uint32_t want[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    std::uint32_t got[8];
+    std::memcpy(got, want, sizeof(got));
+    util::detail::sha256_compress_portable(want, msg.data(), len / 64);
+    util::detail::sha256_compress(got, msg.data(), len / 64);
+    EXPECT_EQ(std::memcmp(want, got, sizeof(got)), 0) << "length " << len;
+  }
 }
 
 TEST(Timers, Accumulates) {

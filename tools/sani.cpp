@@ -580,7 +580,9 @@ int main(int argc, char** argv) {
           std::cerr << "incremental: "
                     << (outcome.summary_hit ? "seeded from prior summary"
                                             : "no prior summary (cold scan)")
-                    << (outcome.summary_saved ? "; summary saved" : "")
+                    << (outcome.summary_saved ? "; summary saved"
+                        : outcome.summary_hit ? "; summary unchanged"
+                                              : "")
                     << "\n";
         const store::ArtifactStore::Stats st = artifacts.stats();
         std::cerr << "store stats: hits=" << st.hits
