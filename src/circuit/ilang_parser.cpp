@@ -4,6 +4,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "circuit/ilang.h"
@@ -43,29 +44,41 @@ struct CellDecl {
 
 enum class Role { kNone, kSecret, kOutput, kRandom, kPublic };
 
+// The tokens of one line, as views into it.  Whitespace is the C locale's
+// set, the same split `istream >>` makes.
 struct Tokenizer {
-  std::vector<std::string> tokens;
+  std::vector<std::string_view> tokens;
   std::size_t pos = 0;
   int line_no = 0;
 
+  static bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+  }
+
+  void reset(std::string_view line, int number) {
+    tokens.clear();
+    pos = 0;
+    line_no = number;
+    std::size_t i = 0;
+    for (;;) {
+      while (i < line.size() && is_space(line[i])) ++i;
+      if (i == line.size()) return;
+      const std::size_t start = i;
+      while (i < line.size() && !is_space(line[i])) ++i;
+      tokens.push_back(line.substr(start, i - start));
+    }
+  }
+
   bool done() const { return pos >= tokens.size(); }
-  const std::string& peek() const {
-    static const std::string empty;
-    return done() ? empty : tokens[pos];
+  std::string_view peek() const {
+    return done() ? std::string_view{} : tokens[pos];
   }
   std::string next() {
     if (done()) throw ParseError(line_no, "unexpected end of line");
-    return tokens[pos++];
+    return std::string(tokens[pos++]);
   }
 };
-
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string t;
-  while (is >> t) out.push_back(t);
-  return out;
-}
 
 // Parses `\name`, `\name [i]`, `1'0`, `1'1`, `1'x`.
 SigRef parse_sigref(Tokenizer& tz) {
@@ -112,18 +125,20 @@ struct Parser {
     std::string line;
     int line_no = 0;
     std::optional<CellDecl> cell;
+    Tokenizer tz;
     while (std::getline(is, line)) {
       ++line_no;
       // `##` lines are annotations; other `#` prefixes are comments.
-      auto hash = line.find('#');
+      std::string_view text(line);
+      auto hash = text.find('#');
       bool annotation = false;
-      if (hash != std::string::npos) {
-        if (line.compare(hash, 2, "##") == 0)
+      if (hash != std::string_view::npos) {
+        if (text.compare(hash, 2, "##") == 0)
           annotation = true;
         else
-          line = line.substr(0, hash);
+          text = text.substr(0, hash);
       }
-      Tokenizer tz{split(line), 0, line_no};
+      tz.reset(text, line_no);
       if (tz.done()) continue;
 
       if (annotation) {

@@ -1,6 +1,7 @@
 #include "spectral/flat_spectrum.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "dd/walsh.h"
@@ -15,6 +16,77 @@ namespace {
 // plus the (collapsed) result even when both rows are large.  Small rows —
 // the overwhelmingly common case — take the single-chunk fast path.
 constexpr std::size_t kChunkTerms = std::size_t{1} << 18;
+
+// Fills the dense +/-1 encoding of a BDD over its support, walking the
+// diagram once in level order.  Support position i (level order) is variable
+// var[i] on truth-table bit bit[i]; below[i] holds the bits of positions
+// i..k-1, the ones still free at depth i.  A terminal writes its value over
+// every completion of the free bits, a variable the diagram skips is filled
+// for one setting and its half duplicated to the other, and a node met again
+// copies the sub-table of its first visit instead of walking it twice.  Each
+// table entry is written exactly once.
+struct DenseFill {
+  static constexpr std::size_t kUnseen = ~std::size_t{0};
+
+  const dd::Manager& m;
+  std::array<int, kDenseSupportCutoff> var{};
+  std::array<std::size_t, kDenseSupportCutoff> bit{};
+  std::array<std::size_t, kDenseSupportCutoff + 1> below{};
+  std::int64_t* table;
+  // Open-addressed node -> base of its first visit (kNilNode = empty slot).
+  std::vector<std::pair<dd::NodeId, std::size_t>> seen;
+
+  DenseFill(const dd::Manager& manager, std::size_t nodes, std::int64_t* t)
+      : m(manager), table(t) {
+    std::size_t cap = 2;
+    while (cap < 2 * nodes) cap <<= 1;
+    seen.assign(cap, {dd::kNilNode, kUnseen});
+  }
+
+  std::size_t& first_base(dd::NodeId node) {
+    const std::size_t mask = seen.size() - 1;
+    std::size_t h = ((node * std::size_t{0x9E3779B97F4A7C15}) >> 32) & mask;
+    while (seen[h].first != node && seen[h].first != dd::kNilNode)
+      h = (h + 1) & mask;
+    seen[h].first = node;
+    return seen[h].second;
+  }
+
+  // Visits every subset of `bits` (ascending), including the empty one.
+  template <typename Fn>
+  static void for_each_subset(std::size_t bits, Fn&& fn) {
+    for (std::size_t s = 0;; s = (s - bits) & bits) {
+      fn(s);
+      if (s == bits) return;
+    }
+  }
+
+  void copy(std::size_t from, std::size_t to, std::size_t free) {
+    for_each_subset(free,
+                    [&](std::size_t s) { table[to | s] = table[from | s]; });
+  }
+
+  void run(dd::NodeId node, int i, std::size_t base) {
+    if (m.is_terminal(node)) {
+      const std::int64_t v = m.terminal_value(node) != 0 ? -1 : 1;
+      for_each_subset(below[i], [&](std::size_t s) { table[base | s] = v; });
+      return;
+    }
+    if (m.node_var(node) != var[i]) {
+      run(node, i + 1, base);
+      copy(base, base | bit[i], below[i + 1]);
+      return;
+    }
+    std::size_t& first = first_base(node);
+    if (first != kUnseen) {
+      copy(first, base, below[i]);
+      return;
+    }
+    first = base;
+    run(m.node_lo(node), i + 1, base);
+    run(m.node_hi(node), i + 1, base | bit[i]);
+  }
+};
 
 std::int64_t scale_exact(__int128 v, int num_vars) {
   const __int128 scaled = v >> num_vars;
@@ -59,9 +131,72 @@ FlatSpectrum FlatSpectrum::from_sorted(int num_vars, std::vector<Mask> masks,
   return out;
 }
 
-FlatSpectrum FlatSpectrum::from_bdd(const dd::Bdd& f) {
-  dd::Add spectrum = dd::walsh_transform(f);
-  return from_add(spectrum, f.manager()->num_vars());
+FlatSpectrum FlatSpectrum::from_bdd(const dd::Bdd& f,
+                                    std::vector<std::int64_t>* scratch) {
+  const dd::Manager& m = *f.manager();
+  const int n = m.num_vars();
+  if (n > 62)
+    throw std::invalid_argument(
+        "FlatSpectrum::from_bdd: more than 62 variables would overflow int64 "
+        "coefficients");
+  Mask support;
+  std::size_t nodes = 0;
+  m.visit_postorder({f.node()}, [&](dd::NodeId node) {
+    if (m.is_terminal(node)) return;
+    support.set(m.node_var(node));
+    ++nodes;
+  });
+  const int k = support.popcount();
+  if (k > kDenseSupportCutoff)
+    return from_add(dd::walsh_transform(f), n);
+
+  // Truth-table bit j is the j-th support variable in ascending index order,
+  // so ascending table index is ascending Mask order; `lo_masks`/`hi_masks`
+  // map the low and high byte of an index back to its variables.
+  std::array<int, kDenseSupportCutoff> vars{};
+  int j = 0;
+  for (Mask rest = support; rest.any(); rest.reset(rest.lowest_bit()))
+    vars[j++] = rest.lowest_bit();
+  const int lo_bits = std::min(k, 8);
+  std::array<Mask, 256> lo_masks;
+  std::array<Mask, 256> hi_masks;
+  for (std::size_t x = 1; x < (std::size_t{1} << lo_bits); ++x)
+    lo_masks[x] = lo_masks[x & (x - 1)] | Mask::bit(vars[__builtin_ctzll(x)]);
+  for (std::size_t x = 1; x < (std::size_t{1} << (k - lo_bits)); ++x)
+    hi_masks[x] =
+        hi_masks[x & (x - 1)] | Mask::bit(vars[lo_bits + __builtin_ctzll(x)]);
+
+  // The walk meets the support variables in level order.
+  std::array<int, kDenseSupportCutoff> by_level{};
+  for (int i = 0; i < k; ++i) by_level[i] = i;
+  std::sort(by_level.begin(), by_level.begin() + k, [&](int a, int b) {
+    return m.level_of(vars[a]) < m.level_of(vars[b]);
+  });
+  std::vector<std::int64_t> own;
+  std::vector<std::int64_t>& table = scratch ? *scratch : own;
+  table.resize(std::size_t{1} << k);
+  DenseFill fill(m, nodes, table.data());
+  for (int i = k - 1; i >= 0; --i) {
+    fill.var[i] = vars[by_level[i]];
+    fill.bit[i] = std::size_t{1} << by_level[i];
+    fill.below[i] = fill.below[i + 1] | fill.bit[i];
+  }
+  fill.run(f.node(), 0, 0);
+  fwht(table);
+
+  std::size_t nonzero = 0;
+  for (const std::int64_t v : table) nonzero += v != 0;
+  FlatSpectrum out(n);
+  out.masks_.reserve(nonzero);
+  out.coeffs_.reserve(nonzero);
+  const std::int64_t scale = std::int64_t{1} << (n - k);
+  for (std::size_t a = 0; a < table.size(); ++a) {
+    if (table[a] == 0) continue;
+    out.masks_.push_back(lo_masks[a & 0xff] | hi_masks[a >> 8]);
+    out.coeffs_.push_back(table[a] * scale);
+  }
+  SANI_ASSERT(out.is_canonical());
+  return out;
 }
 
 FlatSpectrum FlatSpectrum::from_add(const dd::Add& spectrum, int num_vars) {

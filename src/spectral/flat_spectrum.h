@@ -51,6 +51,10 @@ struct ArenaStats {
 
 class FlatRowSet;
 
+/// Widest support from_bdd transforms densely: a 2^16-entry int64 table
+/// (512 KB).  The registry's cones span 3-13 variables.
+inline constexpr int kDenseSupportCutoff = 16;
+
 class FlatSpectrum {
  public:
   explicit FlatSpectrum(int num_vars = 0) : num_vars_(num_vars) {}
@@ -66,9 +70,15 @@ class FlatSpectrum {
   static FlatSpectrum from_sorted(int num_vars, std::vector<Mask> masks,
                                   std::vector<std::int64_t> coeffs);
 
-  /// Walsh spectrum of f: Fujita transform to an ADD, then one flat entry
-  /// per nonzero coefficient.
-  static FlatSpectrum from_bdd(const dd::Bdd& f);
+  /// Walsh spectrum of f.  For a support of at most kDenseSupportCutoff
+  /// variables: a dense +/-1 truth table over the support (one walk of the
+  /// diagram), an in-place fwht, and every nonzero scaled by 2^(n-k) — no
+  /// ADD, no computed-table traffic, no sort.  Wider supports take the
+  /// Fujita transform and from_add.  `scratch`, when given, holds the table
+  /// and is reused across calls.  Throws std::invalid_argument above 62
+  /// manager variables.
+  static FlatSpectrum from_bdd(const dd::Bdd& f,
+                               std::vector<std::int64_t>* scratch = nullptr);
 
   /// Converts a spectrum ADD (over spectral variables) into flat form.  The
   /// level-order diagram walk emits coordinates in an order that depends on

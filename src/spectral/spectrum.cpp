@@ -11,14 +11,29 @@ void fwht(std::vector<std::int64_t>& v) {
   const std::size_t n = v.size();
   if (n == 0 || (n & (n - 1)) != 0)
     throw std::invalid_argument("fwht: length must be a power of two");
-  for (std::size_t len = 1; len < n; len <<= 1) {
-    for (std::size_t block = 0; block < n; block += len << 1) {
+  // Two butterfly stages per pass (radix 4) halve the passes over v; an odd
+  // stage count leaves one radix-2 pass at the end.
+  std::size_t len = 1;
+  for (; (len << 2) <= n; len <<= 2) {
+    for (std::size_t block = 0; block < n; block += len << 2) {
       for (std::size_t i = block; i < block + len; ++i) {
-        std::int64_t a = v[i];
-        std::int64_t b = v[i + len];
-        v[i] = a + b;
-        v[i + len] = a - b;
+        const std::int64_t s0 = v[i] + v[i + len];
+        const std::int64_t d0 = v[i] - v[i + len];
+        const std::int64_t s1 = v[i + 2 * len] + v[i + 3 * len];
+        const std::int64_t d1 = v[i + 2 * len] - v[i + 3 * len];
+        v[i] = s0 + s1;
+        v[i + len] = d0 + d1;
+        v[i + 2 * len] = s0 - s1;
+        v[i + 3 * len] = d0 - d1;
       }
+    }
+  }
+  if (len < n) {
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::int64_t a = v[i];
+      const std::int64_t b = v[i + len];
+      v[i] = a + b;
+      v[i + len] = a - b;
     }
   }
 }

@@ -9,27 +9,15 @@
 #include "store/serial.h"
 #include "util/sha256.h"
 #include "verify/incremental.h"
-#include "verify/backends/registry.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
 #include "verify/observables.h"
 
 namespace sani::store {
 
-verify::BasisNeeds needs_for_engine(verify::EngineKind engine) {
-  const verify::BackendInfo& info =
-      verify::backend_info(verify::resolve_engine(engine));
-  verify::BasisNeeds needs;
-  needs.spectra = info.needs_spectra;
-  needs.lil = info.needs_lil;
-  needs.frozen_fns = info.frozen_fns;
-  needs.frozen_spectra = info.frozen_spectra;
-  return needs;
-}
-
 std::string artifact_key(const std::string& canonical_ilang,
                          const verify::VerifyOptions& options) {
-  const verify::BasisNeeds needs = needs_for_engine(options.engine);
+  const verify::BasisNeeds needs = verify::basis_needs(options.engine);
   std::ostringstream material;
   // A versioned, field-tagged preimage: any change to what a Basis contains
   // bumps kFormatVersion, which re-keys every artifact — old objects simply
@@ -175,7 +163,7 @@ verify::VerifyResult verify_with_store(const circuit::Gadget& gadget,
         verify::build_observables(gadget, unfolded, options.probes);
     basis = verify::build_basis(unfolded, observables, options.engine);
     const bool saved =
-        store.save_basis(key, *basis, needs_for_engine(options.engine));
+        store.save_basis(key, *basis, verify::basis_needs(options.engine));
     if (outcome) outcome->saved = saved;
   }
 

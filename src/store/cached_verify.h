@@ -40,11 +40,6 @@ class CancelToken;
 
 namespace sani::store {
 
-/// Engine -> BasisNeeds from the backend registry (kAuto resolves to
-/// DIRECT first).  Shared by the artifact keying and the scan
-/// planner/worker basis-coverage checks (store/scan.h).
-verify::BasisNeeds needs_for_engine(verify::EngineKind engine);
-
 /// Content hash (64-hex SHA-256) of the Basis-determining inputs, from the
 /// canonical ILANG text.  Stable across processes, platforms and label
 /// spellings.

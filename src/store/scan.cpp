@@ -56,6 +56,7 @@ verify::BasisNeeds union_needs(const verify::BasisNeeds& a,
   u.lil = a.lil || b.lil;
   u.frozen_fns = a.frozen_fns || b.frozen_fns;
   u.frozen_spectra = a.frozen_spectra || b.frozen_spectra;
+  u.dense = a.dense || b.dense;
   return u;
 }
 
@@ -122,7 +123,7 @@ ScanDir plan_scan(const circuit::Gadget& gadget, const std::string& label,
                   int workers_hint, PlanOutcome* outcome) {
   const std::string ilang = circuit::write_ilang_string(gadget);
   const std::string basis_key = artifact_key(ilang, options);
-  const verify::BasisNeeds needs = needs_for_engine(options.engine);
+  const verify::BasisNeeds needs = verify::basis_needs(options.engine);
 
   std::shared_ptr<const verify::Basis> basis = store.load_basis(basis_key);
   if (basis) {
@@ -189,7 +190,7 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
                               const WorkerOptions& options) {
   const ScanManifest& m = scan.manifest();
   const verify::VerifyOptions wopts = worker_options(m, options.engine);
-  const verify::BasisNeeds needs = needs_for_engine(wopts.engine);
+  const verify::BasisNeeds needs = verify::basis_needs(wopts.engine);
   std::shared_ptr<const verify::Basis> basis =
       options.basis && basis_covers(*options.basis, needs)
           ? options.basis
@@ -427,7 +428,7 @@ verify::VerifyResult finalize_scan(ScanDir& scan, ArtifactStore* store,
                                m.base_coefficients, m.build_seconds);
     return assembled->finalize();
   }
-  const verify::BasisNeeds needs = needs_for_engine(m.options.engine);
+  const verify::BasisNeeds needs = verify::basis_needs(m.options.engine);
   if (!basis || !basis_covers(*basis, needs))
     basis = resolve_basis(m, store, needs);
   verify::ReportAssembler assembler(basis, m.options);

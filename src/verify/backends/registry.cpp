@@ -38,27 +38,27 @@ const std::vector<BackendInfo>& backend_registry() {
        "list-of-lists convolution + list-scan verification [11]",
        /*needs_region=*/true, /*needs_thaw=*/false, /*needs_spectra=*/true,
        /*needs_lil=*/true, /*frozen_fns=*/false, /*frozen_spectra=*/false,
-       &make_lil},
+       /*dense_spectra=*/false, &make_lil},
       {EngineKind::kMAP, "map",
        "hash-map convolution + map-scan verification",
        /*needs_region=*/true, /*needs_thaw=*/false, /*needs_spectra=*/true,
        /*needs_lil=*/false, /*frozen_fns=*/false, /*frozen_spectra=*/false,
-       &make_map},
+       /*dense_spectra=*/false, &make_map},
       {EngineKind::kMAPI, "mapi",
        "hash-map convolution + ADD verification (the paper's method)",
        /*needs_region=*/true, /*needs_thaw=*/true, /*needs_spectra=*/true,
        /*needs_lil=*/false, /*frozen_fns=*/false, /*frozen_spectra=*/true,
-       &make_mapi},
+       /*dense_spectra=*/false, &make_mapi},
       {EngineKind::kFUJITA, "fujita",
        "per-combination Fujita transform + ADD verification",
        /*needs_region=*/true, /*needs_thaw=*/true, /*needs_spectra=*/false,
        /*needs_lil=*/false, /*frozen_fns=*/true, /*frozen_spectra=*/false,
-       &make_fujita},
+       /*dense_spectra=*/false, &make_fujita},
       {EngineKind::kDIRECT, "direct",
        "flat convolution + one coefficient-check pass per row (default)",
        /*needs_region=*/false, /*needs_thaw=*/false, /*needs_spectra=*/true,
        /*needs_lil=*/false, /*frozen_fns=*/false, /*frozen_spectra=*/false,
-       &make_direct},
+       /*dense_spectra=*/true, &make_direct},
   };
   return registry;
 }

@@ -33,6 +33,9 @@ struct BackendInfo {
   bool needs_lil;       // Basis must carry the sorted-list copies
   bool frozen_fns;      // Basis must freeze the XOR-subset function BDDs
   bool frozen_spectra;  // Basis must freeze the base-spectrum ADDs
+  bool dense_spectra;   // base spectra from the support-local dense FWHT
+                        // (FlatSpectrum::from_bdd) instead of the paper's
+                        // Fujita transform
   std::unique_ptr<Backend> (*make)(const BackendContext& ctx);
 };
 

@@ -31,6 +31,10 @@ std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
   std::vector<dd::Bdd> fn_handles;
   std::vector<dd::Add> spectrum_handles;
   std::vector<dd::NodeId> roots;
+  // The dense path needs no ADD; when MAPI's frozen spectra are also asked
+  // for, the Walsh ADD is built anyway and serves both.
+  const bool dense = needs.dense && needs.spectra && !needs.frozen_spectra;
+  std::vector<std::int64_t> dense_scratch;
 
   Mask used;
   for (const auto& o : observables.items) {
@@ -57,6 +61,11 @@ std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
         fn_roots.push_back(roots.size());
         roots.push_back(x.node());
         fn_handles.push_back(x);
+      }
+      if (dense) {
+        subsets.push_back(spectral::FlatSpectrum::from_bdd(x, &dense_scratch));
+        basis->base_coefficients += subsets.back().nonzero_count();
+        return;
       }
       if (needs.spectra || needs.frozen_spectra) {
         // One Walsh transform serves both representations: the flat entries
@@ -100,16 +109,21 @@ std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
   return basis;
 }
 
-std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
-                                         const ObservableSet& observables,
-                                         EngineKind engine) {
+BasisNeeds basis_needs(EngineKind engine) {
   const BackendInfo& info = backend_info(resolve_engine(engine));
   BasisNeeds needs;
   needs.spectra = info.needs_spectra;
   needs.lil = info.needs_lil;
   needs.frozen_fns = info.frozen_fns;
   needs.frozen_spectra = info.frozen_spectra;
-  return build_basis(unfolded, observables, needs);
+  needs.dense = info.dense_spectra;
+  return needs;
+}
+
+std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
+                                         const ObservableSet& observables,
+                                         EngineKind engine) {
+  return build_basis(unfolded, observables, basis_needs(engine));
 }
 
 }  // namespace sani::verify

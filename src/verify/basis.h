@@ -45,10 +45,9 @@ struct ObservableInfo {
   int output_group = -1;
   int output_share_index = -1;
   std::size_t num_subsets = 0;  // 2^m - 1 nonempty XOR-subsets
-  /// Union of the member functions' variable supports — a structural upper
-  /// bound on every coordinate the observable's spectra can touch
-  /// (serialized since SANIBAS v2; on a v1 load it is recomputed from the
-  /// spectra when they are present).
+  /// Union of the member functions' variable supports — an upper bound on
+  /// every coordinate the observable's spectra can touch (serialized with
+  /// the Basis).
   Mask support;
 };
 
@@ -58,6 +57,10 @@ struct BasisNeeds {
   bool lil = false;             // sorted-list copies (LIL only)
   bool frozen_fns = false;      // freeze the XOR-subset BDDs (FUJITA)
   bool frozen_spectra = false;  // freeze the base-spectrum ADDs (MAPI)
+  /// Build the flat spectra with the support-local dense FWHT (DIRECT)
+  /// rather than the Fujita transform.  It changes how, not what: the
+  /// spectra are equal, so this flag is neither serialized nor keyed.
+  bool dense = false;
 };
 
 /// Per-observable structural cone digests (circuit/cone_hash.h) plus the
@@ -121,6 +124,11 @@ void for_each_xor_subset(const Observable& o, dd::Manager& manager, Fn&& fn) {
     fn(x);
   }
 }
+
+/// Engine -> BasisNeeds from the backend registry (kAuto resolves to DIRECT
+/// first).  Shared by the build, the artifact keying and the scan
+/// planner/worker basis-coverage checks (store/scan.h).
+BasisNeeds basis_needs(EngineKind engine);
 
 /// Builds the prepared artifact from an unfolded gadget ("base" phase).
 std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,

@@ -1,6 +1,7 @@
 #include "verify/engine.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "verify/parallel.h"
@@ -30,8 +31,19 @@ VerifyResult verify_prepared(const circuit::Unfolded& unfolded,
                       options);
 }
 
+void check_input_limit(const circuit::Gadget& gadget) {
+  const std::size_t inputs = gadget.netlist.inputs().size();
+  if (inputs > static_cast<std::size_t>(kMaxInputs))
+    throw InputLimitError(
+        "gadget has " + std::to_string(inputs) + " primary inputs; at most " +
+        std::to_string(kMaxInputs) +
+        " are supported (Walsh coefficients reach 2^inputs and must fit "
+        "int64)");
+}
+
 circuit::Unfolded unfold_for(const circuit::Gadget& gadget,
                              const VerifyOptions& options) {
+  check_input_limit(gadget);
   // DIRECT verifies without a manager, so only the unfolding needs one:
   // size its table from the netlist.  The paper's engines keep the
   // configured size (their baseline columns stay comparable).

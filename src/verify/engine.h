@@ -19,6 +19,7 @@
 // the cross-engine tests); they differ only in where the time goes.
 
 #include <memory>
+#include <stdexcept>
 
 #include "circuit/spec.h"
 #include "circuit/unfold.h"
@@ -32,10 +33,24 @@ class CancelToken;
 
 namespace sani::verify {
 
+/// Most primary inputs a gadget may have: its Walsh coefficients reach
+/// 2^inputs and must fit int64 (dd/walsh.h).
+inline constexpr int kMaxInputs = 62;
+
+/// A gadget over the input limit — a usage error, raised before unfolding.
+class InputLimitError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Throws InputLimitError, naming the count and the limit, when `gadget`
+/// has more than kMaxInputs primary inputs.
+void check_input_limit(const circuit::Gadget& gadget);
+
 /// The unfolding verify() runs: the configured variable order and sifting,
 /// and for DIRECT (which owns no verification manager) a computed table
 /// sized from the netlist (suggest_unfold_cache_bits); the paper's engines
-/// keep options.cache_bits.
+/// keep options.cache_bits.  Checks the input limit first.
 circuit::Unfolded unfold_for(const circuit::Gadget& gadget,
                              const VerifyOptions& options);
 

@@ -129,6 +129,31 @@ TEST(Basis, MapiBasisCarriesFrozenSpectra) {
   EXPECT_TRUE(basis->frozen_fn_roots.empty());
 }
 
+// DIRECT's basis takes the support-local dense FWHT; the paper engines keep
+// the Fujita transform.  On every registry gadget, in both probe models, the
+// two bases carry the same spectra.
+TEST(Basis, DenseDirectBasisEqualsFujitaBasis) {
+  EXPECT_TRUE(backend_info(EngineKind::kDIRECT).dense_spectra);
+  for (EngineKind kind : kAllEngines)
+    EXPECT_FALSE(backend_info(kind).dense_spectra) << engine_name(kind);
+  for (const std::string& name : gadgets::all_names()) {
+    const circuit::Gadget g = gadgets::by_name(name);
+    const circuit::Unfolded u = circuit::unfold(g);
+    for (bool robust : {false, true}) {
+      ProbeModelOptions probes;
+      probes.glitch_robust = robust;
+      const ObservableSet obs = build_observables(g, u, probes);
+      const auto dense = build_basis(u, obs, EngineKind::kDIRECT);
+      const auto paper = build_basis(u, obs, EngineKind::kMAP);
+      ASSERT_EQ(dense->flat.size(), paper->flat.size()) << name;
+      for (std::size_t i = 0; i < dense->flat.size(); ++i)
+        EXPECT_TRUE(dense->flat[i] == paper->flat[i])
+            << name << " robust " << robust << " obs " << i;
+      EXPECT_EQ(dense->base_coefficients, paper->base_coefficients) << name;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Backend registry.
 // ---------------------------------------------------------------------------

@@ -1,0 +1,76 @@
+// Command-line contract of the real `sani` binary (path injected as SANI_BIN
+// by CMake): a resource limit is a one-line usage error with exit code 64,
+// raised before any unfolding and without the usage text.
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
+
+#include "circuit/ilang.h"
+#include "gadgets/registry.h"
+
+namespace sani {
+namespace {
+
+namespace fs = std::filesystem;
+
+struct CliRun {
+  int exit_code = -1;
+  std::string err;
+};
+
+/// Runs `SANI_BIN args` with stdout discarded; captures stderr.
+CliRun run_sani(const std::string& args) {
+  const std::string cmd =
+      std::string(SANI_BIN) + " " + args + " 2>&1 1>/dev/null";
+  CliRun run;
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (!pipe) return run;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) run.err.append(buf, n);
+  const int status = ::pclose(pipe);
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  return run;
+}
+
+TEST(Cli, InputLimitIsOneLineUsageError) {
+  // dom-1 with its random widened to 64 bits: 69 primary inputs, inside the
+  // 128-input unfolding limit but over the 62 the spectra allow.
+  std::string text = circuit::write_ilang_string(gadgets::by_name("dom-1"));
+  const std::string narrow = "wire width 1 input 3 \\rnd";
+  const std::size_t at = text.find(narrow);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, narrow.size(), "wire width 64 input 3 \\rnd");
+
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sani_cli_test_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path file = dir / "wide.ilang";
+  std::ofstream(file) << text;
+
+  const std::string want =
+      "error: gadget has 69 primary inputs; at most 62 are supported "
+      "(Walsh coefficients reach 2^inputs and must fit int64)\n";
+  for (const std::string& args :
+       {"verify --file " + file.string(),
+        "verify --engine fujita --file " + file.string(),
+        "scan --store " + (dir / "store").string() + " --file " +
+            file.string()}) {
+    SCOPED_TRACE(args);
+    const CliRun run = run_sani(args);
+    EXPECT_EQ(run.exit_code, 64);
+    EXPECT_EQ(run.err, want);
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+}  // namespace
+}  // namespace sani

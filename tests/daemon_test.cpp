@@ -419,6 +419,35 @@ std::string slow_request() {
          "\",\"order\":5,\"time_limit\":2,\"deterministic\":true}";
 }
 
+// A gadget over the 62-input limit gets one error frame naming the count and
+// the limit, from the storeless and the store-backed pipelines alike.
+TEST(Daemon, InputLimitIsAnErrorFrame) {
+  std::string text = circuit::write_ilang_string(gadgets::by_name("dom-1"));
+  const std::string narrow = "wire width 1 input 3 \\rnd";
+  const std::size_t at = text.find(narrow);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, narrow.size(), "wire width 64 input 3 \\rnd");
+  const std::string request = "{\"op\":\"verify\",\"ilang\":\"" +
+                              obs::json_escape(text) + "\"}";
+
+  TempDir dir;
+  daemon::Server::Options stored = basic_options();
+  stored.store_dir = dir.str();
+  for (daemon::Server::Options options : {basic_options(), stored}) {
+    SCOPED_TRACE(options.store_dir);
+    TestServer ts(options);
+    Client client(ts.server.socket_path());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.send_line(request));
+    json::ValuePtr error = client.read_until("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->get_string("frame"), "error");
+    EXPECT_EQ(error->get_string("message"),
+              "gadget has 69 primary inputs; at most 62 are supported "
+              "(Walsh coefficients reach 2^inputs and must fit int64)");
+  }
+}
+
 TEST(Daemon, DedupedIdenticalJobsShareOneResult) {
   daemon::Server::Options options = basic_options();
   options.executors = 1;

@@ -6,13 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
+#include "circuit/builder.h"
 #include "circuit/unfold.h"
 #include "dd/bdd.h"
 #include "dd/manager.h"
+#include "dd/walsh.h"
 #include "gadgets/registry.h"
 #include "spectral/flat_spectrum.h"
 #include "spectral/spectrum.h"
@@ -323,6 +329,161 @@ TEST(FlatSpectrum, BasisFlatSpectraMatchDirectFromBdd) {
           ++s;
         });
     EXPECT_EQ(s, basis->flat[i].size());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Support-local dense kernel (from_bdd) vs the Fujita transform
+// ---------------------------------------------------------------------------
+
+// The paper engines' path: Fujita butterfly to an ADD, then from_add.
+FlatSpectrum fujita(const dd::Bdd& f) {
+  return FlatSpectrum::from_add(dd::walsh_transform(f),
+                                f.manager()->num_vars());
+}
+
+class DenseKernel
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+// Every XOR-subset of every observable under all four static variable
+// orders, with and without sifting: the dense spectra equal the Fujita ones
+// entry for entry.  Both transforms are functions of the diagram, so a
+// subset whose BDD was already checked under the same order is skipped (the
+// map holds each checked BDD, so no NodeId is recycled for another one).
+TEST_P(DenseKernel, MatchesFujitaUnderEveryOrder) {
+  const circuit::Gadget g = gadgets::by_name(std::get<0>(GetParam()));
+  verify::ProbeModelOptions probes;
+  probes.glitch_robust = std::get<1>(GetParam());
+  std::vector<std::int64_t> scratch;
+  std::size_t checked = 0;
+  for (circuit::VarOrder order :
+       {circuit::VarOrder::kDeclared, circuit::VarOrder::kRandomsFirst,
+        circuit::VarOrder::kRandomsLast, circuit::VarOrder::kInterleaved}) {
+    for (bool sift : {false, true}) {
+      circuit::Unfolded u = circuit::unfold(g, 18, order);
+      if (sift) u.manager->reorder_sift();
+      const verify::ObservableSet obs =
+          verify::build_observables(g, u, probes);
+      std::unordered_map<dd::NodeId, dd::Bdd> seen;
+      for (const verify::Observable& o : obs.items)
+        verify::for_each_xor_subset(o, *u.manager, [&](const dd::Bdd& x) {
+          if (!seen.emplace(x.node(), x).second) return;
+          const FlatSpectrum dense = FlatSpectrum::from_bdd(x, &scratch);
+          EXPECT_TRUE(dense.is_canonical());
+          EXPECT_TRUE(dense == fujita(x))
+              << o.name << " order " << static_cast<int>(order) << " sift "
+              << sift;
+          ++checked;
+        });
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+std::string dense_param_name(
+    const ::testing::TestParamInfo<std::tuple<std::string, bool>>& info) {
+  std::string name = std::get<0>(info.param) +
+                     (std::get<1>(info.param) ? "_robust" : "_standard");
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, DenseKernel,
+                         ::testing::Combine(
+                             ::testing::ValuesIn(gadgets::all_names()),
+                             ::testing::Bool()),
+                         dense_param_name);
+
+// A cone wider than the dense cutoff takes the Fujita fallback and still
+// yields the same spectra through the DIRECT basis.
+TEST(FlatSpectrum, WideSupportFallsBackToFujita) {
+  constexpr int kRandoms = kDenseSupportCutoff + 2;
+  circuit::GadgetBuilder b("wide_cone");
+  const std::vector<circuit::WireId> a = b.secret("a", 2);
+  const std::vector<circuit::WireId> r = b.randoms("r", kRandoms);
+  // a0 ^ r0 ^ ... ^ r[n-2] ^ (a1 & r[n-1]): a support of kRandoms + 2
+  // variables with only four nonzero coefficients.
+  std::vector<circuit::WireId> terms = {a[0]};
+  terms.insert(terms.end(), r.begin(), r.end() - 1);
+  terms.push_back(b.and_(a[1], r.back()));
+  const circuit::WireId c0 = b.xor_all(terms);
+  const circuit::WireId c1 = b.xor_(a[1], r.back());
+  b.output_group("c", {c0, c1});
+  const circuit::Gadget g = b.build();
+
+  circuit::Unfolded u = circuit::unfold(g);
+  const verify::ObservableSet obs = verify::build_observables(g, u, {});
+  std::size_t wide = 0;
+  for (const verify::Observable& o : obs.items)
+    verify::for_each_xor_subset(o, *u.manager, [&](const dd::Bdd& x) {
+      if (x.support().popcount() > kDenseSupportCutoff) ++wide;
+      EXPECT_TRUE(FlatSpectrum::from_bdd(x) == fujita(x)) << o.name;
+    });
+  EXPECT_GT(wide, 0u);
+
+  const auto dense = verify::build_basis(u, obs, verify::EngineKind::kDIRECT);
+  const auto paper = verify::build_basis(u, obs, verify::EngineKind::kMAP);
+  EXPECT_TRUE(dense->flat == paper->flat);
+  EXPECT_EQ(dense->base_coefficients, paper->base_coefficients);
+}
+
+// At the 62-variable limit the 2^(n-k) scaling reaches 2^62 exactly; one
+// variable more is refused before any shift.
+TEST(FlatSpectrum, SixtyTwoVariableCoefficientsAreExact) {
+  dd::Manager manager(62, 10);
+  const dd::Bdd x0 = dd::Bdd::var(manager, 0);
+  const dd::Bdd x61 = dd::Bdd::var(manager, 61);
+
+  const FlatSpectrum linear = FlatSpectrum::from_bdd(x0 ^ x61);
+  ASSERT_EQ(linear.nonzero_count(), 1u);
+  EXPECT_EQ(linear.masks()[0], Mask::bit(0) | Mask::bit(61));
+  EXPECT_EQ(linear.coeffs()[0], std::int64_t{1} << 62);
+  EXPECT_TRUE(linear == fujita(x0 ^ x61));
+
+  EXPECT_TRUE(FlatSpectrum::from_bdd(dd::Bdd::zero(manager)) ==
+              FlatSpectrum::constant_zero(62));
+  const FlatSpectrum product = FlatSpectrum::from_bdd(x0 & x61);
+  EXPECT_EQ(product.nonzero_count(), 4u);
+  EXPECT_EQ(product.at(Mask{}), std::int64_t{1} << 61);
+  EXPECT_TRUE(product == fujita(x0 & x61));
+
+  dd::Manager wide(63, 10);
+  EXPECT_THROW(FlatSpectrum::from_bdd(dd::Bdd::var(wide, 0)),
+               std::invalid_argument);
+}
+
+// Random sums of products over at most 12 variables, under a random level
+// order, against the truth-table ground truth.  One scratch table serves
+// every trial, so it both grows and shrinks between calls.
+TEST(FlatSpectrum, DenseMatchesTruthTableOnRandomBdds) {
+  Rng rng(0xD15EA5Eull);
+  std::vector<std::int64_t> scratch;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + static_cast<int>(rng.next() % 12);
+    dd::Manager manager(n, 12);
+    std::vector<int> order(n);
+    for (int i = 0; i < n; ++i) order[i] = i;
+    for (int i = n - 1; i > 0; --i)
+      std::swap(order[i], order[rng.next() % (i + 1)]);
+    manager.set_variable_order(order);
+
+    dd::Bdd f = dd::Bdd::zero(manager);
+    const int products = 1 + static_cast<int>(rng.next() % 6);
+    for (int t = 0; t < products; ++t) {
+      dd::Bdd term = dd::Bdd::one(manager);
+      for (int v = 0; v < n; ++v) {
+        const std::uint64_t pick = rng.next() % 4;
+        if (pick == 0) term &= dd::Bdd::var(manager, v);
+        if (pick == 1) term &= dd::Bdd::nvar(manager, v);
+      }
+      f ^= term;
+    }
+    const FlatSpectrum got = FlatSpectrum::from_bdd(f, &scratch);
+    EXPECT_TRUE(got.is_canonical()) << "trial " << trial;
+    EXPECT_TRUE(got.to_spectrum() ==
+                Spectrum::from_function(
+                    n, [&](const Mask& x) { return f.eval(x); }))
+        << "trial " << trial;
   }
 }
 

@@ -531,6 +531,7 @@ int main(int argc, char** argv) {
     }
     if (cmd == "uniform") {
       circuit::Gadget g = load(args, &label);
+      verify::check_input_limit(g);
       verify::UniformityResult r = verify::check_uniformity(g);
       if (r.uniform) {
         std::cout << label << ": output sharing is uniform ("
@@ -829,6 +830,9 @@ int main(int argc, char** argv) {
       return render(scan, r, watch.seconds());
     }
     return usage("unknown command '" + cmd + "'");
+  } catch (const verify::InputLimitError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 64;
   } catch (const std::exception& e) {
     return usage(e.what());
   }
