@@ -457,6 +457,9 @@ void Server::Impl::run_job(const JobPtr& job) {
                               job->request.options.engine),
           job->request.options, &job->cancel);
     }
+    // The store is long-lived here: publish this job's index changes now
+    // rather than at shutdown, so other processes on the directory see them.
+    if (store) store->flush();
     const double seconds = watch.seconds();
     const std::string report = render_report(job->request, job->gadget,
                                              job->label, result, seconds);

@@ -93,7 +93,7 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
   const bool collect = basis->cones.available;
   const int n = static_cast<int>(basis->size());
   verify::SummaryCollector collector(n, options.order);
-  verify::DepTable deps(basis->vars.secret_vars.size());
+  verify::DepTable deps;
 
   verify::IncrementalContext ctx;
   if (plan) ctx.plan = &*plan;

@@ -148,7 +148,6 @@ std::string serialize_manifest(const ScanManifest& m) {
   w.u8(m.needs.frozen_fns ? 1 : 0);
   w.u8(m.needs.frozen_spectra ? 1 : 0);
   w.u64(m.num_observables);
-  w.u32(m.num_secrets);
   w.u64(m.base_coefficients);
   w.f64(m.build_seconds);
   w.u64(m.frozen_nodes);
@@ -190,7 +189,6 @@ ScanManifest deserialize_manifest(const std::string& file_image) {
   m.needs.frozen_fns = r.u8() != 0;
   m.needs.frozen_spectra = r.u8() != 0;
   m.num_observables = r.u64();
-  m.num_secrets = r.u32();
   m.base_coefficients = r.u64();
   m.build_seconds = r.f64();
   m.frozen_nodes = r.u64();
@@ -213,7 +211,6 @@ ScanManifest deserialize_manifest(const std::string& file_image) {
 }
 
 std::string serialize_partial(const verify::PartialReport& part,
-                              std::uint32_t num_secrets,
                               const std::string& trace_id) {
   if (!part.complete)
     throw SerializationError(
@@ -236,58 +233,35 @@ std::string serialize_partial(const verify::PartialReport& part,
   w.u64(part.region_cache.misses);
   w.f64(part.convolution_seconds);
   w.f64(part.verification_seconds);
-  const std::size_t S = num_secrets;
-  if (S == 0 ? !part.deps.empty() : part.deps.size() % S != 0)
-    throw SerializationError("checkpoint: dependency mask width mismatch");
-  const std::size_t num_deps = S == 0 ? 0 : part.deps.size() / S;
-  w.u32(num_secrets);
-  w.u64(num_deps);
-  // Dependency section (v2): dictionary + varint pairs.  Dependency-mask
-  // vectors repeat massively across a shard (V is the union of the combined
-  // observables' share supports, and gadgets have few distinct supports),
-  // so each entry costs a couple of bytes instead of 16*num_secrets.
-  // Checkpoint size is the dominant overhead of the scan over an
-  // uncheckpointed run; this keeps it small.  The dictionary stays tiny (a
-  // handful of distinct supports), so a linear scan — last-match first,
-  // consecutive deps overwhelmingly share one V — beats hashing a
-  // serialized key per dep.
-  const auto V = [&](std::size_t i) { return part.deps.data() + i * S; };
-  const auto same = [&](std::size_t a, std::size_t b) {
-    return std::equal(V(a), V(a) + S, V(b));
-  };
-  std::vector<std::size_t> distinct;  // first dep of each dictionary entry
-  std::vector<std::uint64_t> dep_index(num_deps);
+  // Dependency section: a dictionary of the distinct masks, then one varint
+  // dictionary index per dependency.  V masks repeat massively across a
+  // shard (V is the union of the combined observables' share supports, and
+  // gadgets have few distinct supports), so each entry costs about a byte
+  // instead of 16.  Checkpoint size is the dominant overhead of the scan
+  // over an uncheckpointed run; this keeps it small.  The dictionary stays
+  // tiny, so a linear scan — last match first, consecutive deps
+  // overwhelmingly share one V — beats hashing.
+  std::vector<Mask> dict;
+  std::vector<std::uint64_t> dep_index(part.deps.size());
   std::uint64_t last = 0;
-  for (std::size_t i = 0; i < num_deps; ++i) {
-    std::uint64_t idx = distinct.size();
-    if (last < distinct.size() && same(distinct[last], i)) {
-      idx = last;
-    } else {
-      for (std::uint64_t j = 0; j < distinct.size(); ++j) {
-        if (same(distinct[j], i)) {
-          idx = j;
-          break;
-        }
-      }
-    }
-    if (idx == distinct.size()) distinct.push_back(i);
+  for (std::size_t i = 0; i < part.deps.size(); ++i) {
+    const Mask& V = part.deps[i];
+    std::uint64_t idx = last;
+    if (idx >= dict.size() || dict[idx] != V)
+      idx = static_cast<std::uint64_t>(
+          std::find(dict.begin(), dict.end(), V) - dict.begin());
+    if (idx == dict.size()) dict.push_back(V);
     dep_index[i] = idx;
     last = idx;
   }
-  w.u64(distinct.size());
-  for (std::size_t first : distinct)
-    for (std::size_t s = 0; s < S; ++s) write_mask(w, V(first)[s]);
-  // The deps cover the contiguous ranks [begin, begin + num_deps), so the
-  // rank deltas are 0 for the first and 1 after; the format keeps them.
-  for (std::size_t i = 0; i < num_deps; ++i) {
-    w.vu64(i == 0 ? 0 : 1);
-    w.vu64(dep_index[i]);
-  }
+  w.u64(part.deps.size());
+  w.u64(dict.size());
+  for (const Mask& m : dict) write_mask(w, m);
+  for (const std::uint64_t idx : dep_index) w.vu64(idx);
   return frame(kPartialMagic, kPartialFormatVersion, w.bytes());
 }
 
 verify::PartialReport deserialize_partial(const std::string& file_image,
-                                          std::uint32_t num_secrets,
                                           const std::string& expected_trace_id) {
   const std::string_view payload =
       checked_payload_for(file_image, kPartialMagic, kPartialFormatVersion);
@@ -315,28 +289,21 @@ verify::PartialReport deserialize_partial(const std::string& file_image,
   part.region_cache.misses = r.u64();
   part.convolution_seconds = r.f64();
   part.verification_seconds = r.f64();
-  const std::uint32_t stored_secrets = r.u32();
-  if (stored_secrets != num_secrets)
-    throw SerializationError("checkpoint: secret count mismatch");
   const std::uint64_t num_deps = r.u64();
-  // Each entry occupies at least two varint bytes; cap before reserving.
-  if (num_deps > payload.size() / 2)
+  // Each entry occupies at least one varint byte; cap before reserving.
+  if (num_deps > r.remaining())
     throw SerializationError("checkpoint: implausible dependency count");
   const std::uint64_t num_distinct = r.u64();
-  if (num_distinct > num_deps ||
-      num_distinct * (num_secrets * 16ull) > r.remaining())
+  if (num_distinct > num_deps || num_distinct > r.remaining() / 16)
     throw SerializationError("checkpoint: implausible dictionary size");
-  std::vector<Mask> dict(num_distinct * num_secrets);  // S masks per entry
+  std::vector<Mask> dict(num_distinct);
   for (Mask& m : dict) m = read_mask(r);
-  part.deps.reserve(num_deps * num_secrets);
+  part.deps.reserve(num_deps);
   for (std::uint64_t i = 0; i < num_deps; ++i) {
-    if (r.vu64() != (i == 0 ? 0 : 1))
-      throw SerializationError("checkpoint: dependency ranks not contiguous");
     const std::uint64_t idx = r.vu64();
     if (idx >= num_distinct)
       throw SerializationError("checkpoint: dictionary index out of range");
-    const auto V = dict.begin() + idx * num_secrets;
-    part.deps.insert(part.deps.end(), V, V + num_secrets);
+    part.deps.push_back(dict[idx]);
   }
   if (part.covered_end < part.begin || part.covered_end > part.end)
     throw SerializationError("checkpoint: covered range outside the shard");
@@ -471,7 +438,7 @@ bool ScanDir::write_checkpoint(std::size_t index,
       obs::Metrics::instance().counter("scan.checkpoint_bytes");
   obs::Span span("checkpoint_write");
   const std::string image =
-      serialize_partial(part, manifest_.num_secrets, manifest_.trace_id);
+      serialize_partial(part, manifest_.trace_id);
   if (!atomic_write(part_path(index), image)) return false;
   release_claim(index);
   done_counter.add(1);
@@ -485,7 +452,7 @@ std::optional<verify::PartialReport> ScanDir::read_checkpoint(
   if (!fs::exists(path)) return std::nullopt;
   obs::Span span("checkpoint_load");
   verify::PartialReport part = deserialize_partial(
-      read_file(path), manifest_.num_secrets, manifest_.trace_id);
+      read_file(path), manifest_.trace_id);
   // A checkpoint copied over another shard's file is hash-valid; only its
   // identity gives it away.
   const sched::Shard& shard = manifest_.shards.at(index);

@@ -54,17 +54,18 @@ namespace sani::store {
 /// manifest simply plans a fresh scan under a new key).
 /// v2 adds the fleet trace id (minted at plan time, excluded from the
 /// content key) so every worker process stitches into one trace.  v3 drops
-/// the prefix-memo capacity from the options block.
-inline constexpr std::uint32_t kManifestFormatVersion = 3;
+/// the prefix-memo capacity from the options block, v4 the secret count.
+inline constexpr std::uint32_t kManifestFormatVersion = 4;
 inline constexpr char kManifestMagic[8] = {'S', 'A', 'N', 'I',
                                            'M', 'A', 'N', '\x01'};
-/// SANIPAR v2 compacts the dependency section: one dictionary of distinct
-/// V-mask vectors plus a varint (rank-delta, dictionary-index) pair per
-/// entry, instead of v1's fixed 8 + 16*num_secrets bytes each.  v3 prefixes
-/// the payload with the scan's trace id so a checkpoint can always be
-/// attributed to the job that produced it.  v4 drops the prefix-memo
-/// hit/miss counters.
-inline constexpr std::uint32_t kPartialFormatVersion = 4;
+/// SANIPAR v2 compacts the dependency section into a dictionary of distinct
+/// V masks plus varints per entry.  v3 prefixes the payload with the scan's
+/// trace id so a checkpoint can always be attributed to the job that
+/// produced it.  v4 drops the prefix-memo hit/miss counters.  v5 stores one
+/// share-space mask per dictionary entry and one varint dictionary index
+/// per dependency, with no secret count and no rank deltas (the ranks are
+/// contiguous from the shard's begin).
+inline constexpr std::uint32_t kPartialFormatVersion = 5;
 inline constexpr char kPartialMagic[8] = {'S', 'A', 'N', 'I',
                                           'P', 'A', 'R', '\x01'};
 
@@ -79,7 +80,6 @@ struct ScanManifest {
   verify::VerifyOptions options;
   verify::BasisNeeds needs;     // what the planned Basis artifact carries
   std::uint64_t num_observables = 0;
-  std::uint32_t num_secrets = 0;
   std::uint64_t base_coefficients = 0;
   double build_seconds = 0.0;
   std::uint64_t frozen_nodes = 0;
@@ -109,19 +109,16 @@ std::string manifest_key(const ScanManifest& manifest);
 std::string serialize_manifest(const ScanManifest& manifest);
 ScanManifest deserialize_manifest(const std::string& file_image);
 
-/// SANIPAR image of a complete per-shard checkpoint.  The V-mask width is
-/// the manifest's num_secrets; the dependency entries cover the contiguous
-/// ranks from the shard's begin (the stored rank deltas must say so).
-/// `trace_id` is the scan's fleet id; deserialize refuses a checkpoint
-/// whose stored id differs from a non-empty `expected_trace_id` (cross-job
-/// contamination of a scan dir), and one whose covered range, failure rank
-/// or dependency count does not fit its own shard range.
+/// SANIPAR image of a complete per-shard checkpoint.  The dependency
+/// entries cover the contiguous ranks from the shard's begin.  `trace_id`
+/// is the scan's fleet id; deserialize refuses a checkpoint whose stored id
+/// differs from a non-empty `expected_trace_id` (cross-job contamination of
+/// a scan dir), and one whose covered range, failure rank or dependency
+/// count does not fit its own shard range.
 std::string serialize_partial(const verify::PartialReport& part,
-                              std::uint32_t num_secrets,
                               const std::string& trace_id = "");
 verify::PartialReport deserialize_partial(
-    const std::string& file_image, std::uint32_t num_secrets,
-    const std::string& expected_trace_id = "");
+    const std::string& file_image, const std::string& expected_trace_id = "");
 
 /// One scan directory: the manifest plus the live claim/checkpoint state.
 class ScanDir {

@@ -24,6 +24,7 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "sched/cancel.h"
+#include "sched/pool.h"
 #include "sched/shard.h"
 #include "store/cached_verify.h"
 #include "store/telemetry.h"
@@ -82,6 +83,46 @@ std::shared_ptr<const verify::Basis> resolve_basis(
   if (store) store->save_basis(m.basis_key, *basis, built);
   return basis;
 }
+
+/// Calls `sample` every `interval_seconds` on its own thread until
+/// destroyed.  The destructor stops and joins the thread, so no exit path
+/// of a scan, an exception included, leaves it running.  It waits on a
+/// condition variable rather than sleeping, so stopping costs no wait-out
+/// of a sleep slice.
+class Sampler {
+ public:
+  Sampler(double interval_seconds, std::function<void()> sample)
+      : interval_(interval_seconds),
+        sample_(std::move(sample)),
+        thread_([this] { loop(); }) {}
+  ~Sampler() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stopped_ = true;
+    }
+    wake_.notify_one();
+    thread_.join();
+  }
+  Sampler(const Sampler&) = delete;
+  Sampler& operator=(const Sampler&) = delete;
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!wake_.wait_for(lock, interval_, [&] { return stopped_; })) {
+      lock.unlock();
+      sample_();
+      lock.lock();
+    }
+  }
+
+  const std::chrono::duration<double> interval_;
+  const std::function<void()> sample_;
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  bool stopped_ = false;  // guarded by mutex_
+  std::thread thread_;    // last: starts after the members it uses
+};
 
 /// Semantic options a worker runs shards with: the manifest's canonical
 /// options minus every runtime knob that must not leak into a checkpoint
@@ -148,7 +189,6 @@ ScanDir plan_scan(const circuit::Gadget& gadget, const std::string& label,
   m.options = worker_options(m, verify::EngineKind::kAuto);
   m.needs = needs;
   m.num_observables = basis->size();
-  m.num_secrets = static_cast<std::uint32_t>(basis->vars.secret_vars.size());
   m.base_coefficients = basis->base_coefficients;
   m.build_seconds = basis->build_seconds;
   m.frozen_nodes = basis->frozen.node_count();
@@ -240,25 +280,11 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
     snap.live_nodes = obs::Metrics::instance().gauge("dd.live_nodes").value();
     return snap;
   };
-  // The sampler waits on a condition variable rather than sleeping, so
-  // stopping it at the end of the scan costs no wait-out of a sleep slice.
-  std::mutex sampler_mutex;
-  std::condition_variable sampler_wake;
-  bool sampling = false;
-  std::thread sampler;
+  std::optional<Sampler> sampler;
   if (options.telemetry_interval_seconds > 0.0) {
     write_worker_snapshot(scan.dir(), make_snapshot());
-    sampling = true;
-    sampler = std::thread([&] {
-      const auto interval =
-          std::chrono::duration<double>(options.telemetry_interval_seconds);
-      std::unique_lock<std::mutex> lock(sampler_mutex);
-      const auto stopped = [&] { return !sampling; };
-      while (!sampler_wake.wait_for(lock, interval, stopped)) {
-        lock.unlock();
-        write_worker_snapshot(scan.dir(), make_snapshot());
-        lock.lock();
-      }
+    sampler.emplace(options.telemetry_interval_seconds, [&] {
+      write_worker_snapshot(scan.dir(), make_snapshot());
     });
   }
 
@@ -290,6 +316,9 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
     std::lock_guard<std::mutex> lock(settle_mutex);
     return settled;
   };
+  // Set when a claim loop throws: its siblings stop claiming, and the pool
+  // rethrows the first exception on the calling thread.
+  std::atomic<bool> failed{false};
 
   auto worker = [&]() {
     // Per-thread driver: private backend/manager state over the one shared
@@ -306,6 +335,7 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
           return token == nullptr || !token->cancelled();
         };
     for (;;) {
+      if (failed.load(std::memory_order_relaxed)) return;
       if (options.cancel && options.cancel->cancelled()) return;
       if (options.max_shards > 0 &&
           done.load(std::memory_order_relaxed) >= options.max_shards)
@@ -337,22 +367,26 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
         settle();
         continue;
       }
-      const sched::Shard& shard = m.shards[claim->index];
       verify::Driver::ShardOutcome out;
       verify::PartialReport part;
-      driver.run_shard_partial(shard, still_relevant, out, part);
+      try {
+        driver.run_shard_partial(m.shards[claim->index], still_relevant, out,
+                                 part);
+        if (part.complete && !scan.write_checkpoint(claim->index, part))
+          throw std::runtime_error("scan: cannot write checkpoint in " +
+                                   scan.dir());
+      } catch (...) {
+        // Release at once, so a resume reruns the shard without waiting
+        // out the lease.
+        scan.release_claim(claim->index);
+        throw;
+      }
       if (!part.complete) {
         // Interrupted mid-shard (cancel/deadline): the partial is not a
         // pure function of the shard — release so someone reruns it whole.
         scan.release_claim(claim->index);
         settle();
         return;
-      }
-      if (!scan.write_checkpoint(claim->index, part)) {
-        scan.release_claim(claim->index);
-        settle();
-        throw std::runtime_error("scan: cannot write checkpoint in " +
-                                 scan.dir());
       }
       settle();
       done.fetch_add(1, std::memory_order_relaxed);
@@ -367,25 +401,23 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
     }
   };
 
+  // One claim loop per pool worker; the calling thread is worker 0.
   const int jobs = options.jobs > 0 ? options.jobs : 1;
-  if (jobs == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(jobs));
-    for (int i = 0; i < jobs; ++i) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
+  sched::Pool pool(jobs);
+  pool.run(static_cast<std::size_t>(jobs), [&](int, std::size_t) {
+    try {
+      worker();
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      settle();  // wake siblings waiting for a shard
+      throw;
+    }
+  });
 
   if (options.progress) options.progress->stop();
 
-  if (sampler.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mutex);
-      sampling = false;
-    }
-    sampler_wake.notify_one();
-    sampler.join();
+  if (sampler) {
+    sampler.reset();
     // Final snapshot so the last shards this worker finished are visible
     // immediately (the sampler may have just slept through them).
     write_worker_snapshot(scan.dir(), make_snapshot());

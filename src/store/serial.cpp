@@ -535,7 +535,6 @@ std::string serialize_summary(const verify::ConeSummary& summary) {
   payload.u8(summary.joint_share_count ? 1 : 0);
   payload.u8(summary.union_check ? 1 : 0);
   payload.i32(summary.order);
-  payload.u32(summary.num_secrets);
   write_digest(payload, summary.varmap);
   payload.u64(summary.digests.size());
   for (const circuit::ConeDigest& d : summary.digests)
@@ -560,7 +559,6 @@ std::string serialize_summary(const verify::ConeSummary& summary) {
   for (const verify::DepTable::Run& run : runs) {
     payload.i32(run.k);
     payload.u64(run.begin);
-    payload.u64(run.count);
     payload.u64(run.masks.size());
     payload.masks(run.masks.data(), run.masks.size());
   }
@@ -583,7 +581,6 @@ std::shared_ptr<const verify::ConeSummary> deserialize_summary(
   summary->order = r.i32();
   if (summary->order < 1 || summary->order > 63)
     throw SerializationError("summary: order out of range");
-  summary->num_secrets = r.u32();
   summary->varmap = read_digest(r);
   summary->digests.resize(read_count(r, 32));
   for (circuit::ConeDigest& d : summary->digests) d = read_digest(r);
@@ -611,10 +608,8 @@ std::shared_ptr<const verify::ConeSummary> deserialize_summary(
   }
   // Dependency runs: the plan binary-searches them and replays masks by
   // offset, so everything an offset depends on is checked here.
-  const std::uint64_t num_runs = read_count(r, 28);
-  const std::uint64_t S = summary->num_secrets;
+  const std::uint64_t num_runs = read_count(r, 36);
   const int old_n = static_cast<int>(summary->digests.size());
-  summary->deps = verify::DepTable(S);
   int prev_k = 0;
   std::uint64_t prev_end = 0;
   for (std::uint64_t i = 0; i < num_runs; ++i) {
@@ -630,15 +625,7 @@ std::shared_ptr<const verify::ConeSummary> deserialize_summary(
       throw SerializationError("summary: dependency runs unsorted or overlap");
     prev_k = k;
     prev_end = begin + count;
-    std::vector<Mask> masks = r.masks(r.u64());
-    // Replayed masks are spliced in S at a time: any other width would
-    // shift every later combination.
-    const bool width_ok = S == 0 ? masks.empty()
-                                 : masks.size() % S == 0 &&
-                                       masks.size() / S == count;
-    if (!width_ok)
-      throw SerializationError("summary: dependency width mismatch");
-    summary->deps.add_run(k, begin, std::move(masks));
+    summary->deps.add_run(k, begin, r.masks(count));
   }
   if (!r.at_end())
     throw SerializationError("summary: trailing bytes after payload");

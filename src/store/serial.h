@@ -60,11 +60,12 @@ inline constexpr char kMagic[8] = {'S', 'A', 'N', 'I', 'B', 'A', 'S', '\x01'};
 /// clean miss — the next run is cold and writes a fresh one), never
 /// migrated.
 ///
-/// v2 (current) stores the dependency masks as the scan's DepTable runs —
-/// (k, first rank, count) and one length-prefixed array of count *
-/// num_secrets masks per run, ranks implied — where v1 stored one
-/// (k, rank, V) entry per combination.
-inline constexpr std::uint32_t kSummaryFormatVersion = 2;
+/// v2 stores the dependency masks as the scan's DepTable runs — (k, first
+/// rank) and one length-prefixed mask array per run, ranks implied — where
+/// v1 stored one (k, rank, V) entry per combination.  v3 (current) stores
+/// one share-space mask per combination instead of one per secret, and
+/// drops the secret count.
+inline constexpr std::uint32_t kSummaryFormatVersion = 3;
 inline constexpr char kSummaryMagic[8] = {'S', 'A', 'N', 'I',
                                           'S', 'U', 'M', '\x01'};
 
@@ -168,8 +169,8 @@ std::string serialize_summary(const verify::ConeSummary& summary);
 
 /// Parses a cone-summary file image.  Checks magic, version and payload
 /// hash, and that the dependency runs are sorted and disjoint, have a size
-/// in [1, order], lie inside the old rank space C(digests, k) and hold
-/// exactly count * num_secrets masks; throws SerializationError on any
+/// in [1, order] and lie inside the old rank space C(digests, k); throws
+/// SerializationError on any
 /// mismatch (the store quarantines and reports a miss).
 std::shared_ptr<const verify::ConeSummary> deserialize_summary(
     const std::string& file_image);

@@ -124,7 +124,18 @@ void ArtifactStore::load_index() {
   }
 }
 
-void ArtifactStore::persist_index() const {
+ArtifactStore::~ArtifactStore() {
+  try {
+    flush();
+  } catch (...) {
+    // Best-effort, like every index write: the next open reconciles.
+  }
+}
+
+void ArtifactStore::flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!index_dirty_) return;
+  index_dirty_ = false;
   std::ostringstream out;
   for (const auto& [key, e] : entries_)
     out << key << ' ' << e.size << ' ' << e.last_used << '\n';
@@ -152,7 +163,7 @@ std::optional<std::string> ArtifactStore::get(const std::string& key) {
     return std::nullopt;
   it->second.last_used = ++clock_;
   it->second.size = bytes.size();
-  persist_index();
+  index_dirty_ = true;
   return bytes;
 }
 
@@ -175,7 +186,7 @@ bool ArtifactStore::put(const std::string& key, const std::string& bytes) {
   // the matching summary lands, however much unrelated traffic intervenes).
   pinned_.insert(key);
   evict_to_cap();
-  persist_index();
+  index_dirty_ = true;
   publish_gauges();
   return true;
 }
@@ -210,7 +221,7 @@ void ArtifactStore::quarantine(const std::string& key) {
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                 [&](const auto& kv) { return kv.first == key; }),
                  entries_.end());
-  persist_index();
+  index_dirty_ = true;
   publish_gauges();
   ++stats_.quarantined;
   obs::Metrics::instance().counter("store.quarantined").add();

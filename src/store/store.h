@@ -22,17 +22,23 @@
 //                             notion) line — the incremental scan's "nearest
 //                             prior run" lookup (store/cached_verify.h)
 //   index                     text index: "key size last_used" per line,
-//                             rewritten atomically on every mutation
+//                             rewritten atomically once per session (by
+//                             flush() or on destruction), not per access
 //   quarantine/<key>          artifacts that failed load-side validation
 //                             (bad magic/version/hash): moved aside for
 //                             post-mortem, never deleted, never re-served
 //
 // Writes are atomic (write to a dot-tmp sibling, fsync-free rename into
 // place), so a crashed writer can never leave a half-written object where
-// a reader would find it.  Load-side validation (serial.h: magic, format
-// version, payload SHA-256) turns truncation, corruption and version skew
-// into clean misses — the caller rebuilds and overwrites; a corrupt entry
-// is never fatal and can never produce a wrong Basis.
+// a reader would find it.  Replacing an existing file that way makes ext4
+// (auto_da_alloc) start writeback of the new data inside rename(), which
+// costs milliseconds when the disk is busy; the index is therefore written
+// once per session rather than after every get/put, and a crash before
+// that write costs only recency (the next open adopts the objects).
+// Load-side validation (serial.h: magic, format version, payload SHA-256)
+// turns truncation, corruption and version skew into clean misses — the
+// caller rebuilds and overwrites; a corrupt entry is never fatal and can
+// never produce a wrong Basis.
 //
 // Size is capped by LRU eviction: when the object bytes exceed `max_bytes`
 // after an insert, least-recently-used artifacts are dropped (the newest
@@ -77,6 +83,14 @@ class ArtifactStore {
   /// the index are adopted (size from disk), so a lost index degrades to a
   /// cold recency order, never to data loss.
   explicit ArtifactStore(Options options);
+
+  /// Writes the index if this instance changed it (flush()).
+  ~ArtifactStore();
+
+  /// Publishes this instance's index changes (sizes, recency, evictions,
+  /// quarantines) to the index file, so instances opened later see them.
+  /// A no-op when nothing changed since the last write.
+  void flush();
 
   /// Raw object fetch.  Returns the file image and refreshes the key's
   /// recency; nullopt (a miss) when absent.  No content validation here —
@@ -143,7 +157,6 @@ class ArtifactStore {
 
   std::string object_path(const std::string& key) const;
   void load_index();
-  void persist_index() const;
   void evict_to_cap();
   void quarantine(const std::string& key);
   void publish_gauges() const;
@@ -155,6 +168,7 @@ class ArtifactStore {
   std::vector<std::pair<std::string, Entry>> entries_;  // key -> entry
   std::unordered_set<std::string> pinned_;  // same-run keys, never evicted
   std::uint64_t clock_ = 0;
+  bool index_dirty_ = false;  // entries_ changed since the index was written
   Stats stats_;
 };
 

@@ -73,9 +73,9 @@ class Backend {
   /// Applies the per-row check to every row of the current combination.
   virtual std::optional<Mask> check_rows(const RowCheckQuery& q) = 0;
 
-  /// Unions the rho=0 share supports of the current rows into V (per
-  /// secret), for the set-level check.
-  virtual void accumulate_deps(std::vector<Mask>& V) = 0;
+  /// Unions the rho=0 share supports of the current rows into V, for the
+  /// set-level check.
+  virtual void accumulate_deps(Mask& V) = 0;
 };
 
 }  // namespace sani::verify

@@ -68,16 +68,13 @@ std::optional<Mask> FujitaBackend::check_rows(const RowCheckQuery& q) {
   return std::nullopt;
 }
 
-void FujitaBackend::accumulate_deps(std::vector<Mask>& V) {
+void FujitaBackend::accumulate_deps(Mask& V) {
   const circuit::VarMap& vars = basis_->vars;
   for (const Row& r : rows_.back()) {
     dd::Bdd nz = r.spectrum.nonzero() & rho0_;
     vars.share_vars.for_each_bit([&](int v) {
-      if (!dd::Bdd(manager_, manager_->cofactor(nz.node(), v, true))
-               .is_zero()) {
-        for (std::size_t i = 0; i < V.size(); ++i)
-          if (vars.secret_vars[i].test(v)) V[i].set(v);
-      }
+      if (!dd::Bdd(manager_, manager_->cofactor(nz.node(), v, true)).is_zero())
+        V.set(v);
     });
   }
 }

@@ -21,7 +21,7 @@ class FujitaBackend : public Backend {
   void push(const std::vector<int>& path) override;
   void pop() override;
   std::optional<Mask> check_rows(const RowCheckQuery& q) override;
-  void accumulate_deps(std::vector<Mask>& V) override;
+  void accumulate_deps(Mask& V) override;
 
  private:
   struct Row {

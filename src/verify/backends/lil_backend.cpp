@@ -51,13 +51,11 @@ std::optional<Mask> LilBackend::check_rows(const RowCheckQuery& q) {
   return std::nullopt;
 }
 
-void LilBackend::accumulate_deps(std::vector<Mask>& V) {
+void LilBackend::accumulate_deps(Mask& V) {
   for (const LilSpectrum& r : rows_.back())
-    for (const auto& [alpha, v] : r.entries()) {
-      if (alpha.intersects(basis_->vars.random_vars)) continue;
-      for (std::size_t i = 0; i < V.size(); ++i)
-        V[i] |= alpha & basis_->vars.secret_vars[i];
-    }
+    for (const auto& [alpha, v] : r.entries())
+      if (!alpha.intersects(basis_->vars.random_vars))
+        V |= alpha & basis_->vars.share_vars;
 }
 
 }  // namespace sani::verify

@@ -17,7 +17,7 @@ class LilBackend : public Backend {
   void push(const std::vector<int>& path) override;
   void pop() override;
   std::optional<Mask> check_rows(const RowCheckQuery& q) override;
-  void accumulate_deps(std::vector<Mask>& V) override;
+  void accumulate_deps(Mask& V) override;
 
  private:
   using RowSet = std::vector<spectral::LilSpectrum>;

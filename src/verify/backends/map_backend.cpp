@@ -102,16 +102,15 @@ std::optional<Mask> MapBackend::check_rows(const RowCheckQuery& q) {
   return std::nullopt;
 }
 
-void MapBackend::accumulate_deps(std::vector<Mask>& V) {
+void MapBackend::accumulate_deps(Mask& V) {
   const RowSet& top = *stack_.back();
   for (std::size_t r = 0; r < top.row_count(); ++r) {
     const Mask* masks = top.row_masks(r);
     const std::size_t n = top.row_size(r);
     for (std::size_t i = 0; i < n; ++i) {
       const Mask& alpha = masks[i];
-      if (alpha.intersects(basis_->vars.random_vars)) continue;
-      for (std::size_t s = 0; s < V.size(); ++s)
-        V[s] |= alpha & basis_->vars.secret_vars[s];
+      if (!alpha.intersects(basis_->vars.random_vars))
+        V |= alpha & basis_->vars.share_vars;
     }
   }
 }

@@ -32,7 +32,7 @@ class MapBackend : public Backend {
   void push(const std::vector<int>& path) override;
   void pop() override;
   std::optional<Mask> check_rows(const RowCheckQuery& q) override;
-  void accumulate_deps(std::vector<Mask>& V) override;
+  void accumulate_deps(Mask& V) override;
 
  private:
   using RowSet = spectral::FlatRowSet;

@@ -192,16 +192,10 @@ VerifyResult verify_bruteforce(const circuit::Gadget& gadget,
       const auto& combo = it.indices();
 
       RowContext row;
-      row.num_observables = k;
       std::vector<WireId> members;
       for (int i : combo) {
         const BruteObservable& o = u.observables[i];
-        if (o.kind == Observable::Kind::kOutput) {
-          ++row.num_outputs;
-          row.output_indices.insert(o.output_share_index);
-        } else {
-          ++row.num_internal;
-        }
+        row.add(o.kind == Observable::Kind::kOutput, o.output_share_index);
         members.insert(members.end(), o.members.begin(), o.members.end());
       }
       if (members.size() > 16)
@@ -312,7 +306,7 @@ VerifyResult verify_bruteforce(const circuit::Gadget& gadget,
                 touched.insert(static_cast<int>(j));
           int extra = 0;
           for (int j : touched)
-            if (!row.output_indices.count(j)) ++extra;
+            if (!((row.output_mask >> j) & 1)) ++extra;
           if (extra > row.num_internal) {
             fail("observations touch " + std::to_string(extra) +
                  " share indices beyond the probed outputs");

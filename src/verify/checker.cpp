@@ -1,7 +1,8 @@
 #include "verify/checker.h"
 
 #include <sstream>
-#include <stdexcept>
+
+#include "verify/engine.h"
 
 namespace sani::verify {
 
@@ -32,6 +33,9 @@ Checker::Checker(const circuit::VarMap& vars, Notion notion,
     : vars_(vars), notion_(notion), joint_(joint_share_count) {
   const std::size_t num_indices =
       vars_.secret_share_var.empty() ? 0 : vars_.secret_share_var.front().size();
+  if (num_indices > 64)
+    throw InputLimitError("gadget has " + std::to_string(num_indices) +
+                          " shares per secret; at most 64 are supported");
   index_vars_.resize(num_indices);
   for (const auto& group : vars_.secret_share_var)
     for (std::size_t j = 0; j < group.size(); ++j)
@@ -47,11 +51,10 @@ int Checker::threshold(const RowContext& row) const {
 }
 
 int Checker::disallowed_indices(const Mask& bits,
-                                const std::set<int>& allowed) const {
+                                std::uint64_t allowed) const {
   int count = 0;
   for (std::size_t j = 0; j < index_vars_.size(); ++j)
-    if (!allowed.count(static_cast<int>(j)) && bits.intersects(index_vars_[j]))
-      ++count;
+    if (!((allowed >> j) & 1) && bits.intersects(index_vars_[j])) ++count;
   return count;
 }
 
@@ -78,7 +81,7 @@ bool Checker::coefficient_violates(const Mask& alpha,
       return some_full;
     }
     case Notion::kPINI:
-      return disallowed_indices(alpha & vars_.share_vars, row.output_indices) >
+      return disallowed_indices(alpha & vars_.share_vars, row.output_mask) >
              row.num_internal;
   }
   return false;
@@ -96,9 +99,12 @@ ForbiddenRegion::ForbiddenRegion(const Checker& checker,
   // ascending variable order.
   Mask space = vars.share_vars | extra_vars;
   space.for_each_bit([&](int v) { positions_.push_back(v); });
-  if (positions_.size() > 40)
-    throw std::invalid_argument(
-        "ForbiddenRegion: enumeration space too large for the scan engines");
+  if (positions_.size() > kMaxPositions)
+    throw InputLimitError(
+        "the forbidden region spans " + std::to_string(positions_.size()) +
+        " share and public coordinates; the LIL/MAP scan engines enumerate "
+        "at most " + std::to_string(kMaxPositions) +
+        " (use --engine direct)");
 
   auto compact_of = [&](const Mask& m) {
     std::uint64_t c = 0;
@@ -141,8 +147,7 @@ bool ForbiddenRegion::forbidden(std::uint64_t idx) const {
     case Notion::kPINI: {
       int extra = 0;
       for (std::size_t j = 0; j < index_compact_.size(); ++j)
-        if (!row_.output_indices.count(static_cast<int>(j)) &&
-            (idx & index_compact_[j]) != 0)
+        if (!((row_.output_mask >> j) & 1) && (idx & index_compact_[j]) != 0)
           ++extra;
       return extra > row_.num_internal;
     }
@@ -175,14 +180,14 @@ bool ForbiddenRegion::empty() const {
     case Notion::kPINI: {
       int candidates = 0;
       for (std::size_t j = 0; j < index_compact_.size(); ++j)
-        if (!row_.output_indices.count(static_cast<int>(j))) ++candidates;
+        if (!((row_.output_mask >> j) & 1)) ++candidates;
       return candidates <= row_.num_internal;
     }
   }
   return true;
 }
 
-bool Checker::union_violates(const std::vector<Mask>& V, const RowContext& row,
+bool Checker::union_violates(const Mask& V, const RowContext& row,
                              std::string* reason) const {
   auto fail = [&](const std::string& msg) {
     if (reason) *reason = msg;
@@ -195,31 +200,30 @@ bool Checker::union_violates(const std::vector<Mask>& V, const RowContext& row,
     case Notion::kSNI: {
       const int t = threshold(row);
       if (joint_) {
-        Mask all;
-        for (const auto& v : V) all |= v;
-        if (all.popcount() > t) {
+        const int n = V.popcount();
+        if (n > t) {
           std::ostringstream os;
-          os << "joint distribution depends on " << all.popcount()
+          os << "joint distribution depends on " << n
              << " input shares in total but only " << t << " are allowed ("
              << notion_name(notion_) << ", joint counting)";
           return fail(os.str());
         }
         return false;
       }
-      for (std::size_t i = 0; i < V.size(); ++i)
-        if (V[i].popcount() > t) {
+      for (std::size_t i = 0; i < vars_.secret_vars.size(); ++i) {
+        const int n = (V & vars_.secret_vars[i]).popcount();
+        if (n > t) {
           std::ostringstream os;
-          os << "joint distribution depends on " << V[i].popcount()
-             << " shares of secret " << i << " but only " << t
-             << " are allowed (" << notion_name(notion_) << ")";
+          os << "joint distribution depends on " << n << " shares of secret "
+             << i << " but only " << t << " are allowed ("
+             << notion_name(notion_) << ")";
           return fail(os.str());
         }
+      }
       return false;
     }
     case Notion::kPINI: {
-      Mask all;
-      for (const auto& v : V) all |= v;
-      const int extra = disallowed_indices(all, row.output_indices);
+      const int extra = disallowed_indices(V, row.output_mask);
       if (extra > row.num_internal) {
         std::ostringstream os;
         os << "observations touch " << extra

@@ -8,7 +8,7 @@
 // (predicate.h); tests assert the formulations agree coefficient by
 // coefficient.
 
-#include <set>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,18 +18,35 @@
 
 namespace sani::verify {
 
-/// The composition of the combination under check.
+/// The composition of the combination under check: a plain value, built
+/// per combination without allocating.
 struct RowContext {
   int num_observables = 0;  // |Q|
   int num_outputs = 0;      // output shares in Q
   int num_internal = 0;     // internal probes in Q
-  std::set<int> output_indices;  // share indices of probed outputs (PINI)
+  /// Bit j: Q probes an output share with share index j (PINI).  Indices
+  /// outside [0, 64) set no bit; the Checker rejects gadgets with more than
+  /// 64 shares per secret, so no check reads such an index.
+  std::uint64_t output_mask = 0;
+
+  /// Counts one observable of Q into the row.
+  void add(bool is_output, int output_share_index) {
+    ++num_observables;
+    if (!is_output) {
+      ++num_internal;
+      return;
+    }
+    ++num_outputs;
+    if (output_share_index >= 0 && output_share_index < 64)
+      output_mask |= std::uint64_t{1} << output_share_index;
+  }
 };
 
 class Checker {
  public:
   /// `joint_share_count` switches NI/SNI from per-input share counting
-  /// (standard) to total counting (the paper's Fig. 2 T-matrix).
+  /// (standard) to total counting (the paper's Fig. 2 T-matrix).  Throws
+  /// InputLimitError (verify/engine.h) above 64 shares per secret.
   Checker(const circuit::VarMap& vars, Notion notion,
           bool joint_share_count = false);
 
@@ -46,19 +63,20 @@ class Checker {
   /// distribution).
   bool coefficient_violates(const Mask& alpha, const RowContext& row) const;
 
-  /// Set-level check on the accumulated dependency sets V[i] (union of
-  /// share supports per secret over every sub-combination of Q).  Fills
+  /// Set-level check on the accumulated dependency set V (union of the
+  /// share supports over every sub-combination of Q).  The secrets' share
+  /// groups are disjoint (Gadget::validate rejects a wire annotated twice),
+  /// so V & secret_vars()[i] is exactly secret i's dependency set.  Fills
   /// `reason` on violation.  Probing security has no set-level component.
-  bool union_violates(const std::vector<Mask>& V, const RowContext& row,
+  bool union_violates(const Mask& V, const RowContext& row,
                       std::string* reason) const;
 
   const Mask& random_vars() const { return vars_.random_vars; }
   const std::vector<Mask>& secret_vars() const { return vars_.secret_vars; }
 
  private:
-  /// Count of share indices touched by `bits` outside the allowed set.
-  int disallowed_indices(const Mask& bits,
-                         const std::set<int>& allowed) const;
+  /// Count of share indices touched by `bits` outside the `allowed` mask.
+  int disallowed_indices(const Mask& bits, std::uint64_t allowed) const;
 
   const circuit::VarMap& vars_;
   Notion notion_;
@@ -79,8 +97,12 @@ class Checker {
 /// enumeration with a symbolic product, which is the paper's speedup.
 class ForbiddenRegion {
  public:
+  /// Most coordinates the enumeration spans (2^40 cells).
+  static constexpr std::size_t kMaxPositions = 40;
+
   /// `extra_vars`: public coordinates that can occur in spectra (publics in
   /// the support of some observable); share coordinates are always included.
+  /// Throws InputLimitError (verify/engine.h) above kMaxPositions.
   ForbiddenRegion(const Checker& checker, const circuit::VarMap& vars,
                   const RowContext& row, const Mask& extra_vars);
 

@@ -85,11 +85,9 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
       ++stats_.incremental.combinations_skipped;
       if (c.kind == IncrementalPlan::Kind::kCleanPass) {
         if (collector_) collector_->note_pass(combo);
-        // Splice the replayed dependency masks in, so the union pass
+        // Splice the replayed dependency mask in, so the union pass
         // consumes exactly the table a cold run would have built.
-        if (c.V)
-          deps.insert(deps.end(), c.V,
-                      c.V + basis_->vars.secret_vars.size());
+        if (c.V) deps.push_back(*c.V);
         return std::nullopt;
       }
       CheckFailure failure{c.fail->alpha, c.fail->reason};
@@ -141,9 +139,9 @@ std::optional<Driver::CheckFailure> Driver::check_path(
                         "(per-row T-predicate check)"};
   }
   if (records_deps_) {
-    dep_scratch_.assign(basis_->vars.secret_vars.size(), Mask{});
-    backend_->accumulate_deps(dep_scratch_);
-    deps.insert(deps.end(), dep_scratch_.begin(), dep_scratch_.end());
+    Mask V;
+    backend_->accumulate_deps(V);
+    deps.push_back(V);
   }
   return std::nullopt;
 }
@@ -180,8 +178,7 @@ void Driver::run_shard_partial(
   const int N = static_cast<int>(basis_->size());
   if (shard.k >= 1 && shard.k <= N && shard.begin < shard.end) {
     obs::Span span("scan");
-    if (records_deps_)
-      part.deps.reserve(shard.size() * basis_->vars.secret_vars.size());
+    if (records_deps_) part.deps.reserve(shard.size());
     std::vector<int> combo = unrank_combination(N, shard.k, shard.begin);
     for (std::uint64_t r = shard.begin; r < shard.end; ++r) {
       if (cancel_->expired()) {

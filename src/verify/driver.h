@@ -118,7 +118,7 @@ class Driver {
   /// Checks one combination, with the diff-aware
   /// classification in front: clean combinations replay their recorded
   /// verdict without touching the backend; dirty ones sync the prefix stack
-  /// and check for real.  A passing combination's dependency masks are
+  /// and check for real.  A passing combination's dependency mask is
   /// appended to `deps` (union-checking notions only).  Ticks the progress
   /// meter, records the outcome into the collector and (when a metrics
   /// export was requested) samples the check latency into the per-rank
@@ -126,7 +126,7 @@ class Driver {
   std::optional<CheckFailure> check_combo(const std::vector<int>& combo,
                                          std::vector<Mask>& deps);
 
-  /// The backend check of path_; its dependency masks on a pass.
+  /// The backend check of path_; its dependency mask on a pass.
   std::optional<CheckFailure> check_path(std::vector<Mask>& deps);
 
   /// Rebuilds the backend stack so that path_ == combo, popping/pushing
@@ -155,7 +155,6 @@ class Driver {
   const IncrementalPlan* plan_ = nullptr;
   SummaryCollector* collector_ = nullptr;
   std::vector<int> plan_scratch_;
-  std::vector<Mask> dep_scratch_;  // one combination's masks, S wide
   spectral::ArenaStats arena_stats_;
   VerifyStats stats_;
   sched::CancelToken own_cancel_;

@@ -118,10 +118,8 @@ bool decide_affine_exact(const std::vector<dd::Bdd>& exprs,
 
   // NI / SNI / PINI: the dependency set is exactly the span's support union
   // (each basis row is itself an observable combination).
-  std::vector<Mask> V(vars.secret_vars.size());
-  for (const Mask& r : basis)
-    for (std::size_t i = 0; i < V.size(); ++i)
-      V[i] |= r & vars.secret_vars[i];
+  Mask V;
+  for (const Mask& r : basis) V |= r & vars.share_vars;
   *secure = !checker.union_violates(V, row, nullptr);
   (void)m;
   return true;
@@ -156,16 +154,10 @@ HeuristicResult verify_heuristic_prepared(const circuit::Unfolded& unfolded,
       const auto& combo = it.indices();
 
       RowContext row;
-      row.num_observables = k;
       std::vector<dd::Bdd> exprs;
       for (int i : combo) {
         const Observable& o = obs.items[i];
-        if (o.kind == Observable::Kind::kOutput) {
-          ++row.num_outputs;
-          row.output_indices.insert(o.output_share_index);
-        } else {
-          ++row.num_internal;
-        }
+        row.add(o.kind == Observable::Kind::kOutput, o.output_share_index);
         exprs.insert(exprs.end(), o.fns.begin(), o.fns.end());
       }
 
@@ -208,7 +200,7 @@ HeuristicResult verify_heuristic_prepared(const circuit::Unfolded& unfolded,
                 touched.insert(static_cast<int>(j));
           int extra = 0;
           for (int j : touched)
-            if (!row.output_indices.count(j)) ++extra;
+            if (!((row.output_mask >> j) & 1)) ++extra;
           if (extra > row.num_internal) proved = false;
           break;
         }

@@ -91,7 +91,6 @@ ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
   s.joint_share_count = options.joint_share_count;
   s.union_check = options.union_check;
   s.order = collector.order_;
-  s.num_secrets = static_cast<std::uint32_t>(basis.vars.secret_vars.size());
   s.varmap = basis.cones.varmap;
   s.digests = basis.cones.digests;
   s.tables = std::move(collector.tables_);
@@ -123,8 +122,6 @@ std::optional<IncrementalPlan> IncrementalPlan::build(
   if (summary->glitch_robust != options.probes.glitch_robust)
     return std::nullopt;
   if (summary->joint_share_count != options.joint_share_count)
-    return std::nullopt;
-  if (summary->num_secrets != basis.vars.secret_vars.size())
     return std::nullopt;
 
   IncrementalPlan plan;
@@ -192,8 +189,8 @@ IncrementalPlan::Classification IncrementalPlan::classify(
           });
       if (after == runs.begin()) return c;  // no recorded masks — re-check
       const DepTable::Run& run = *(after - 1);
-      if (run.k != k || rank - run.begin >= run.count) return c;
-      c.V = run.masks.data() + (rank - run.begin) * summary_->num_secrets;
+      if (run.k != k || rank >= run.end()) return c;
+      c.V = &run.masks[rank - run.begin];
     }
     c.kind = Kind::kCleanPass;
     return c;

@@ -22,7 +22,7 @@
 // reports are byte-identical to a cold run (the incremental correctness
 // gate in tests/incremental_test.cpp), only the work differs.  The
 // dependency masks are engine-invariant (every backend accumulates the
-// same semantic per-secret sets), so summaries transfer across engines.
+// same semantic share set), so summaries transfer across engines.
 
 #include <cstdint>
 #include <memory>
@@ -52,7 +52,6 @@ struct ConeSummary {
   bool joint_share_count = false;
   bool union_check = true;
   int order = 0;                   // max combination size covered
-  std::uint32_t num_secrets = 0;   // width of the dependency-mask vectors
   circuit::ConeDigest varmap;      // role→variable binding fingerprint
   std::vector<circuit::ConeDigest> digests;  // per old observable
 
@@ -77,10 +76,10 @@ struct ConeSummary {
   };
   std::vector<Failure> failures;  // sorted by (k, rank)
 
-  /// Per-secret dependency masks of the passing combinations, exactly as
-  /// the scan's union-check table held them: runs of consecutive ranks of
-  /// one size k in [1, order], num_secrets masks per combination, ranks
-  /// implied, runs sorted by (k, first rank) and disjoint.
+  /// Dependency masks of the passing combinations, exactly as the scan's
+  /// union-check table held them: runs of consecutive ranks of one size k
+  /// in [1, order], one mask per combination, ranks implied, runs sorted by
+  /// (k, first rank) and disjoint.
   DepTable deps;
 };
 
@@ -139,8 +138,7 @@ class IncrementalPlan {
 
   struct Classification {
     Kind kind = Kind::kDirty;
-    /// Replayed dependency masks, num_secrets wide (clean-pass on
-    /// union-checking runs only).
+    /// Replayed dependency mask (clean-pass on union-checking runs only).
     const Mask* V = nullptr;
     /// Replayed witness (clean-fail).
     const ConeSummary::Failure* fail = nullptr;

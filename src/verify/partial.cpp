@@ -20,7 +20,6 @@ void union_pass(const Basis& basis, const Checker& checker,
                 const DepTable& deps, sched::CancelToken* cancel,
                 VerifyResult& result) {
   const int N = static_cast<int>(basis.size());
-  const std::size_t S = deps.num_secrets();
   const std::vector<DepTable::Run>& runs = deps.runs();
   const int top = runs.empty() ? 0 : runs.back().k;
   // C(n, j) for n <= N, j <= top, and the lexicographic rank of q minus
@@ -47,13 +46,12 @@ void union_pass(const Basis& basis, const Checker& checker,
 
   struct Witness {
     std::vector<int> combo;
-    std::vector<Mask> V;
+    Mask V;
     std::string reason;
   };
   std::optional<Witness> best;
-  std::vector<Mask> prev;  // closed V of class k-1, S masks per rank
+  std::vector<Mask> prev;  // closed V of class k-1, one mask per rank
   std::size_t closure_peak = 0;
-  std::vector<Mask> V(S);
   auto run = runs.begin();
   for (int k = 1; k <= top; ++k) {
     std::vector<int> combo(static_cast<std::size_t>(k));
@@ -62,7 +60,7 @@ void union_pass(const Basis& basis, const Checker& checker,
     // class's start: once that is not before the witness, nothing later is.
     if (best && !(combo < best->combo)) break;
     const std::uint64_t ranks = choose(N, k);
-    std::vector<Mask> cur(k < top ? ranks * S : 0);
+    std::vector<Mask> cur(k < top ? ranks : 0);
     closure_peak = std::max(closure_peak,
                             (prev.capacity() + cur.capacity()) * sizeof(Mask));
     for (std::uint64_t r = 0; r < ranks; ++r) {
@@ -73,21 +71,14 @@ void union_pass(const Basis& basis, const Checker& checker,
         return;
       }
       while (run != runs.end() &&
-             (run->k < k || (run->k == k && run->begin + run->count <= r)))
+             (run->k < k || (run->k == k && run->end() <= r)))
         ++run;
       const bool recorded = run != runs.end() && run->k == k && run->begin <= r;
-      if (recorded) {
-        const Mask* own = run->masks.data() + (r - run->begin) * S;
-        std::copy(own, own + S, V.begin());
-      } else {
-        std::fill(V.begin(), V.end(), Mask{});
-      }
+      Mask V = recorded ? run->masks[r - run->begin] : Mask{};
       if (k > 1)
-        for (std::size_t j = 0; j < combo.size(); ++j) {
-          const Mask* sub = prev.data() + rank_without(combo, j) * S;
-          for (std::size_t s = 0; s < S; ++s) V[s] |= sub[s];
-        }
-      if (!cur.empty()) std::copy(V.begin(), V.end(), cur.begin() + r * S);
+        for (std::size_t j = 0; j < combo.size(); ++j)
+          V |= prev[rank_without(combo, j)];
+      if (!cur.empty()) cur[r] = V;
       // The witness is the lexicographic minimum over all classes; ranks
       // ascend lexicographically, so a class's first violation is its least.
       if (recorded && (!best || combo < best->combo)) {
@@ -108,31 +99,23 @@ void union_pass(const Basis& basis, const Checker& checker,
   CounterExample ce;
   for (int i : best->combo)
     ce.observables.push_back(basis.obs[static_cast<std::size_t>(i)].name);
-  for (const Mask& v : best->V) ce.alpha |= v;
+  ce.alpha = best->V;
   ce.reason = "set-level dependency check failed: " + best->reason;
   result.counterexample = std::move(ce);
 }
 
 RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo) {
   RowContext row;
-  row.num_observables = static_cast<int>(combo.size());
   for (int i : combo) {
     const ObservableInfo& o = basis.obs[static_cast<std::size_t>(i)];
-    if (o.kind == Observable::Kind::kOutput) {
-      ++row.num_outputs;
-      row.output_indices.insert(o.output_share_index);
-    } else {
-      ++row.num_internal;
-    }
+    row.add(o.kind == Observable::Kind::kOutput, o.output_share_index);
   }
   return row;
 }
 
 ReportAssembler::ReportAssembler(std::shared_ptr<const Basis> basis,
                                  VerifyOptions options)
-    : basis_(std::move(basis)),
-      options_(std::move(options)),
-      deps_(basis_->vars.secret_vars.size()) {
+    : basis_(std::move(basis)), options_(std::move(options)) {
   // The assembler renders from already-complete partials: nothing here may
   // block on a wall clock or report live progress.
   options_.time_limit = 0.0;

@@ -101,10 +101,10 @@ struct PartialReport {
   double convolution_seconds = 0.0;
   double verification_seconds = 0.0;
 
-  /// Union-check dependency masks of the passing combinations, S masks
-  /// (one per secret) each, for exactly the contiguous passing prefix
-  /// [begin, begin + deps.size() / S): a shard checks in rank order and
-  /// stops at its first failure, so the ranks are implied.
+  /// Union-check dependency masks of the passing combinations, one each,
+  /// for exactly the contiguous passing prefix [begin, begin + deps.size()):
+  /// a shard checks in rank order and stops at its first failure, so the
+  /// ranks are implied.
   std::vector<Mask> deps;
 };
 

@@ -71,10 +71,9 @@ dd::Bdd PredicateBuilder::probing_violation() {
   return probing_cache_;
 }
 
-dd::Bdd PredicateBuilder::pini_violation(const std::set<int>& allowed_indices,
+dd::Bdd PredicateBuilder::pini_violation(std::uint64_t allowed,
                                          int threshold) {
-  std::vector<int> key(allowed_indices.begin(), allowed_indices.end());
-  auto cache_key = std::make_pair(key, threshold);
+  const auto cache_key = std::make_pair(allowed, threshold);
   auto it = pini_cache_.find(cache_key);
   if (it != pini_cache_.end()) return it->second;
 
@@ -85,7 +84,7 @@ dd::Bdd PredicateBuilder::pini_violation(const std::set<int>& allowed_indices,
           : static_cast<int>(vars_.secret_share_var.front().size());
   std::vector<dd::Bdd> touched;
   for (int j = 0; j < num_indices; ++j) {
-    if (allowed_indices.count(j)) continue;
+    if (j < 64 && ((allowed >> j) & 1)) continue;
     dd::Bdd t = dd::Bdd::zero(m_);
     for (const auto& group : vars_.secret_share_var)
       t |= dd::Bdd::var(m_, group[j]);

@@ -12,8 +12,8 @@
 // constraint is folded into T).  Predicates are cached per threshold since
 // the same T is reused across every combination with equal counts.
 
+#include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "circuit/unfold.h"
@@ -42,8 +42,9 @@ class PredicateBuilder {
   dd::Bdd probing_violation();
 
   /// PINI violation region: rho = 0 and the number of *share indices*
-  /// touched outside `allowed_indices` exceeds `threshold`.
-  dd::Bdd pini_violation(const std::set<int>& allowed_indices, int threshold);
+  /// touched outside `allowed` (bit j: index j is allowed) exceeds
+  /// `threshold`.
+  dd::Bdd pini_violation(std::uint64_t allowed, int threshold);
 
   /// Symmetric helper: "at least k of `vars` are 1".
   dd::Bdd count_ge(const std::vector<int>& vars, int k);
@@ -55,7 +56,7 @@ class PredicateBuilder {
   dd::Bdd rho_zero_;
   std::map<int, dd::Bdd> ni_cache_;
   dd::Bdd probing_cache_;
-  std::map<std::pair<std::vector<int>, int>, dd::Bdd> pini_cache_;
+  std::map<std::pair<std::uint64_t, int>, dd::Bdd> pini_cache_;
 };
 
 }  // namespace sani::verify

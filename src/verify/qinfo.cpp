@@ -5,14 +5,13 @@
 namespace sani::verify {
 
 void DepTable::add_run(int k, std::uint64_t begin, std::vector<Mask> masks) {
-  const std::uint64_t count = s_ == 0 ? 0 : masks.size() / s_;
-  if (count == 0) return;
-  entries_ += count;
+  if (masks.empty()) return;
+  entries_ += masks.size();
   bytes_ += sizeof(Run) + masks.capacity() * sizeof(Mask);
   const auto at = std::find_if(runs_.begin(), runs_.end(), [&](const Run& r) {
     return r.k > k || (r.k == k && r.begin > begin);
   });
-  runs_.insert(at, Run{k, begin, count, std::move(masks)});
+  runs_.insert(at, Run{k, begin, std::move(masks)});
 }
 
 std::size_t DepTable::count_ranks_below(
@@ -21,7 +20,7 @@ std::size_t DepTable::count_ranks_below(
   for (const Run& run : runs_) {
     const std::size_t k = static_cast<std::size_t>(run.k);
     if (k < bound.size() && bound[k] > run.begin)
-      n += std::min(run.count, bound[k] - run.begin);
+      n += std::min<std::uint64_t>(run.masks.size(), bound[k] - run.begin);
   }
   return n;
 }

@@ -2,15 +2,16 @@
 // Union-check dependency table.
 //
 // The set-level union pass needs, for every passing combination Q, the
-// per-secret dependency masks V accumulated from Q's rows.  A shard records
-// them for exactly its contiguous passing prefix, in rank order, S masks
-// (S = number of secrets) per combination — so the table keeps each
-// shard's masks as one run of consecutive ranks and never stores a rank,
-// a key or a row: the rank of an entry is implied by its position in its
-// run.  Runs are kept sorted by (size, first rank); within a size class
-// they are disjoint (every combination belongs to exactly one shard), so
-// one forward walk reads every entry in (size, rank) order.  bytes() feeds
-// the qinfo fields of VerifyStats.
+// dependency mask V accumulated from Q's rows: one share-space mask, since
+// the secrets' share groups are disjoint and V & secret_vars[s] recovers
+// secret s's set.  A shard records them for exactly its contiguous passing
+// prefix, in rank order — so the table keeps each shard's masks as one run
+// of consecutive ranks and never stores a rank, a key or a row: the rank of
+// an entry is implied by its position in its run.  Runs are kept sorted by
+// (size, first rank); within a size class they are disjoint (every
+// combination belongs to exactly one shard), so one forward walk reads
+// every entry in (size, rank) order.  bytes() feeds the qinfo fields of
+// VerifyStats.
 
 #include <cstdint>
 #include <vector>
@@ -21,21 +22,18 @@ namespace sani::verify {
 
 class DepTable {
  public:
-  /// Size-k combinations [begin, begin + count), S masks each.
+  /// Size-k combinations [begin, begin + masks.size()), one mask each.
   struct Run {
     int k;
     std::uint64_t begin;
-    std::uint64_t count;
-    std::vector<Mask> masks;  // count * S
+    std::vector<Mask> masks;
+
+    std::uint64_t end() const { return begin + masks.size(); }
   };
 
-  DepTable() = default;
-  explicit DepTable(std::size_t num_secrets) : s_(num_secrets) {}
-
-  /// Records size-k combinations [begin, begin + masks.size() / S).
+  /// Records size-k combinations [begin, begin + masks.size()).
   void add_run(int k, std::uint64_t begin, std::vector<Mask> masks);
 
-  std::size_t num_secrets() const { return s_; }
   const std::vector<Run>& runs() const { return runs_; }
 
   /// Recorded combinations.
@@ -51,7 +49,6 @@ class DepTable {
   std::size_t count_ranks_below(const std::vector<std::uint64_t>& bound) const;
 
  private:
-  std::size_t s_ = 0;
   std::vector<Run> runs_;  // sorted by (k, begin)
   std::size_t entries_ = 0;
   std::size_t bytes_ = 0;

@@ -12,9 +12,7 @@ RowCheck::RowCheck(const circuit::VarMap& vars, Notion notion,
       stats_(stats) {}
 
 RowCheck::Key RowCheck::key_of(const RowContext& row) const {
-  return {checker_.threshold(row), row.num_internal,
-          std::vector<int>(row.output_indices.begin(),
-                           row.output_indices.end())};
+  return {checker_.threshold(row), row.num_internal, row.output_mask};
 }
 
 dd::Bdd RowCheck::build_predicate(const RowContext& row) {
@@ -25,7 +23,7 @@ dd::Bdd RowCheck::build_predicate(const RowContext& row) {
     case Notion::kProbing:
       return preds_->probing_violation();
     case Notion::kPINI:
-      return preds_->pini_violation(row.output_indices, row.num_internal);
+      return preds_->pini_violation(row.output_mask, row.num_internal);
   }
   return preds_->probing_violation();
 }

@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <tuple>
-#include <vector>
 
 #include "circuit/unfold.h"
 #include "util/mask.h"
@@ -41,10 +40,10 @@ class RowCheck {
   RowCheckQuery query(const RowContext& row, std::uint64_t* coefficients);
 
  private:
-  // (threshold, num_internal, output_indices) determines every notion's
+  // (threshold, num_internal, output_mask) determines every notion's
   // region: NI/SNI read only the threshold, PINI only the probe/output
   // composition, probing none of them.
-  using Key = std::tuple<int, int, std::vector<int>>;
+  using Key = std::tuple<int, int, std::uint64_t>;
   Key key_of(const RowContext& row) const;
 
   dd::Bdd build_predicate(const RowContext& row);

@@ -268,22 +268,25 @@ TEST(Prepared, AddEnginesHonorJobsOverSharedBasis) {
 }
 
 // ---------------------------------------------------------------------------
-// DepTable: runs of consecutive ranks, S masks per entry, ranks implied.
+// DepTable: runs of consecutive ranks, one mask per entry, ranks implied.
 // ---------------------------------------------------------------------------
 
-// One run of `count` entries from `begin`, entry i's masks {bit(begin + i),
-// bit(k)} — so every read-back names its own rank and size.
+// The mask of entry (k, rank): bit(rank) | bit(100 + k), so every read-back
+// names its own rank and size.
+Mask entry_mask(int k, std::uint64_t rank) {
+  return Mask::bit(static_cast<int>(rank)) | Mask::bit(100 + k);
+}
+
+// One run of `count` entries from `begin`.
 std::vector<Mask> run_masks(int k, std::uint64_t begin, std::uint64_t count) {
   std::vector<Mask> masks;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    masks.push_back(Mask::bit(static_cast<int>(begin + i)));
-    masks.push_back(Mask::bit(k));
-  }
+  for (std::uint64_t i = 0; i < count; ++i)
+    masks.push_back(entry_mask(k, begin + i));
   return masks;
 }
 
 TEST(DepTable, RunsAreKeptInSizeAndRankOrder) {
-  DepTable table(2);
+  DepTable table;
   // Insertion order deliberately not (k, begin) order; a gap at ranks 3..4
   // of class 2.
   table.add_run(2, 5, run_masks(2, 5, 3));
@@ -291,14 +294,13 @@ TEST(DepTable, RunsAreKeptInSizeAndRankOrder) {
   table.add_run(2, 0, run_masks(2, 0, 3));
   table.add_run(1, 4, {});  // no passing combination: nothing recorded
   EXPECT_EQ(table.size(), 10u);
-  EXPECT_GE(table.bytes(), 10 * 2 * sizeof(Mask));
+  EXPECT_GE(table.bytes(), 10 * sizeof(Mask));
 
   std::vector<std::pair<int, std::uint64_t>> seen;
   for (const DepTable::Run& run : table.runs()) {
-    ASSERT_EQ(run.masks.size(), 2 * run.count);
-    for (std::uint64_t i = 0; i < run.count; ++i) {
-      EXPECT_EQ(run.masks[2 * i], Mask::bit(static_cast<int>(run.begin + i)));
-      EXPECT_EQ(run.masks[2 * i + 1], Mask::bit(run.k));
+    EXPECT_EQ(run.end(), run.begin + run.masks.size());
+    for (std::uint64_t i = 0; i < run.masks.size(); ++i) {
+      EXPECT_EQ(run.masks[i], entry_mask(run.k, run.begin + i));
       seen.emplace_back(run.k, run.begin + i);
     }
   }
@@ -311,7 +313,7 @@ TEST(DepTable, RunsAreKeptInSizeAndRankOrder) {
 TEST(DepTable, CountRanksBelowBoundsEachSizeClass) {
   // A size-k record counts iff its rank lies below bound[k]; sizes past the
   // end of the bound vector count nothing.
-  DepTable table(1);
+  DepTable table;
   const std::vector<std::pair<int, std::vector<std::uint64_t>>> runs = {
       {1, {0, 1}}, {1, {3}}, {2, {1, 2, 3, 4}}, {2, {9}}, {3, {2, 3}}};
   for (const auto& [k, ranks] : runs)

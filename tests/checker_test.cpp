@@ -42,7 +42,8 @@ TEST_P(RegionEquivalence, RegionMatchesCoefficientPredicate) {
   row.num_observables = 3;
   row.num_internal = internal;
   row.num_outputs = 3 - internal;
-  for (int i = 0; i < row.num_outputs; ++i) row.output_indices.insert(i);
+  for (int i = 0; i < row.num_outputs; ++i)
+    row.output_mask |= std::uint64_t{1} << i;
 
   // The fixture's public never feeds logic, but the region should still
   // honour an explicit extra-variable request.
@@ -130,13 +131,93 @@ TEST(Checker, UnionViolationMessages) {
   RowContext row;
   row.num_observables = 2;
   row.num_internal = 1;
-  std::vector<Mask> V(2);
-  V[0] = vars.secret_vars[0];  // all three shares of secret 0
+  Mask V = vars.secret_vars[0];  // all three shares of secret 0
   std::string reason;
   EXPECT_TRUE(sni.union_violates(V, row, &reason));
   EXPECT_NE(reason.find("3 shares"), std::string::npos);
-  V[0] = Mask::bit(vars.secret_share_var[0][0]);
+  V = Mask::bit(vars.secret_share_var[0][0]);
   EXPECT_FALSE(sni.union_violates(V, row, &reason));
+}
+
+// The set-level check as it stood with one dependency mask per secret:
+// V[i] holds secret i's shares only.
+bool per_secret_union_violates(const circuit::VarMap& vars, Notion notion,
+                               bool joint, const std::vector<Mask>& V,
+                               const RowContext& row, std::string* reason) {
+  const int t = notion == Notion::kNI ? row.num_observables : row.num_internal;
+  Mask all;
+  for (const Mask& v : V) all |= v;
+  if (notion == Notion::kPINI) {
+    int extra = 0;
+    for (std::size_t j = 0; j < vars.secret_share_var.front().size(); ++j) {
+      if ((row.output_mask >> j) & 1) continue;
+      for (const auto& group : vars.secret_share_var)
+        if (all.test(group[j])) {
+          ++extra;
+          break;
+        }
+    }
+    if (extra <= row.num_internal) return false;
+    *reason = "observations touch " + std::to_string(extra) +
+              " share indices beyond the probed outputs, but only " +
+              std::to_string(row.num_internal) +
+              " internal probes were placed (PINI)";
+    return true;
+  }
+  if (joint) {
+    if (all.popcount() <= t) return false;
+    *reason = "joint distribution depends on " +
+              std::to_string(all.popcount()) +
+              " input shares in total but only " + std::to_string(t) +
+              " are allowed (" + notion_name(notion) + ", joint counting)";
+    return true;
+  }
+  for (std::size_t i = 0; i < V.size(); ++i)
+    if (V[i].popcount() > t) {
+      *reason = "joint distribution depends on " +
+                std::to_string(V[i].popcount()) + " shares of secret " +
+                std::to_string(i) + " but only " + std::to_string(t) +
+                " are allowed (" + notion_name(notion) + ")";
+      return true;
+    }
+  return false;
+}
+
+// One share-space mask is lossless: the secrets' share groups are
+// disjoint, so splitting it by group gives back the per-secret masks, and
+// with them the same verdict and the same reason string.
+TEST(Checker, OneMaskMatchesPerSecretMasks) {
+  circuit::Gadget g = fixture();
+  circuit::VarMap vars = circuit::make_var_map(g);
+  Rng rng(17);
+  struct Case {
+    Notion notion;
+    bool joint;
+  };
+  int violations = 0;
+  for (const Case c : {Case{Notion::kNI, false}, Case{Notion::kSNI, false},
+                       Case{Notion::kSNI, true}, Case{Notion::kPINI, false}}) {
+    const Checker checker(vars, c.notion, c.joint);
+    for (int trial = 0; trial < 500; ++trial) {
+      const Mask V = Mask{rng.next(), 0} & vars.share_vars;
+      std::vector<Mask> per_secret;
+      for (const Mask& group : vars.secret_vars)
+        per_secret.push_back(V & group);
+      RowContext row;
+      const int size = 1 + static_cast<int>(rng.next() % 3);
+      for (int i = 0; i < size; ++i)
+        row.add(rng.next() % 2 == 0, static_cast<int>(rng.next() % 3));
+      std::string want, got;
+      const bool expected = per_secret_union_violates(
+          vars, c.notion, c.joint, per_secret, row, &want);
+      ASSERT_EQ(checker.union_violates(V, row, &got), expected)
+          << notion_name(c.notion) << " joint=" << c.joint
+          << " V=" << V.to_string();
+      EXPECT_EQ(got, want);
+      violations += expected;
+    }
+  }
+  EXPECT_GT(violations, 100);
 }
 
 }  // namespace

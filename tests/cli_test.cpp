@@ -1,6 +1,7 @@
 // Command-line contract of the real `sani` binary (path injected as SANI_BIN
 // by CMake): a resource limit is a one-line usage error with exit code 64,
-// raised before any unfolding and without the usage text.
+// without the usage text, whether it is raised before unfolding or inside
+// a scan worker.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "circuit/ilang.h"
 #include "gadgets/registry.h"
+#include "test_util.h"
 
 namespace sani {
 namespace {
@@ -39,6 +41,20 @@ CliRun run_sani(const std::string& args) {
   if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
   return run;
 }
+
+/// A fresh per-process scratch directory, removed on destruction.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& tag)
+      : path(fs::temp_directory_path() /
+             ("sani_cli_test_" + tag + "_" + std::to_string(::getpid()))) {
+    fs::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+  fs::path path;
+};
 
 TEST(Cli, InputLimitIsOneLineUsageError) {
   // dom-1 with its random widened to 64 bits: 69 primary inputs, inside the
@@ -70,6 +86,36 @@ TEST(Cli, InputLimitIsOneLineUsageError) {
   }
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+TEST(Cli, RegionLimitIsOneLineUsageErrorInScanWorkers) {
+  // The limit is raised inside a shard, on a worker thread: every --jobs
+  // value must unwind to the one-line error, not abort the process.
+  const ScratchDir dir("region");
+  const fs::path file = dir.path / "wide_xor.il";
+  std::ofstream(file) << circuit::write_ilang_string(test::wide_xor());
+
+  const std::string want =
+      "error: the forbidden region spans 42 share and public coordinates; "
+      "the LIL/MAP scan engines enumerate at most 40 (use --engine direct)\n";
+  const std::string store = (dir.path / "store").string();
+  for (const char* jobs : {"1", "2"}) {
+    SCOPED_TRACE(std::string("scan --jobs ") + jobs);
+    const CliRun run =
+        run_sani("scan --file " + file.string() +
+                 " --order 1 --engine lil --store " + store + " --jobs " + jobs);
+    EXPECT_EQ(run.exit_code, 64);
+    // `scan` echoes its journal lines (planned, worker_start) on stderr; the
+    // error is the one line after them, and no usage text follows.
+    ASSERT_GE(run.err.size(), want.size());
+    EXPECT_EQ(run.err.substr(run.err.size() - want.size()), want);
+    EXPECT_EQ(run.err.find("error:"), run.err.size() - want.size());
+    EXPECT_EQ(run.err.find("usage"), std::string::npos);
+  }
+  const CliRun run =
+      run_sani("verify --file " + file.string() + " --order 1 --engine map");
+  EXPECT_EQ(run.exit_code, 64);
+  EXPECT_EQ(run.err, want);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include "verify/engine.h"
 #include "verify/observables.h"
 #include "verify/report.h"
+#include "test_util.h"
 
 namespace sani {
 namespace {
@@ -446,6 +447,45 @@ TEST(Daemon, InputLimitIsAnErrorFrame) {
               "gadget has 69 primary inputs; at most 62 are supported "
               "(Walsh coefficients reach 2^inputs and must fit int64)");
   }
+}
+
+// The region limit is raised inside a scan worker's shard: the request gets
+// one error frame, and the daemon and the connection keep serving.
+TEST(Daemon, ScanWorkerErrorIsAnErrorFrame) {
+  TempDir dir;
+  daemon::Server::Options options = basic_options();
+  options.store_dir = dir.str();
+  TestServer ts(options);
+  Client client(ts.server.socket_path());
+  ASSERT_TRUE(client.ok());
+
+  for (const char* jobs : {"1", "2"}) {
+    SCOPED_TRACE(std::string("jobs ") + jobs);
+    ASSERT_TRUE(client.send_line(
+        "{\"op\":\"verify\",\"ilang\":\"" +
+        obs::json_escape(circuit::write_ilang_string(test::wide_xor())) +
+        "\",\"engine\":\"lil\",\"scan\":true,\"jobs\":" + jobs + "}"));
+    json::ValuePtr error = client.read_until("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->get_string("frame"), "error");
+    EXPECT_EQ(error->get_string("message"),
+              "the forbidden region spans 42 share and public coordinates; "
+              "the LIL/MAP scan engines enumerate at most 40 (use --engine "
+              "direct)");
+  }
+
+  ASSERT_TRUE(client.send_line("{\"op\":\"ping\"}"));
+  EXPECT_NE(client.read_until("pong"), nullptr);
+  ASSERT_TRUE(client.send_line(
+      "{\"op\":\"verify\",\"gadget\":\"keccak-2\",\"deterministic\":true}"));
+  json::ValuePtr result = client.read_until("result");
+  ASSERT_NE(result, nullptr);
+  ASSERT_EQ(result->get_string("frame"), "result");
+  EXPECT_EQ(result->get_number("exit", -1), 0);
+  EXPECT_EQ(result->get_string("report"),
+            expected_cli_stdout(
+                gadgets::by_name("keccak-2"), "keccak-2",
+                daemon_default_options(gadgets::security_level("keccak-2"))));
 }
 
 TEST(Daemon, DedupedIdenticalJobsShareOneResult) {

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/builder.h"
 #include "circuit/unfold.h"
 #include "gadgets/registry.h"
 #include "spectral/flat_spectrum.h"
@@ -31,6 +30,7 @@
 #include "verify/observables.h"
 #include "verify/portfolio.h"
 #include "verify/report.h"
+#include "test_util.h"
 
 namespace sani::verify {
 namespace {
@@ -213,13 +213,8 @@ TEST(DirectWitness, IsTheSmallestViolatingCoefficient) {
         ASSERT_NE(it, obs.items.end()) << o_name;
         ASSERT_EQ(it->fns.size(), 1u);
         x ^= it->fns.front();
-        ++row.num_observables;
-        if (it->kind == Observable::Kind::kOutput) {
-          ++row.num_outputs;
-          row.output_indices.insert(it->output_share_index);
-        } else {
-          ++row.num_internal;
-        }
+        row.add(it->kind == Observable::Kind::kOutput,
+                it->output_share_index);
       }
       const Checker checker(u.vars, notion);
       const spectral::FlatSpectrum s = spectral::FlatSpectrum::from_bdd(x);
@@ -377,23 +372,10 @@ TEST(DirectEngine, UnfoldTableIsSizedFromTheNetlistWithinTheCeiling) {
 // DIRECT lifts the region scans' 40-position ForbiddenRegion cap.
 // ---------------------------------------------------------------------------
 
-// z = a ^ b share-wise over 21 shares: 42 share coordinates, no randoms.
-// Every output share reveals one share of each input with no internal
-// probe placed, so the gadget is not 1-SNI.
-circuit::Gadget wide_xor() {
-  circuit::GadgetBuilder b("wide_xor");
-  const std::vector<circuit::WireId> a = b.secret("a", 21);
-  const std::vector<circuit::WireId> c = b.secret("b", 21);
-  std::vector<circuit::WireId> z;
-  for (int i = 0; i < 21; ++i) z.push_back(b.xor_(a[i], c[i]));
-  b.output_group("z", z);
-  return b.build();
-}
-
 TEST(DirectEngine, LiftsTheForbiddenRegionCap) {
-  const circuit::Gadget g = wide_xor();
+  const circuit::Gadget g = test::wide_xor();
   for (EngineKind e : {EngineKind::kLIL, EngineKind::kMAP})
-    EXPECT_THROW(run(g, Notion::kSNI, 1, e), std::invalid_argument)
+    EXPECT_THROW(run(g, Notion::kSNI, 1, e), InputLimitError)
         << engine_name(e);
   const VerifyResult direct = run(g, Notion::kSNI, 1, EngineKind::kDIRECT);
   const VerifyResult mapi = run(g, Notion::kSNI, 1, EngineKind::kMAPI);

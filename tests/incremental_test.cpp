@@ -415,7 +415,6 @@ TEST(SummarySerial, RoundTripPreservesEveryField) {
   EXPECT_EQ(back->joint_share_count, s->joint_share_count);
   EXPECT_EQ(back->union_check, s->union_check);
   EXPECT_EQ(back->order, s->order);
-  EXPECT_EQ(back->num_secrets, s->num_secrets);
   EXPECT_EQ(back->varmap, s->varmap);
   EXPECT_EQ(back->digests, s->digests);
   ASSERT_EQ(back->tables.size(), s->tables.size());
@@ -432,7 +431,6 @@ TEST(SummarySerial, RoundTripPreservesEveryField) {
     EXPECT_TRUE(back->failures[i].alpha == s->failures[i].alpha);
     EXPECT_EQ(back->failures[i].reason, s->failures[i].reason);
   }
-  EXPECT_EQ(back->deps.num_secrets(), s->deps.num_secrets());
   EXPECT_EQ(back->deps.size(), s->deps.size());
   ASSERT_EQ(back->deps.runs().size(), s->deps.runs().size());
   for (std::size_t i = 0; i < s->deps.runs().size(); ++i) {
@@ -440,15 +438,14 @@ TEST(SummarySerial, RoundTripPreservesEveryField) {
     const verify::DepTable::Run& b = s->deps.runs()[i];
     EXPECT_EQ(a.k, b.k);
     EXPECT_EQ(a.begin, b.begin);
-    EXPECT_EQ(a.count, b.count);
     EXPECT_TRUE(a.masks == b.masks) << i;
   }
 }
 
-TEST(SummarySerial, V2RoundTripKeepsTheDependencyRunsFlat) {
+TEST(SummarySerial, RoundTripKeepsOneMaskPerCombination) {
   // A secure order-2 scan with several secrets: every passing combination's
-  // masks land in the v2 runs, count * num_secrets wide, and survive the
-  // round trip mask for mask.
+  // one share-space mask lands in the v3 runs and survives the round trip
+  // mask for mask.
   const circuit::Gadget g = gadgets::by_name("dom-2");
   verify::VerifyOptions opt;
   opt.order = 2;
@@ -465,53 +462,77 @@ TEST(SummarySerial, V2RoundTripKeepsTheDependencyRunsFlat) {
   ASSERT_GE(image->size(), 12u);
   EXPECT_EQ(image->compare(0, 8, std::string(kSummaryMagic, 8)), 0);
   EXPECT_EQ(static_cast<std::uint8_t>((*image)[8]), kSummaryFormatVersion);
-  EXPECT_EQ(kSummaryFormatVersion, 2u);
+  EXPECT_EQ(kSummaryFormatVersion, 3u);
 
   const std::shared_ptr<const verify::ConeSummary> s =
       deserialize_summary(*image);
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->deps.size(), r.stats.combinations);
   ASSERT_FALSE(s->deps.runs().empty());
-  for (const verify::DepTable::Run& run : s->deps.runs())
-    EXPECT_EQ(run.masks.size(), run.count * s->num_secrets);
   EXPECT_EQ(serialize_summary(*s), *image);
 }
 
 // The payload of `image`, the current encoding of `s`, without its trailing
-// dependency section (run count, then k, begin, count, mask count and the
-// masks of each run).
+// dependency section (run count, then k, begin, count and the masks of each
+// run).
 std::string payload_without_deps(const std::string& image,
                                  const verify::ConeSummary& s) {
   std::size_t deps = 8;
   for (const verify::DepTable::Run& run : s.deps.runs())
-    deps += 4 + 8 + 8 + 8 + run.masks.size() * sizeof(Mask);
+    deps += 4 + 8 + 8 + run.masks.size() * sizeof(Mask);
   std::string payload = image.substr(52);
   payload.resize(payload.size() - deps);
   return payload;
 }
 
-// Rewrites a current summary image's trailing dependency section in the v1
-// layout — one (k, rank, width, V) entry per combination — under version 1.
-// Every other payload byte is identical, so this is what a v1 writer
-// produced for the same scan.
-std::string downgrade_summary_to_v1(const std::string& image,
-                                    const verify::ConeSummary& s) {
-  const std::string payload = payload_without_deps(image, s);
-  ByteWriter deps;
-  deps.u64(s.deps.size());
-  const std::size_t S = s.num_secrets;
-  for (const verify::DepTable::Run& run : s.deps.runs())
-    for (std::uint64_t i = 0; i < run.count; ++i) {
-      deps.i32(run.k);
-      deps.u64(run.begin + i);
-      deps.u64(S);
-      for (std::size_t j = 0; j < S; ++j)
-        write_mask(deps, run.masks[i * S + j]);
-    }
-  return frame(kSummaryMagic, 1, payload + deps.bytes());
+// The same payload in the v1/v2 header layout, which carried the secret
+// count after the order.
+std::string old_payload_without_deps(const std::string& image,
+                                     const verify::ConeSummary& s,
+                                     std::uint32_t num_secrets) {
+  std::string payload = payload_without_deps(image, s);
+  ByteWriter count;
+  count.u32(num_secrets);
+  payload.insert(8, count.bytes());
+  return payload;
 }
 
-TEST(Store, V1SummaryLoadsAsQuarantinedMiss) {
+// Rewrites a current summary image in an old layout, with one mask per
+// secret for every combination: v1 stores one (k, rank, width, masks)
+// entry per combination, v2 one (k, begin, count, mask count, masks) record
+// per run.  Every other payload byte is identical, so this is what the old
+// writer produced for the same scan.
+std::string downgrade_summary(const std::string& image,
+                              const verify::ConeSummary& s,
+                              const std::vector<Mask>& secret_vars,
+                              std::uint32_t version) {
+  const std::size_t S = secret_vars.size();
+  ByteWriter deps;
+  deps.u64(version == 1 ? s.deps.size() : s.deps.runs().size());
+  for (const verify::DepTable::Run& run : s.deps.runs()) {
+    if (version == 2) {
+      deps.i32(run.k);
+      deps.u64(run.begin);
+      deps.u64(run.masks.size());
+      deps.u64(run.masks.size() * S);
+    }
+    for (std::uint64_t i = 0; i < run.masks.size(); ++i) {
+      if (version == 1) {
+        deps.i32(run.k);
+        deps.u64(run.begin + i);
+        deps.u64(S);
+      }
+      for (const Mask& group : secret_vars)
+        write_mask(deps, run.masks[i] & group);
+    }
+  }
+  return frame(kSummaryMagic, version,
+               old_payload_without_deps(image, s,
+                                        static_cast<std::uint32_t>(S)) +
+                   deps.bytes());
+}
+
+TEST(Store, OldSummaryFormatsLoadAsQuarantinedMisses) {
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
   opt.order = 1;
@@ -525,16 +546,27 @@ TEST(Store, V1SummaryLoadsAsQuarantinedMiss) {
       store.load_summary(*head);
   ASSERT_NE(s, nullptr);
   ASSERT_FALSE(s->deps.runs().empty());
-  const std::string v1 = downgrade_summary_to_v1(*store.get(*head), *s);
+  const std::vector<Mask> secret_vars =
+      build_basis_for(g, opt)->vars.secret_vars;
 
-  const std::string v1_key(64, 'b');
-  ASSERT_TRUE(store.put(v1_key, v1));
-  const ArtifactStore::Stats before = store.stats();
-  EXPECT_THROW(deserialize_summary(v1), SerializationError);
-  EXPECT_EQ(store.load_summary(v1_key), nullptr);
-  EXPECT_EQ(store.stats().hits, before.hits);
-  EXPECT_EQ(store.stats().quarantined, before.quarantined + 1);
-  EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v1_key));
+  // Both old layouts: v1 (one entry per combination) and v2 (runs of one
+  // mask per secret).
+  for (const std::uint32_t version : {1u, 2u}) {
+    const std::string old =
+        downgrade_summary(*store.get(*head), *s, secret_vars, version);
+    const std::string key(64, version == 1 ? 'b' : 'c');
+    ASSERT_TRUE(store.put(key, old));
+    const ArtifactStore::Stats before = store.stats();
+    EXPECT_THROW(deserialize_summary(old), SerializationError) << version;
+    EXPECT_EQ(store.load_summary(key), nullptr) << version;
+    EXPECT_EQ(store.stats().hits, before.hits) << version;
+    EXPECT_EQ(store.stats().quarantined, before.quarantined + 1) << version;
+    EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / key))
+        << version;
+  }
+  // The resubmission seeds from nothing old and still verifies.
+  StoreOutcome out;
+  EXPECT_TRUE(verify_with_store(g, opt, store, &out).secure);
 }
 
 TEST(SummarySerial, CorruptSummaryQuarantinesAsAMiss) {
@@ -603,7 +635,8 @@ TEST(SummarySerial, RejectsAlienFraming) {
   EXPECT_THROW(deserialize_basis(*image), SerializationError);
 }
 
-// One dependency run as the v2 encoder lays it out.
+// One dependency run as the v3 encoder lays it out; `masks` is written
+// after the run header, whatever `count` says.
 struct RawRun {
   std::int32_t k;
   std::uint64_t begin;
@@ -624,7 +657,6 @@ std::string with_dep_runs(const std::string& image,
     deps.i32(run.k);
     deps.u64(run.begin);
     deps.u64(run.count);
-    deps.u64(run.masks);
     const std::vector<Mask> zeros(run.masks);
     deps.masks(zeros.data(), zeros.size());
   }
@@ -634,9 +666,9 @@ std::string with_dep_runs(const std::string& image,
 TEST(SummarySerial, RejectsDependencyRunsOfTheWrongShape) {
   // Runs the plan would binary-search or index wrongly are hash-valid
   // (frame() wraps whatever it is given), so the reader refuses them: out of
-  // order, overlapping, empty, masks not count * num_secrets, past the old
-  // rank space C(n_old, k), or a size outside [1, order].  The store
-  // quarantines each as a miss.
+  // order, overlapping, empty, fewer masks than the count (the stream ends
+  // early) or more (trailing bytes), past the old rank space C(n_old, k),
+  // or a size outside [1, order].  The store quarantines each as a miss.
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
   opt.order = 1;
@@ -651,15 +683,13 @@ TEST(SummarySerial, RejectsDependencyRunsOfTheWrongShape) {
   ASSERT_NE(s, nullptr);
   ASSERT_FALSE(s->deps.runs().empty());
   const std::string image = *store.get(*head);
-  const std::size_t S = s->num_secrets;
   const std::uint64_t n_old = s->digests.size();
-  ASSERT_GE(S, 1u);
   ASSERT_GE(n_old, 3u);
 
   // Adjacent runs and a run ending exactly at C(n_old, 1) are well formed.
   for (const std::vector<RawRun>& ok :
-       {std::vector<RawRun>{{1, 0, 1, S}, {1, 1, 2, 2 * S}},
-        std::vector<RawRun>{{1, n_old - 2, 2, 2 * S}}}) {
+       {std::vector<RawRun>{{1, 0, 1, 1}, {1, 1, 2, 2}},
+        std::vector<RawRun>{{1, n_old - 2, 2, 2}}}) {
     const auto back = deserialize_summary(with_dep_runs(image, *s, ok));
     std::uint64_t entries = 0;
     for (const RawRun& run : ok) entries += run.count;
@@ -667,14 +697,14 @@ TEST(SummarySerial, RejectsDependencyRunsOfTheWrongShape) {
   }
 
   const std::vector<std::vector<RawRun>> hostile = {
-      {{1, 2, 1, S}, {1, 0, 1, S}},           // unsorted
-      {{1, 0, 2, 2 * S}, {1, 1, 1, S}},       // overlapping
+      {{1, 2, 1, 1}, {1, 0, 1, 1}},           // unsorted
+      {{1, 0, 2, 2}, {1, 1, 1, 1}},           // overlapping
       {{1, 0, 0, 0}},                         // empty
-      {{1, 0, 2, 2 * S - 1}},                 // short mask array
-      {{1, 0, 2, 2 * S + 1}},                 // long mask array
-      {{1, n_old - 1, 2, 2 * S}},             // past C(n_old, 1)
-      {{0, 0, 1, S}},                         // k below 1
-      {{s->order + 1, 0, 1, S}},              // k above the order
+      {{1, 0, 2, 1}},                         // short mask array
+      {{1, 0, 2, 3}},                         // long mask array
+      {{1, n_old - 1, 2, 2}},                 // past C(n_old, 1)
+      {{0, 0, 1, 1}},                         // k below 1
+      {{s->order + 1, 0, 1, 1}},              // k above the order
   };
   for (std::size_t i = 0; i < hostile.size(); ++i) {
     const std::string bad = with_dep_runs(image, *s, hostile[i]);

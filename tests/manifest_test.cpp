@@ -106,7 +106,6 @@ ScanManifest tiny_manifest() {
   m.options.engine = verify::EngineKind::kMAPI;
   m.needs.spectra = true;
   m.num_observables = 7;
-  m.num_secrets = 2;
   m.base_coefficients = 123;
   m.build_seconds = 0.25;
   m.frozen_nodes = 42;
@@ -127,7 +126,6 @@ TEST(Manifest, SerializationRoundTrip) {
   EXPECT_EQ(back.needs.spectra, m.needs.spectra);
   EXPECT_EQ(back.needs.lil, m.needs.lil);
   EXPECT_EQ(back.num_observables, m.num_observables);
-  EXPECT_EQ(back.num_secrets, m.num_secrets);
   EXPECT_EQ(back.base_coefficients, m.base_coefficients);
   EXPECT_EQ(back.frozen_nodes, m.frozen_nodes);
   EXPECT_EQ(back.frozen_bytes, m.frozen_bytes);
@@ -170,13 +168,11 @@ TEST(Manifest, PartialRoundTripWithFailureAndDeps) {
   p.fail_reason = "leaks s0";
   p.combinations = 6;
   p.coefficients = 99;
-  // Ranks 10..14 passed (two secrets each); 15 failed.
-  p.deps = {Mask::bit(1), Mask(),          Mask::bit(1), Mask(),
-            Mask::bit(2), Mask::bit(65),  Mask::bit(1), Mask(),
-            Mask::bit(2), Mask::bit(65)};
+  // Ranks 10..14 passed; 15 failed.
+  p.deps = {Mask::bit(1), Mask::bit(1), Mask::bit(2) | Mask::bit(65),
+            Mask::bit(1), Mask::bit(2) | Mask::bit(65)};
 
-  const verify::PartialReport back =
-      deserialize_partial(serialize_partial(p, 2), 2);
+  const verify::PartialReport back = deserialize_partial(serialize_partial(p));
   EXPECT_EQ(back.k, p.k);
   EXPECT_EQ(back.begin, p.begin);
   EXPECT_EQ(back.end, p.end);
@@ -199,26 +195,18 @@ TEST(Manifest, PartialRejectsRangesOutsideItsShard) {
   p.covered_end = 6;
   p.complete = true;
   p.deps = {Mask::bit(0), Mask::bit(1)};
-  EXPECT_NO_THROW(deserialize_partial(serialize_partial(p, 1), 1));
+  EXPECT_NO_THROW(deserialize_partial(serialize_partial(p)));
 
   verify::PartialReport bad = p;
   bad.covered_end = 9;  // past the shard's end
-  EXPECT_THROW(deserialize_partial(serialize_partial(bad, 1), 1),
-               SerializationError);
+  EXPECT_THROW(deserialize_partial(serialize_partial(bad)), SerializationError);
   bad = p;
   bad.covered_end = 5;  // two deps, one covered rank
-  EXPECT_THROW(deserialize_partial(serialize_partial(bad, 1), 1),
-               SerializationError);
+  EXPECT_THROW(deserialize_partial(serialize_partial(bad)), SerializationError);
   bad = p;
   bad.has_failure = true;
   bad.fail_rank = 6;  // not a covered rank
-  EXPECT_THROW(deserialize_partial(serialize_partial(bad, 1), 1),
-               SerializationError);
-  // A dependency section that is not whole S-mask entries cannot be
-  // written.
-  bad = p;
-  bad.deps.push_back(Mask());
-  EXPECT_THROW(serialize_partial(bad, 2), SerializationError);
+  EXPECT_THROW(deserialize_partial(serialize_partial(bad)), SerializationError);
 }
 
 TEST(ScanDirTest, SwappedCheckpointFilesAreRejected) {
@@ -233,7 +221,7 @@ TEST(ScanDirTest, SwappedCheckpointFilesAreRejected) {
     p.covered_end = shard.end;
     p.complete = true;
     p.combinations = shard.size();
-    p.deps.assign(2 * shard.size(), Mask::bit(static_cast<int>(i)));
+    p.deps.assign(shard.size(), Mask::bit(static_cast<int>(i)));
     ASSERT_TRUE(scan.write_checkpoint(i, p));
   }
   ASSERT_TRUE(scan.read_checkpoint(0).has_value());
@@ -256,7 +244,66 @@ TEST(Manifest, IncompletePartialRefusesToSerialize) {
   p.end = 4;
   p.covered_end = 2;
   p.complete = false;  // interrupted mid-shard
-  EXPECT_THROW(serialize_partial(p, 1), SerializationError);
+  EXPECT_THROW(serialize_partial(p), SerializationError);
+}
+
+// Images from before one dependency mask per combination: SANIPAR v4 (a
+// secret count, S masks per dictionary entry, rank deltas) and SANIMAN v3
+// (a secret count).  There is no read path for them: the decoders refuse
+// each with SerializationError, the typed error the scan readers report,
+// never a crash.  (Re-planning never meets an old manifest: the version is
+// part of the manifest key, so the job lands in a fresh directory.)
+TEST(Manifest, OldFormatImagesAreRejectedWithATypedError) {
+  TempDir tmp("old");
+  ScanDir scan = ScanDir::create(tmp.str() + "/scan", tiny_manifest());
+
+  // SANIPAR v4 of shard 0 (size 1, ranks [0, 4)): every rank passed, with
+  // one mask per secret of two.
+  ByteWriter w;
+  w.str(scan.manifest().trace_id);
+  w.i32(1);
+  w.u64(0);
+  w.u64(4);
+  w.u64(4);
+  w.u8(0);  // no failure
+  w.u64(4);  // combinations
+  w.u64(0);
+  w.u64(0);
+  w.u64(0);
+  w.f64(0.0);
+  w.f64(0.0);
+  w.u32(2);  // secrets
+  w.u64(4);  // dependencies
+  w.u64(1);  // distinct mask vectors
+  write_mask(w, Mask::bit(0));
+  write_mask(w, Mask::bit(3));
+  for (int i = 0; i < 4; ++i) {
+    w.vu64(i == 0 ? 0 : 1);  // rank delta
+    w.vu64(0);               // dictionary index
+  }
+  const std::string v4 = frame(kPartialMagic, 4, w.bytes());
+  EXPECT_THROW(deserialize_partial(v4), SerializationError);
+  std::ofstream(fs::path(scan.dir()) / "parts" / "000000.part",
+                std::ios::binary)
+      << v4;
+  EXPECT_THROW(scan.read_checkpoint(0), SerializationError);
+
+  // SANIMAN v3: the current payload plus the secret count after the
+  // observable count (three length-prefixed strings, 26 option bytes, 4
+  // needs flags, then the u64 count).
+  const ScanManifest m = tiny_manifest();
+  std::string payload = serialize_manifest(m).substr(52);
+  const std::size_t at = 3 * 4 + m.label.size() + m.canonical_ilang.size() +
+                         m.basis_key.size() + 26 + 4 + 8;
+  ByteWriter secrets;
+  secrets.u32(2);
+  payload.insert(at, secrets.bytes());
+  const std::string v3 = frame(kManifestMagic, 3, payload);
+  EXPECT_THROW(deserialize_manifest(v3), SerializationError);
+  const fs::path old_dir = fs::path(tmp.str()) / "old_scan";
+  fs::create_directories(old_dir);
+  std::ofstream(old_dir / "manifest", std::ios::binary) << v3;
+  EXPECT_THROW(ScanDir::open(old_dir.string()), SerializationError);
 }
 
 TEST(ScanDirTest, CreateIsIdempotentAndGuardsForeignManifest) {
@@ -608,10 +655,10 @@ TEST(Manifest, PartialTraceIdMismatchThrows) {
   p.covered_end = 4;
   p.complete = true;
   p.combinations = 4;
-  const std::string image = serialize_partial(p, 1, "aaaabbbbccccdddd");
-  EXPECT_NO_THROW(deserialize_partial(image, 1));  // no expectation: tolerant
-  EXPECT_NO_THROW(deserialize_partial(image, 1, "aaaabbbbccccdddd"));
-  EXPECT_THROW(deserialize_partial(image, 1, "0000111122223333"),
+  const std::string image = serialize_partial(p, "aaaabbbbccccdddd");
+  EXPECT_NO_THROW(deserialize_partial(image));  // no expectation: tolerant
+  EXPECT_NO_THROW(deserialize_partial(image, "aaaabbbbccccdddd"));
+  EXPECT_THROW(deserialize_partial(image, "0000111122223333"),
                SerializationError);
 }
 

@@ -37,8 +37,8 @@ TEST_P(PredicateVsChecker, AgreeOnAllCoordinates) {
   row.num_observables = 2;
   row.num_internal = internal_probes;
   row.num_outputs = row.num_observables - internal_probes;
-  if (row.num_outputs >= 1) row.output_indices.insert(0);
-  if (row.num_outputs >= 2) row.output_indices.insert(1);
+  if (row.num_outputs >= 1) row.output_mask |= 1;
+  if (row.num_outputs >= 2) row.output_mask |= 2;
 
   dd::Bdd region;
   switch (notion) {
@@ -50,7 +50,7 @@ TEST_P(PredicateVsChecker, AgreeOnAllCoordinates) {
       region = preds.probing_violation();
       break;
     case Notion::kPINI:
-      region = preds.pini_violation(row.output_indices, row.num_internal);
+      region = preds.pini_violation(row.output_mask, row.num_internal);
       break;
   }
 

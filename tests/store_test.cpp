@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -532,6 +533,39 @@ TEST(Store, IndexSurvivesReopenAndAdoptsOrphans) {
     EXPECT_EQ(store.stats().objects, 2u);
     EXPECT_EQ(store.get(k2), "world");
   }
+}
+
+TEST(Store, IndexIsWrittenOncePerSessionByFlush) {
+  TempDir dir("flush");
+  const std::string payload(1000, 'p');
+  const std::string k1(64, '1'), k2(64, '2'), k3(64, '3');
+  const fs::path index = fs::path(dir.str()) / "index";
+  auto read_index = [&] {
+    std::ifstream in(index);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  {
+    ArtifactStore store({dir.str(), 0});
+    ASSERT_TRUE(store.put(k1, payload));
+    ASSERT_TRUE(store.put(k2, payload));
+    EXPECT_FALSE(fs::exists(index));  // not per put: on flush or close
+  }
+  const std::string closed = read_index();
+  EXPECT_NE(closed.find(k1), std::string::npos);
+  EXPECT_NE(closed.find(k2), std::string::npos);
+
+  ArtifactStore reader({dir.str(), 0});
+  EXPECT_TRUE(reader.get(k1).has_value());  // k1 is now more recent than k2
+  EXPECT_EQ(read_index(), closed);
+  reader.flush();
+  EXPECT_NE(read_index(), closed);
+
+  // A later instance sees the flushed recency: k2 is the LRU victim.
+  ArtifactStore capped({dir.str(), 2500});
+  ASSERT_TRUE(capped.put(k3, payload));
+  EXPECT_TRUE(capped.contains(k1));
+  EXPECT_FALSE(capped.contains(k2));
+  EXPECT_TRUE(capped.contains(k3));
 }
 
 // ---------------------------------------------------------------------------

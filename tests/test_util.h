@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "circuit/builder.h"
 #include "dd/bdd.h"
 #include "dd/manager.h"
 
@@ -51,6 +52,20 @@ inline dd::Bdd bdd_from_truth_table(dd::Manager& m,
     f |= minterm;
   }
   return f;
+}
+
+/// z = a ^ b share-wise over 21 shares: 42 share coordinates and no
+/// randoms, two over the 40 the LIL/MAP forbidden-region enumeration spans.
+/// Every output share reveals one share of each input with no internal
+/// probe placed, so the gadget is not 1-SNI.
+inline circuit::Gadget wide_xor() {
+  circuit::GadgetBuilder b("wide_xor");
+  const std::vector<circuit::WireId> a = b.secret("a", 21);
+  const std::vector<circuit::WireId> c = b.secret("b", 21);
+  std::vector<circuit::WireId> z;
+  for (int i = 0; i < 21; ++i) z.push_back(b.xor_(a[i], c[i]));
+  b.output_group("z", z);
+  return b.build();
 }
 
 }  // namespace sani::test

@@ -29,8 +29,8 @@ namespace {
 struct Instance {
   std::shared_ptr<Basis> basis;
   VerifyOptions options;
-  // own[k][rank]: the S masks recorded for the size-k combination `rank`.
-  std::map<int, std::vector<std::vector<Mask>>> own;
+  // own[k][rank]: the mask recorded for the size-k combination `rank`.
+  std::map<int, std::vector<Mask>> own;
 };
 
 Instance random_instance(std::uint32_t seed) {
@@ -84,14 +84,11 @@ Instance random_instance(std::uint32_t seed) {
   constexpr int kPercent[] = {2, 5, 10, 25};
   const int percent = kPercent[pick(0, 3)];
   for (int k = 1; k <= opt.order; ++k) {
-    std::vector<std::vector<Mask>>& table = in.own[k];
+    std::vector<Mask>& table = in.own[k];
     table.resize(binomial(N, k));
-    for (std::vector<Mask>& V : table) {
-      V.assign(static_cast<std::size_t>(S), Mask{});
-      for (int s = 0; s < S; ++s)
-        for (int j = 0; j < d; ++j)
-          if (pick(0, 99) < percent) V[static_cast<std::size_t>(s)].set(s * d + j);
-    }
+    for (Mask& V : table)
+      for (int v = 0; v < S * d; ++v)
+        if (pick(0, 99) < percent) V.set(v);
   }
   in.basis = std::move(basis);
   return in;
@@ -113,15 +110,13 @@ VerifyResult reference_union_pass(const Instance& in) {
   std::sort(combos.begin(), combos.end());
   VerifyResult result;
   for (const std::vector<int>& q : combos) {
-    std::vector<Mask> V(basis.vars.secret_vars.size());
+    Mask V;
     const std::size_t k = q.size();
     for (std::size_t sel = 1; sel < (std::size_t{1} << k); ++sel) {
       std::vector<int> sub;
       for (std::size_t j = 0; j < k; ++j)
         if (sel & (std::size_t{1} << j)) sub.push_back(q[j]);
-      const std::vector<Mask>& own =
-          in.own.at(static_cast<int>(sub.size()))[combination_rank(N, sub)];
-      for (std::size_t s = 0; s < V.size(); ++s) V[s] |= own[s];
+      V |= in.own.at(static_cast<int>(sub.size()))[combination_rank(N, sub)];
     }
     std::string reason;
     if (checker.union_violates(V, context_for_combo(basis, q), &reason)) {
@@ -129,7 +124,7 @@ VerifyResult reference_union_pass(const Instance& in) {
       CounterExample ce;
       for (int i : q)
         ce.observables.push_back(basis.obs[static_cast<std::size_t>(i)].name);
-      for (const Mask& v : V) ce.alpha |= v;
+      ce.alpha = V;
       ce.reason = "set-level dependency check failed: " + reason;
       result.counterexample = std::move(ce);
       return result;
@@ -154,8 +149,8 @@ VerifyResult assembled_union_pass(const Instance& in, std::uint32_t seed) {
       p.covered_end = end;
       p.complete = true;
       p.combinations = end - begin;
-      for (std::uint64_t r = begin; r < end; ++r)
-        p.deps.insert(p.deps.end(), table[r].begin(), table[r].end());
+      p.deps.assign(table.begin() + static_cast<std::ptrdiff_t>(begin),
+                    table.begin() + static_cast<std::ptrdiff_t>(end));
       parts.push_back(std::move(p));
       begin = end;
     }
