@@ -135,8 +135,7 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
                 (!prior || verify::summary_checked_count(*prior) < checked);
     }
     if (publish) {
-      const bool saved = store.save_summary(skey, summary) &&
-                         store.set_family_head(family, skey);
+      const bool saved = store.publish_summary(family, skey, summary);
       if (outcome) outcome->summary_saved = saved;
     }
   }

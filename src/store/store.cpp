@@ -171,6 +171,14 @@ bool ArtifactStore::put(const std::string& key, const std::string& bytes) {
   if (!valid_key(key))
     throw std::invalid_argument("ArtifactStore: malformed key '" + key + "'");
   std::lock_guard<std::mutex> lock(mu_);
+  if (!insert_locked(key, bytes)) return false;
+  evict_to_cap();
+  publish_gauges();
+  return true;
+}
+
+bool ArtifactStore::insert_locked(const std::string& key,
+                                  const std::string& bytes) {
   const fs::path path = object_path(key);
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
@@ -185,10 +193,19 @@ bool ArtifactStore::put(const std::string& key, const std::string& bytes) {
   // to the LRU sweep (a Basis saved at request start has to survive until
   // the matching summary lands, however much unrelated traffic intervenes).
   pinned_.insert(key);
-  evict_to_cap();
   index_dirty_ = true;
-  publish_gauges();
   return true;
+}
+
+void ArtifactStore::remove_locked(const std::string& key) {
+  std::error_code ec;
+  fs::remove(object_path(key), ec);
+  entries_.erase(
+      std::remove_if(entries_.begin(), entries_.end(),
+                     [&](const auto& kv) { return kv.first == key; }),
+      entries_.end());
+  pinned_.erase(key);
+  index_dirty_ = true;
 }
 
 void ArtifactStore::evict_to_cap() {
@@ -205,9 +222,7 @@ void ArtifactStore::evict_to_cap() {
         victim = it;
     }
     if (victim == entries_.end()) return;
-    std::error_code ec;
-    fs::remove(object_path(victim->first), ec);
-    entries_.erase(victim);
+    remove_locked(std::string(victim->first));
     ++stats_.evictions;
     obs::Metrics::instance().counter("store.evictions").add();
   }
@@ -283,15 +298,8 @@ std::shared_ptr<const verify::ConeSummary> ArtifactStore::load_summary(
   }
 }
 
-bool ArtifactStore::save_summary(const std::string& key,
-                                 const verify::ConeSummary& summary) {
-  return put(key, serialize_summary(summary));
-}
-
-std::optional<std::string> ArtifactStore::family_head(
+std::optional<std::string> ArtifactStore::head_locked(
     const std::string& family_key) const {
-  if (!valid_key(family_key)) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mu_);
   std::string head;
   if (!read_file(fs::path(dir_) / "heads" / family_key, &head))
     return std::nullopt;
@@ -302,16 +310,36 @@ std::optional<std::string> ArtifactStore::family_head(
   return head;
 }
 
-bool ArtifactStore::set_family_head(const std::string& family_key,
-                                    const std::string& object_key) {
+std::optional<std::string> ArtifactStore::family_head(
+    const std::string& family_key) const {
+  if (!valid_key(family_key)) return std::nullopt;
+  std::lock_guard<std::mutex> lock(mu_);
+  return head_locked(family_key);
+}
+
+bool ArtifactStore::publish_summary(const std::string& family_key,
+                                    const std::string& key,
+                                    const verify::ConeSummary& summary) {
   if (!valid_key(family_key))
     throw std::invalid_argument("ArtifactStore: malformed family key '" +
                                 family_key + "'");
-  if (!valid_key(object_key))
-    throw std::invalid_argument("ArtifactStore: malformed head key '" +
-                                object_key + "'");
+  if (!valid_key(key))
+    throw std::invalid_argument("ArtifactStore: malformed key '" + key + "'");
+  const std::string bytes = serialize_summary(summary);
   std::lock_guard<std::mutex> lock(mu_);
-  return write_file_atomic(fs::path(dir_) / "heads" / family_key, object_key);
+  const std::optional<std::string> superseded = head_locked(family_key);
+  // The object goes in place before the head names it, so a reader
+  // following the head always finds it (or a clean miss once superseded).
+  const bool published =
+      insert_locked(key, bytes) &&
+      write_file_atomic(fs::path(dir_) / "heads" / family_key, key);
+  // Only heads are read, so the summary the head named before is dead
+  // whoever wrote it: drop it before the sweep weighs live objects.
+  if (published && superseded && *superseded != key)
+    remove_locked(*superseded);
+  evict_to_cap();
+  publish_gauges();
+  return published;
 }
 
 bool ArtifactStore::contains(const std::string& key) const {

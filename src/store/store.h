@@ -20,7 +20,10 @@
 //   heads/<family_key>        pointer file naming the newest cone-summary
 //                             object for one (gadget family, probe model,
 //                             notion) line — the incremental scan's "nearest
-//                             prior run" lookup (store/cached_verify.h)
+//                             prior run" lookup (store/cached_verify.h).
+//                             Heads are the only way a summary is read, so
+//                             publishing a new one deletes the one it
+//                             supersedes: every stored summary is live
 //   index                     text index: "key size last_used" per line,
 //                             rewritten atomically once per session (by
 //                             flush() or on destruction), not per access
@@ -49,7 +52,10 @@
 // request start must still be there when the matching summary lands, and a
 // summary must survive until its family head points at it).  Pins are
 // process-local and die with the process — a later daemon run sees them as
-// ordinary LRU entries.
+// ordinary LRU entries.  A pin does not outlive its summary's usefulness:
+// publish_summary() deletes the superseded summary of the family whether
+// or not this instance pinned it, before the sweep runs, so a long-lived
+// daemon instance and a store opened per request keep the same live set.
 //
 // All operations take an internal mutex: one store instance is shared by
 // every daemon executor thread.  Counters (store.hits / store.misses /
@@ -117,20 +123,20 @@ class ArtifactStore {
   std::shared_ptr<const verify::ConeSummary> load_summary(
       const std::string& key);
 
-  /// serialize + put() for a cone summary.
-  bool save_summary(const std::string& key,
-                    const verify::ConeSummary& summary);
-
   /// The summary object key the family pointer currently names, or nullopt
   /// when the family has no prior summary (or the pointer is malformed).
   std::optional<std::string> family_head(const std::string& family_key) const;
 
-  /// Atomically repoints heads/<family_key> at `object_key`.  Called only
-  /// after the summary object itself is durably in place, so a reader
-  /// following the head always finds the object (or a clean miss if it was
-  /// since evicted).
-  bool set_family_head(const std::string& family_key,
-                       const std::string& object_key);
+  /// Publishes a family's newest cone summary: serializes it to object
+  /// `key`, atomically repoints heads/<family_key> at it, deletes the
+  /// summary object the head named before (pinned or not: a summary is
+  /// only ever read through its family head, so a superseded one is dead),
+  /// and only then LRU-sweeps to the cap, so the sweep never evicts a live
+  /// object while a dead one remains.  A reader that followed the old head
+  /// just before the deletion gets a plain miss.  False if the object or
+  /// the head could not be written.
+  bool publish_summary(const std::string& family_key, const std::string& key,
+                       const verify::ConeSummary& summary);
 
   bool contains(const std::string& key) const;
 
@@ -157,6 +163,11 @@ class ArtifactStore {
 
   std::string object_path(const std::string& key) const;
   void load_index();
+  // The *_locked helpers expect mu_ held.  insert_locked writes and pins
+  // an object without sweeping; remove_locked deletes one outright.
+  bool insert_locked(const std::string& key, const std::string& bytes);
+  void remove_locked(const std::string& key);
+  std::optional<std::string> head_locked(const std::string& family_key) const;
   void evict_to_cap();
   void quarantine(const std::string& key);
   void publish_gauges() const;

@@ -1,6 +1,7 @@
 #include "util/combinations.h"
 
 #include <limits>
+#include <vector>
 
 namespace sani {
 
@@ -33,17 +34,49 @@ bool next_combination(std::vector<int>& combo, int n) {
   return true;
 }
 
+namespace {
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+// Pascal's triangle, saturating, for n < kPascalRows and k < kPascalCols
+// (k folded to min(k, n - k)).  A folded k >= 34 implies n >= 68, where
+// C(n, k) >= C(68, 34) > UINT64_MAX saturates anyway.
+constexpr int kPascalRows = 1024;
+constexpr int kPascalCols = 34;
+
+const std::uint64_t* pascal() {
+  static const std::vector<std::uint64_t> table = [] {
+    std::vector<std::uint64_t> t(
+        static_cast<std::size_t>(kPascalRows * kPascalCols), 0);
+    auto at = [&t](int n, int k) -> std::uint64_t& {
+      return t[static_cast<std::size_t>(n * kPascalCols + k)];
+    };
+    for (int n = 0; n < kPascalRows; ++n) {
+      at(n, 0) = 1;
+      for (int k = 1; k <= n && k < kPascalCols; ++k) {
+        const std::uint64_t a = at(n - 1, k - 1), b = at(n - 1, k);
+        at(n, k) = a > kMaxU64 - b ? kMaxU64 : a + b;
+      }
+    }
+    return t;
+  }();
+  return table.data();
+}
+
+}  // namespace
+
 std::uint64_t binomial(int n, int k) {
   if (k < 0 || k > n) return 0;
   if (k > n - k) k = n - k;
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t r = 1;
+  if (n < kPascalRows)
+    return k < kPascalCols ? pascal()[n * kPascalCols + k] : kMaxU64;
+  // Rows past the table: C(n - k + i, i) stays exact in 128 bits.
+  unsigned __int128 r = 1;
   for (int i = 1; i <= k; ++i) {
-    std::uint64_t num = static_cast<std::uint64_t>(n - k + i);
-    if (r > kMax / num) return kMax;  // saturate
-    r = r * num / static_cast<std::uint64_t>(i);
+    r = r * static_cast<unsigned>(n - k + i) / static_cast<unsigned>(i);
+    if (r > kMaxU64) return kMaxU64;
   }
-  return r;
+  return static_cast<std::uint64_t>(r);
 }
 
 std::uint64_t count_lex_before(int n, int k, const std::vector<int>& combo) {
@@ -85,11 +118,10 @@ std::vector<int> unrank_combination(int n, int k, std::uint64_t rank) {
 }
 
 std::uint64_t count_combinations_up_to(int n, int d) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t total = 0;
   for (int k = 1; k <= d && k <= n; ++k) {
     std::uint64_t c = binomial(n, k);
-    if (total > kMax - c) return kMax;
+    if (total > kMaxU64 - c) return kMaxU64;
     total += c;
   }
   return total;

@@ -48,7 +48,8 @@ class CombinationIter {
 /// last size-|combo| subset of {0..n-1}.
 bool next_combination(std::vector<int>& combo, int n);
 
-/// Binomial coefficient C(n, k) saturating at UINT64_MAX.
+/// Binomial coefficient C(n, k) saturating at UINT64_MAX.  A table lookup
+/// for n < 1024, so rank arithmetic in the scan needs no division.
 std::uint64_t binomial(int n, int k);
 
 /// Number of subsets of {0..n-1} of size between 1 and d (saturating).

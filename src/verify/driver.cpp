@@ -75,16 +75,18 @@ void Driver::prepare() {
 }
 
 std::optional<Driver::CheckFailure> Driver::check_combo(
-    const std::vector<int>& combo, std::vector<Mask>& deps) {
+    const std::vector<int>& combo, std::uint64_t rank,
+    std::vector<Mask>& deps) {
   ++stats_.combinations;
   if (options_.progress) options_.progress->tick();
+  const int k = static_cast<int>(combo.size());
   if (plan_) {
     const IncrementalPlan::Classification c =
         plan_->classify(combo, plan_scratch_);
     if (c.kind != IncrementalPlan::Kind::kDirty) {
       ++stats_.incremental.combinations_skipped;
       if (c.kind == IncrementalPlan::Kind::kCleanPass) {
-        if (collector_) collector_->note_pass(combo);
+        if (collector_) collector_->note_pass(k, rank);
         // Splice the replayed dependency mask in, so the union pass
         // consumes exactly the table a cold run would have built.
         if (c.V) deps.push_back(*c.V);
@@ -92,7 +94,7 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
       }
       CheckFailure failure{c.fail->alpha, c.fail->reason};
       if (collector_)
-        collector_->note_fail(combo, failure.alpha, failure.reason);
+        collector_->note_fail(k, rank, failure.alpha, failure.reason);
       return failure;
     }
     ++stats_.incremental.combinations_rechecked;
@@ -118,9 +120,9 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
   }
   if (collector_) {
     if (failure)
-      collector_->note_fail(path_, failure->alpha, failure->reason);
+      collector_->note_fail(k, rank, failure->alpha, failure->reason);
     else
-      collector_->note_pass(path_);
+      collector_->note_pass(k, rank);
   }
   return failure;
 }
@@ -195,7 +197,7 @@ void Driver::run_shard_partial(
         cancel_->acknowledge();
         break;
       }
-      if (auto failure = check_combo(combo, part.deps)) {
+      if (auto failure = check_combo(combo, r, part.deps)) {
         part.has_failure = true;
         part.fail_rank = r;
         part.fail_alpha = failure->alpha;

@@ -115,15 +115,16 @@ class Driver {
   /// on first use.
   void prepare();
 
-  /// Checks one combination, with the diff-aware
-  /// classification in front: clean combinations replay their recorded
-  /// verdict without touching the backend; dirty ones sync the prefix stack
-  /// and check for real.  A passing combination's dependency mask is
-  /// appended to `deps` (union-checking notions only).  Ticks the progress
-  /// meter, records the outcome into the collector and (when a metrics
-  /// export was requested) samples the check latency into the per-rank
-  /// histogram.
+  /// Checks one combination, of lexicographic rank `rank` among its size
+  /// class, with the diff-aware classification in front: clean
+  /// combinations replay their recorded verdict without touching the
+  /// backend; dirty ones sync the prefix stack and check for real.  A
+  /// passing combination's dependency mask is appended to `deps`
+  /// (union-checking notions only).  Ticks the progress meter, records the
+  /// outcome into the collector and (when a metrics export was requested)
+  /// samples the check latency into the per-rank histogram.
   std::optional<CheckFailure> check_combo(const std::vector<int>& combo,
+                                         std::uint64_t rank,
                                          std::vector<Mask>& deps);
 
   /// The backend check of path_; its dependency mask on a pass.

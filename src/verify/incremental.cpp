@@ -45,26 +45,21 @@ SummaryCollector::SummaryCollector(int num_observables, int order)
   }
 }
 
-void SummaryCollector::note(const std::vector<int>& combo, bool passed) {
-  const int k = static_cast<int>(combo.size());
+void SummaryCollector::note(int k, std::uint64_t rank, bool passed) {
   if (k < 1 || k > order_) return;
   ConeSummary::Table& t = tables_[static_cast<std::size_t>(k - 1)];
   if (!t.present) return;
-  const std::uint64_t rank = combination_rank(n_, combo);
   set_bit(t.checked, rank);
   if (passed) set_bit(t.passed, rank);
 }
 
-void SummaryCollector::note_fail(const std::vector<int>& combo,
-                                 const Mask& alpha,
+void SummaryCollector::note_fail(int k, std::uint64_t rank, const Mask& alpha,
                                  const std::string& reason) {
-  note(combo, false);
-  const int k = static_cast<int>(combo.size());
+  note(k, rank, false);
   if (k < 1 || k > order_ ||
       !tables_[static_cast<std::size_t>(k - 1)].present)
     return;
-  failures_.push_back(ConeSummary::Failure{
-      k, combination_rank(n_, combo), alpha, reason});
+  failures_.push_back(ConeSummary::Failure{k, rank, alpha, reason});
 }
 
 void SummaryCollector::merge_from(const SummaryCollector& other) {

@@ -91,8 +91,9 @@ class SummaryCollector {
  public:
   SummaryCollector(int num_observables, int order);
 
-  void note_pass(const std::vector<int>& combo) { note(combo, true); }
-  void note_fail(const std::vector<int>& combo, const Mask& alpha,
+  /// Outcomes of the size-k combination of lexicographic rank `rank`.
+  void note_pass(int k, std::uint64_t rank) { note(k, rank, true); }
+  void note_fail(int k, std::uint64_t rank, const Mask& alpha,
                  const std::string& reason);
   void merge_from(const SummaryCollector& other);
 
@@ -102,7 +103,7 @@ class SummaryCollector {
                                   SummaryCollector&& collector,
                                   DepTable&& deps);
 
-  void note(const std::vector<int>& combo, bool passed);
+  void note(int k, std::uint64_t rank, bool passed);
 
   int n_ = 0;
   int order_ = 0;

@@ -22,22 +22,15 @@ void union_pass(const Basis& basis, const Checker& checker,
   const int N = static_cast<int>(basis.size());
   const std::vector<DepTable::Run>& runs = deps.runs();
   const int top = runs.empty() ? 0 : runs.back().k;
-  // C(n, j) for n <= N, j <= top, and the lexicographic rank of q minus
-  // its element at `skip` (combination_rank's telescoped sum).
-  std::vector<std::uint64_t> C(static_cast<std::size_t>((N + 1) * (top + 1)));
-  for (int n = 0; n <= N; ++n)
-    for (int j = 0; j <= top; ++j)
-      C[static_cast<std::size_t>(n * (top + 1) + j)] = binomial(n, j);
-  const auto choose = [&](int n, int j) {
-    return C[static_cast<std::size_t>(n * (top + 1) + j)];
-  };
+  // The lexicographic rank of q minus its element at `skip`
+  // (combination_rank's telescoped sum).
   const auto rank_without = [&](const std::vector<int>& q, std::size_t skip) {
     const int m = static_cast<int>(q.size()) - 1;
     std::uint64_t rank = 0;
     int prev = -1, i = 0;
     for (std::size_t p = 0; p < q.size(); ++p) {
       if (p == skip) continue;
-      rank += choose(N - 1 - prev, m - i) - choose(N - q[p], m - i);
+      rank += binomial(N - 1 - prev, m - i) - binomial(N - q[p], m - i);
       prev = q[p];
       ++i;
     }
@@ -59,7 +52,7 @@ void union_pass(const Basis& basis, const Checker& checker,
     // Each class starts at {0..k-1}, a proper extension of the previous
     // class's start: once that is not before the witness, nothing later is.
     if (best && !(combo < best->combo)) break;
-    const std::uint64_t ranks = choose(N, k);
+    const std::uint64_t ranks = binomial(N, k);
     std::vector<Mask> cur(k < top ? ranks : 0);
     closure_peak = std::max(closure_peak,
                             (prev.capacity() + cur.capacity()) * sizeof(Mask));

@@ -6,14 +6,13 @@
 namespace sani::verify {
 
 int suggest_unfold_cache_bits(const circuit::Gadget& gadget, int ceiling) {
-  // Unfolding performs O(gates) apply operations, each touching O(live
-  // nodes) cache slots, with live nodes roughly gates * inputs for these
-  // workloads.
-  const circuit::NetlistStats s = gadget.netlist.stats();
-  const double work = static_cast<double>(s.num_gates) *
-                          static_cast<double>(s.num_inputs + 1) * 16.0 +
-                      1024.0;
-  const int bits = static_cast<int>(std::ceil(std::log2(work)));
+  // The unfolding makes one apply per gate, and the live diagram it builds
+  // stays within a few hundred to a few thousand nodes on these workloads,
+  // so about 64 computed-table entries per gate keep the hit rate without
+  // zeroing megabytes a short request never touches.
+  const double work =
+      static_cast<double>(gadget.netlist.stats().num_gates) * 64.0;
+  const int bits = static_cast<int>(std::ceil(std::log2(std::max(work, 1.0))));
   return std::clamp(bits, 10, std::max(10, ceiling));
 }
 

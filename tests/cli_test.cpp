@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "circuit/ilang.h"
@@ -116,6 +117,24 @@ TEST(Cli, RegionLimitIsOneLineUsageErrorInScanWorkers) {
       run_sani("verify --file " + file.string() + " --order 1 --engine map");
   EXPECT_EQ(run.exit_code, 64);
   EXPECT_EQ(run.err, want);
+}
+
+TEST(Cli, VerifyTraceRecordsTheParseSpan) {
+  // The tracer starts before the input is read, so a traced `verify
+  // --file` run shows the ILANG parse next to the later phases.
+  const ScratchDir dir("trace");
+  const fs::path file = dir.path / "dom1.il";
+  const fs::path trace = dir.path / "trace.json";
+  std::ofstream(file) << circuit::write_ilang_string(gadgets::by_name("dom-1"));
+  const CliRun run = run_sani("verify --file " + file.string() +
+                              " --order 1 --trace " + trace.string());
+  ASSERT_EQ(run.exit_code, 0) << run.err;
+  std::ifstream in(trace);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"parse\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"unfold\""), std::string::npos) << json;
 }
 
 }  // namespace

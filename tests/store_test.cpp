@@ -568,6 +568,164 @@ TEST(Store, IndexIsWrittenOncePerSessionByFlush) {
   EXPECT_TRUE(capped.contains(k3));
 }
 
+// A cone summary is read only through its family head, so moving the head
+// deletes the summary it named: pinned by this instance or not, and before
+// the LRU sweep weighs what is left.
+TEST(Store, HeadMoveDeletesTheSupersededSummary) {
+  TempDir dir("supersede");
+  const std::string family(64, 'f');
+  const std::string basis(64, 'b'), a(64, 'a'), b(64, 'c'), c(64, 'd');
+  verify::ConeSummary summary;
+  summary.order = 1;
+  auto on_disk = [&](const std::string& key) {
+    return fs::exists(fs::path(dir.str()) / "objects" / key.substr(0, 2) /
+                      key.substr(2));
+  };
+  {
+    ArtifactStore store({dir.str(), 0});
+    ASSERT_TRUE(store.put(basis, std::string(1000, 'p')));
+    ASSERT_TRUE(store.publish_summary(family, a, summary));
+    EXPECT_EQ(store.family_head(family), a);
+    // `a` is pinned by this instance and still goes.
+    ASSERT_TRUE(store.publish_summary(family, b, summary));
+    EXPECT_EQ(store.family_head(family), b);
+    EXPECT_FALSE(store.contains(a));
+    EXPECT_FALSE(on_disk(a));
+    EXPECT_TRUE(store.contains(b));
+    EXPECT_TRUE(store.contains(basis));
+    // Republishing the head's own key deletes nothing.
+    ASSERT_TRUE(store.publish_summary(family, b, summary));
+    EXPECT_TRUE(store.contains(b));
+    EXPECT_EQ(store.stats().evictions, 0u);
+  }
+  // A later instance, which never pinned `b`, deletes it the same way, and
+  // before its sweep: capped at the basis plus one summary, it evicts
+  // nothing, where a sweep first would have taken the older basis.
+  const std::uint64_t cap = 1000 + serialize_summary(summary).size();
+  ArtifactStore store({dir.str(), cap});
+  ASSERT_TRUE(store.publish_summary(family, c, summary));
+  EXPECT_FALSE(store.contains(b));
+  EXPECT_FALSE(on_disk(b));
+  EXPECT_TRUE(store.contains(c));
+  EXPECT_TRUE(store.contains(basis));
+  EXPECT_TRUE(on_disk(basis));
+  EXPECT_EQ(store.stats().objects, 2u);
+  EXPECT_EQ(store.stats().evictions, 0u);
+}
+
+TEST(Store, LoadOfADeletedSummaryIsAPlainMiss) {
+  TempDir dir("deleted");
+  const std::string family(64, 'f');
+  const std::string a(64, 'a'), b(64, 'c');
+  verify::ConeSummary summary;
+  summary.order = 1;
+  ArtifactStore writer({dir.str(), 0});
+  ASSERT_TRUE(writer.publish_summary(family, a, summary));
+  // A second instance learns of `a` before the writer moves the head: its
+  // read after the deletion loses the race and must be an ordinary miss.
+  ArtifactStore reader({dir.str(), 0});
+  ASSERT_TRUE(reader.contains(a));
+  ASSERT_TRUE(writer.publish_summary(family, b, summary));
+  EXPECT_EQ(reader.load_summary(a), nullptr);
+  EXPECT_EQ(writer.load_summary(a), nullptr);
+  EXPECT_EQ(reader.stats().misses, 1u);
+  EXPECT_EQ(reader.stats().quarantined, 0u);
+  EXPECT_EQ(writer.stats().quarantined, 0u);
+  EXPECT_TRUE(fs::is_empty(fs::path(dir.str()) / "quarantine"));
+  EXPECT_NE(ArtifactStore({dir.str(), 0}).load_summary(b), nullptr);
+}
+
+// Every net renamed, port groups included: the canonical text (hence the
+// artifact key) changes while no cone does.
+circuit::Gadget renamed_ports(const circuit::Gadget& g, int step) {
+  const std::string prefix = "r" + std::to_string(step) + "_";
+  circuit::Gadget out = circuit::with_renamed_wires(g, prefix);
+  for (auto* groups : {&out.spec.secrets, &out.spec.outputs})
+    for (circuit::ShareGroup& group : *groups) group.name = prefix + group.name;
+  return out;
+}
+
+// Two gadget families edited in alternation through a store capped at
+// twice its seeded bytes, one store instance per request (as each `sani
+// verify --store` process opens it), three requests per edit: the edited
+// revision, the same text again, and a port-renamed copy.  Dead summaries
+// must not crowd out the live heads: every edit after the first seeds its
+// scan from the family's previous summary.
+TEST(Store, CappedAlternatingEditChainKeepsBothHeads) {
+  TempDir dir("chain");
+  struct Family {
+    std::string name;
+    circuit::Gadget current;
+    std::vector<circuit::WireId> swappable;
+  };
+  std::vector<Family> families;
+  for (const std::string name : {"keccak-2", "dom-3"}) {
+    Family f{name, gadgets::by_name(name), {}};
+    const circuit::Netlist& nl = f.current.netlist;
+    for (circuit::WireId w = 0; w < nl.num_wires(); ++w) {
+      const circuit::GateNode& node = nl.node(w);
+      if (node.arity() != 2 || node.fanin[0] == node.fanin[1]) continue;
+      try {
+        circuit::with_swapped_fanins(f.current, w);
+        f.swappable.push_back(w);
+      } catch (const std::invalid_argument&) {
+      }
+    }
+    ASSERT_GE(f.swappable.size(), 8u) << name;
+    families.push_back(std::move(f));
+  }
+  auto options_for = [](const std::string& name) {
+    verify::VerifyOptions opt;
+    opt.notion = verify::Notion::kSNI;
+    opt.order = gadgets::security_level(name);
+    opt.incremental = true;
+    return opt;
+  };
+  auto submit = [&](const circuit::Gadget& g, const std::string& name,
+                    std::uint64_t cap) {
+    ArtifactStore store({dir.str(), cap});
+    StoreOutcome out;
+    const verify::VerifyResult r =
+        verify_with_store(g, options_for(name), store, &out);
+    EXPECT_TRUE(r.secure) << name;
+    return std::make_pair(out, r.stats.incremental.cones_reused);
+  };
+
+  for (const Family& f : families) submit(f.current, f.name, 0);
+  const std::uint64_t cap =
+      2 * ArtifactStore({dir.str(), 0}).stats().total_bytes;
+
+  constexpr int kSteps = 10;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    Family& f = families[static_cast<std::size_t>(step) % families.size()];
+    // Swap a gate no earlier step of this family swapped, so every write
+    // is a text the chain has not submitted.
+    f.current = circuit::with_swapped_fanins(
+        f.current, f.swappable[static_cast<std::size_t>(step / 2)]);
+    const auto [write, write_reused] = submit(f.current, f.name, cap);
+    EXPECT_FALSE(write.hit);
+    EXPECT_TRUE(write.summary_hit);
+    EXPECT_GT(write_reused, 0u);
+    EXPECT_TRUE(write.summary_saved);
+    const StoreOutcome read = submit(f.current, f.name, cap).first;
+    EXPECT_TRUE(read.hit);
+    EXPECT_TRUE(read.summary_hit);
+    const StoreOutcome renamed =
+        submit(renamed_ports(f.current, step), f.name, cap).first;
+    EXPECT_TRUE(renamed.summary_hit);
+  }
+
+  ArtifactStore store({dir.str(), cap});
+  for (const Family& f : families) {
+    const auto head =
+        store.family_head(summary_family_key(f.current, options_for(f.name)));
+    ASSERT_TRUE(head.has_value()) << f.name;
+    EXPECT_TRUE(store.contains(*head)) << f.name;
+    EXPECT_NE(store.load_summary(*head), nullptr) << f.name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Content keys
 // ---------------------------------------------------------------------------

@@ -548,6 +548,9 @@ int main(int argc, char** argv) {
       const std::string metrics_path = args.value_or("metrics-out", "");
       const bool json_format = args.value_or("format", "text") == "json";
 
+      // The trace covers the parse too.  start() clears the rings, so it
+      // runs exactly once, before load().
+      if (!trace_path.empty()) obs::Tracer::instance().start();
       circuit::Gadget g = load(args, &label);
       verify::VerifyOptions opt = options_from(args);
 
@@ -557,7 +560,6 @@ int main(int argc, char** argv) {
       // by itself.
       if (!metrics_path.empty() || (json_format && !opt.deterministic_report))
         obs::Metrics::instance().enable();
-      if (!trace_path.empty()) obs::Tracer::instance().start();
 
       obs::Progress::Options prog_options;
       prog_options.use_stderr = obs::Progress::stderr_is_tty();
