@@ -112,13 +112,16 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
   result.stats.incremental.cones_total = static_cast<std::uint64_t>(n);
   if (plan) result.stats.incremental.cones_reused = plan->cones_reused();
 
-  const std::string skey = summary_object_key(family, key);
-  // An unchanged resubmission: the head already names this revision's
-  // summary and every verdict was replayed from it, so the summary this run
-  // would write records nothing that object lacks — leave it (and the head)
-  // untouched rather than rewrite the same coverage.
-  const bool unchanged = plan && head == skey && !result.timed_out &&
-                         result.stats.incremental.combinations_rechecked == 0;
+  // Nothing to write: every cone kept its index and every verdict was
+  // replayed from the head's summary, so the summary this run would write
+  // holds the same digests and records nothing that object lacks.  That
+  // covers an unchanged resubmission and a renamed one alike — leave the
+  // summary and the head untouched.
+  const bool unchanged =
+      plan && plan->layout_preserving() &&
+      plan->cones_reused() == static_cast<std::uint64_t>(n) &&
+      !result.timed_out &&
+      result.stats.incremental.combinations_rechecked == 0;
   if (collect && !unchanged) {
     const verify::ConeSummary summary = verify::make_summary(
         *basis, options, std::move(collector), std::move(deps));
@@ -135,7 +138,8 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
                 (!prior || verify::summary_checked_count(*prior) < checked);
     }
     if (publish) {
-      const bool saved = store.publish_summary(family, skey, summary);
+      const bool saved = store.publish_summary(
+          family, summary_object_key(family, key), summary);
       if (outcome) outcome->summary_saved = saved;
     }
   }

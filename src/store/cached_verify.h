@@ -91,9 +91,10 @@ struct StoreOutcome {
 /// summary and repoints the family head at it.  A timed-out run publishes
 /// its checked prefix only when that covers more ranks than the head does
 /// (unchecked ranks classify dirty, but a short run must not displace a
-/// more complete head).  An unchanged resubmission — the head already
-/// names this revision's summary, which seeded the run, and nothing was
-/// re-checked — writes nothing (summary_saved stays false).  Both halves
+/// more complete head).  A resubmission whose every cone kept its index
+/// and whose every verdict was replayed from the head's summary — an
+/// unchanged or merely renamed netlist — writes nothing (summary_saved
+/// stays false; the head keeps naming the summary it seeded from).  Both halves
 /// are best-effort: no prior summary, a quarantined one, or a plan
 /// rejection just mean a cold scan.
 verify::VerifyResult verify_with_store(const circuit::Gadget& gadget,

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <unordered_set>
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -28,13 +29,16 @@ bool valid_key(const std::string& key) {
   return true;
 }
 
+// One copy: size the string from the open file and read straight into it.
 bool read_file(const fs::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return static_cast<bool>(in);
+  const std::streamoff size = in.tellg();
+  if (size < 0) return false;
+  in.seekg(0);
+  out->resize(static_cast<std::size_t>(size));
+  in.read(out->data(), size);
+  return in.gcount() == size;
 }
 
 // Atomic publication: write a dot-tmp sibling, then rename into place.  The
@@ -95,10 +99,11 @@ void ArtifactStore::load_index() {
   }
   // Reconcile with the filesystem: drop index entries whose object vanished,
   // adopt objects the index never heard of (e.g. after an index loss).
+  std::unordered_set<std::string> known;
   for (const auto& [key, entry] : indexed) {
     std::error_code ec;
     const auto size = fs::file_size(object_path(key), ec);
-    if (ec) continue;
+    if (ec || !known.insert(key).second) continue;
     Entry e = entry;
     e.size = size;
     entries_.emplace_back(key, e);
@@ -113,12 +118,11 @@ void ArtifactStore::load_index() {
       if (!name.empty() && name.front() == '.') continue;  // stale tmp
       const std::string key = shard.path().filename().string() + name;
       if (!valid_key(key)) continue;
-      bool known = false;
-      for (const auto& [k, e] : entries_) known = known || k == key;
-      if (known) continue;
+      if (known.count(key)) continue;
       std::error_code size_ec;
       const auto size = fs::file_size(file.path(), size_ec);
       if (size_ec) continue;
+      known.insert(key);
       entries_.emplace_back(key, Entry{size, 0});
     }
   }

@@ -82,7 +82,7 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
   const int k = static_cast<int>(combo.size());
   if (plan_) {
     const IncrementalPlan::Classification c =
-        plan_->classify(combo, plan_scratch_);
+        plan_->classify(combo, rank, plan_scratch_);
     if (c.kind != IncrementalPlan::Kind::kDirty) {
       ++stats_.incremental.combinations_skipped;
       if (c.kind == IncrementalPlan::Kind::kCleanPass) {

@@ -136,15 +136,20 @@ std::optional<IncrementalPlan> IncrementalPlan::build(
   for (std::size_t i = 0; i < s.digests.size(); ++i)
     by_digest.emplace(s.digests[i], static_cast<std::int32_t>(i));
 
+  // Layout-preserving: a new combination's rank is its old rank, so
+  // classify() can skip the re-ranking (the common resubmission — an edit
+  // or a rename keeps the observable order).
+  plan.layout_preserving_ = basis.cones.digests.size() == s.digests.size();
   plan.old_index_.reserve(basis.cones.digests.size());
   for (const circuit::ConeDigest& d : basis.cones.digests) {
     const auto it = by_digest.find(d);
-    if (it == by_digest.end()) {
-      plan.old_index_.push_back(-1);
-    } else {
-      plan.old_index_.push_back(it->second);
+    const std::int32_t old = it == by_digest.end() ? -1 : it->second;
+    if (old >= 0) {
       ++plan.cones_reused_;
+      if (old != static_cast<std::int32_t>(plan.old_index_.size()))
+        plan.layout_preserving_ = false;
     }
+    plan.old_index_.push_back(old);
   }
 
   for (const ConeSummary::Failure& f : s.failures)
@@ -153,25 +158,35 @@ std::optional<IncrementalPlan> IncrementalPlan::build(
 }
 
 IncrementalPlan::Classification IncrementalPlan::classify(
-    const std::vector<int>& combo, std::vector<int>& scratch) const {
-  Classification c;
+    const std::vector<int>& combo, std::uint64_t rank,
+    std::vector<int>& scratch) const {
+  if (layout_preserving_) {
+    for (int i : combo)
+      if (old_index_[static_cast<std::size_t>(i)] < 0) return {};
+    return lookup(static_cast<int>(combo.size()), rank);
+  }
   scratch.clear();
   for (int i : combo) {
     const std::int32_t old = old_index_[static_cast<std::size_t>(i)];
-    if (old < 0) return c;
+    if (old < 0) return {};
     scratch.push_back(old);
   }
   std::sort(scratch.begin(), scratch.end());
   // Distinct new observables can share a digest when dedupe is off; such a
   // combination has no old counterpart of the same size — re-check it.
   if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end())
-    return c;
-  const int k = static_cast<int>(scratch.size());
+    return {};
+  return lookup(static_cast<int>(scratch.size()),
+                combination_rank(old_n_, scratch));
+}
+
+IncrementalPlan::Classification IncrementalPlan::lookup(
+    int k, std::uint64_t rank) const {
+  Classification c;
   if (k < 1 || k > summary_->order) return c;
   const ConeSummary::Table& t =
       summary_->tables[static_cast<std::size_t>(k - 1)];
   if (!t.present) return c;
-  const std::uint64_t rank = combination_rank(old_n_, scratch);
   if (rank >= t.num_ranks || !bit(t.checked, rank)) return c;
   if (bit(t.passed, rank)) {
     if (need_deps_) {

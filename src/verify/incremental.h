@@ -145,19 +145,32 @@ class IncrementalPlan {
     const ConeSummary::Failure* fail = nullptr;
   };
 
-  /// Classifies one combination of *new* observable indices.  Thread-safe.
-  Classification classify(const std::vector<int>& combo,
+  /// Classifies one combination of *new* observable indices, `rank` being
+  /// its lexicographic rank among the new size-|combo| combinations.  On a
+  /// layout-preserving plan that rank is the old one too, so only the
+  /// members' match flags are read; otherwise the members are mapped, sorted
+  /// and re-ranked in the old index space (`scratch` is caller-owned).
+  /// Thread-safe.
+  Classification classify(const std::vector<int>& combo, std::uint64_t rank,
                           std::vector<int>& scratch) const;
 
   /// New observables whose digest matched an old one.
   std::uint64_t cones_reused() const { return cones_reused_; }
 
+  /// True when the summary's observables keep their indices: the same
+  /// count, and every matched new observable at its old index.
+  bool layout_preserving() const { return layout_preserving_; }
+
  private:
+  /// The recorded outcome of old size-k rank `rank`.
+  Classification lookup(int k, std::uint64_t rank) const;
+
   std::shared_ptr<const ConeSummary> summary_;
   std::vector<std::int32_t> old_index_;  // per new observable; -1 unmatched
   std::uint64_t cones_reused_ = 0;
   int old_n_ = 0;
   bool need_deps_ = false;
+  bool layout_preserving_ = false;
   // (rank << 6 | k) lookups.
   std::unordered_map<std::uint64_t, const ConeSummary::Failure*> failures_;
 };

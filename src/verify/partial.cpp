@@ -36,6 +36,16 @@ void union_pass(const Basis& basis, const Checker& checker,
     }
     return rank;
   };
+  // Each observable's row role, in one flat array the tests of every Q read.
+  struct Role {
+    bool output;
+    int share;
+  };
+  std::vector<Role> roles;
+  roles.reserve(basis.obs.size());
+  for (const ObservableInfo& o : basis.obs)
+    roles.push_back({o.kind == Observable::Kind::kOutput,
+                     o.output_share_index});
 
   struct Witness {
     std::vector<int> combo;
@@ -44,6 +54,8 @@ void union_pass(const Basis& basis, const Checker& checker,
   };
   std::optional<Witness> best;
   std::vector<Mask> prev;  // closed V of class k-1, one mask per rank
+  // sub[j]: the rank of combo minus combo[j] (empty while k == 1).
+  std::vector<std::uint64_t> sub;
   std::size_t closure_peak = 0;
   auto run = runs.begin();
   for (int k = 1; k <= top; ++k) {
@@ -56,6 +68,13 @@ void union_pass(const Basis& basis, const Checker& checker,
     std::vector<Mask> cur(k < top ? ranks : 0);
     closure_peak = std::max(closure_peak,
                             (prev.capacity() + cur.capacity()) * sizeof(Mask));
+    const auto rank_subs = [&] {
+      if (k == 1) return;  // the empty sub-combination has no closure
+      sub.resize(combo.size());
+      for (std::size_t j = 0; j < combo.size(); ++j)
+        sub[j] = rank_without(combo, j);
+    };
+    rank_subs();
     for (std::uint64_t r = 0; r < ranks; ++r) {
       if (cancel && cancel->expired()) {
         result.timed_out = true;
@@ -68,21 +87,31 @@ void union_pass(const Basis& basis, const Checker& checker,
         ++run;
       const bool recorded = run != runs.end() && run->k == k && run->begin <= r;
       Mask V = recorded ? run->masks[r - run->begin] : Mask{};
-      if (k > 1)
-        for (std::size_t j = 0; j < combo.size(); ++j)
-          V |= prev[rank_without(combo, j)];
+      for (const std::uint64_t s : sub) V |= prev[s];
       if (!cur.empty()) cur[r] = V;
       // The witness is the lexicographic minimum over all classes; ranks
       // ascend lexicographically, so a class's first violation is its least.
       if (recorded && (!best || combo < best->combo)) {
+        RowContext row;
+        for (int i : combo) {
+          const Role& role = roles[static_cast<std::size_t>(i)];
+          row.add(role.output, role.share);
+        }
         std::string reason;
-        if (checker.union_violates(V, context_for_combo(basis, combo),
-                                   &reason)) {
+        if (checker.union_violates(V, row, &reason)) {
           best = Witness{combo, V, std::move(reason)};
           if (cur.empty()) break;
         }
       }
-      next_combination(combo, N);
+      // When only the last element advances, every sub-combination that
+      // keeps it moves up one rank and the one that drops it stays; any
+      // other step re-ranks them all.
+      if (combo.back() + 1 < N) {
+        ++combo.back();
+        for (std::size_t j = 0; j + 1 < sub.size(); ++j) ++sub[j];
+      } else if (next_combination(combo, N)) {
+        rank_subs();
+      }
     }
     prev = std::move(cur);
   }

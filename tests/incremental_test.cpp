@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -360,7 +362,7 @@ TEST_F(PlanGuardTest, RejectsSemanticMismatches) {
     ASSERT_TRUE(plan.has_value());
     std::vector<int> scratch;
     const std::vector<int> big(static_cast<std::size_t>(o.order), 0);
-    EXPECT_EQ(plan->classify(big, scratch).kind,
+    EXPECT_EQ(plan->classify(big, 0, scratch).kind,
               verify::IncrementalPlan::Kind::kDirty);
   }
 }
@@ -792,6 +794,233 @@ TEST(Incremental, HigherOrderResubmissionStillWrites) {
       store.load_summary(*head);
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->order, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Replay by rank, and renamed resubmissions
+// ---------------------------------------------------------------------------
+
+/// Every net and every port group renamed: the canonical text (hence the
+/// Basis artifact key) changes, no cone digest and no observable index does.
+circuit::Gadget renamed_ports(const circuit::Gadget& g,
+                              const std::string& prefix) {
+  circuit::Gadget out = circuit::with_renamed_wires(g, prefix);
+  for (auto* groups : {&out.spec.secrets, &out.spec.outputs})
+    for (circuit::ShareGroup& group : *groups) group.name = prefix + group.name;
+  return out;
+}
+
+/// `g` with one extra gate, AND of the first two randoms, placed right after
+/// the second: a fresh probe early in wire order, so every later probe
+/// moves up one observable index.
+circuit::Gadget with_early_probe(const circuit::Gadget& g) {
+  const circuit::Netlist& nl = g.netlist;
+  const circuit::WireId r0 = g.spec.randoms.at(0);
+  const circuit::WireId r1 = g.spec.randoms.at(1);
+  const circuit::WireId at = std::max(r0, r1) + 1;
+  const auto moved = [at](circuit::WireId w) {
+    return w == circuit::kNoWire || w < at ? w : w + 1;
+  };
+  circuit::Netlist out(nl.name());
+  for (circuit::WireId w = 0; w < nl.num_wires(); ++w) {
+    if (w == at) out.add(circuit::GateKind::kAnd, "early_probe", r0, r1);
+    const circuit::GateNode& node = nl.node(w);
+    out.add(node.kind, node.name, moved(node.fanin[0]), moved(node.fanin[1]),
+            moved(node.fanin[2]));
+  }
+  for (circuit::WireId w : nl.outputs()) out.add_output(moved(w));
+  circuit::SecuritySpec spec = g.spec;
+  for (auto* groups : {&spec.secrets, &spec.outputs})
+    for (circuit::ShareGroup& group : *groups)
+      for (circuit::WireId& w : group.shares) w = moved(w);
+  for (auto* wires : {&spec.randoms, &spec.publics})
+    for (circuit::WireId& w : *wires) w = moved(w);
+  circuit::Gadget edited{std::move(out), std::move(spec)};
+  edited.validate();
+  return edited;
+}
+
+/// The plan `g` would scan against: the family head's summary over `g`'s
+/// Basis (nullopt when the store has no head or the plan is rejected).
+std::optional<verify::IncrementalPlan> plan_for(
+    const circuit::Gadget& g, const verify::VerifyOptions& opt,
+    ArtifactStore& store) {
+  const auto head = store.family_head(summary_family_key(g, opt));
+  if (!head) return std::nullopt;
+  return verify::IncrementalPlan::build(*build_basis_for(g, opt),
+                                        store.load_summary(*head), opt);
+}
+
+/// The serialized summary the family head of `g` names.
+std::string head_summary(const circuit::Gadget& g,
+                         const verify::VerifyOptions& opt,
+                         ArtifactStore& store) {
+  const auto head = store.family_head(summary_family_key(g, opt));
+  if (!head) return "";
+  const std::shared_ptr<const verify::ConeSummary> s =
+      store.load_summary(*head);
+  return s ? serialize_summary(*s) : "";
+}
+
+/// What a cold scan of `g` in a fresh store reports and records.
+struct ColdRun {
+  std::string report;   // deterministic JSON report
+  std::string summary;  // serialized cone summary
+};
+
+ColdRun cold_run(const std::string& name, const circuit::Gadget& g,
+                 const verify::VerifyOptions& opt) {
+  TempDir dir("cold_ref");
+  ArtifactStore store({dir.str(), 0});
+  StoreOutcome o;
+  const verify::VerifyResult r = verify_with_store(g, opt, store, &o);
+  EXPECT_FALSE(o.summary_hit) << name;
+  return {verify::json_report(name, opt, r, 1.0), head_summary(g, opt, store)};
+}
+
+TEST(Incremental, LayoutPreservingReplayMatchesCold) {
+  // perfbench's resubmission chain: an edit (write), the same text again
+  // (read) and its port-renamed twin (rename).  Each keeps every
+  // observable's index, so the plan replays by the scan's own rank.
+  for (const std::string name : {"keccak-2", "dom-3"}) {
+    SCOPED_TRACE(name);
+    const circuit::Gadget g = gadgets::by_name(name);
+    const circuit::Gadget edited =
+        circuit::with_swapped_fanins(g, circuit::first_swappable_gate(g));
+    const circuit::Gadget renamed = renamed_ports(edited, "p_");
+    verify::VerifyOptions opt;
+    opt.order = gadgets::security_level(name);
+    opt.deterministic_report = true;
+    opt.incremental = true;
+
+    TempDir dir("layout");
+    ArtifactStore store({dir.str(), 0});
+    StoreOutcome seed;
+    verify_with_store(g, opt, store, &seed);
+    ASSERT_TRUE(seed.summary_saved);
+
+    struct Step {
+      const char* what;
+      const circuit::Gadget* gadget;
+      bool saves;
+    };
+    for (const Step& step : {Step{"write", &edited, true},
+                             Step{"read", &edited, false},
+                             Step{"rename", &renamed, false}}) {
+      SCOPED_TRACE(step.what);
+      const std::optional<verify::IncrementalPlan> plan =
+          plan_for(*step.gadget, opt, store);
+      ASSERT_TRUE(plan.has_value());
+      EXPECT_TRUE(plan->layout_preserving());
+      StoreOutcome o;
+      const verify::VerifyResult r =
+          verify_with_store(*step.gadget, opt, store, &o);
+      EXPECT_TRUE(o.summary_hit);
+      EXPECT_EQ(o.summary_saved, step.saves);
+      EXPECT_GT(r.stats.incremental.combinations_skipped, 0u);
+      if (!step.saves) {
+        EXPECT_EQ(r.stats.incremental.combinations_rechecked, 0u);
+      }
+      // The head's summary — rewritten or kept — is the cold run's, bit for
+      // bit and mask for mask.
+      const ColdRun cold = cold_run(name, *step.gadget, opt);
+      EXPECT_EQ(verify::json_report(name, opt, r, 2.0), cold.report);
+      EXPECT_EQ(head_summary(*step.gadget, opt, store), cold.summary);
+    }
+  }
+}
+
+TEST(Incremental, PermutedLayoutTakesTheRemapPath) {
+  // An extra probe early in wire order shifts every later observable's
+  // index: the plan has to map, sort and re-rank each combination, and the
+  // result must still be the cold one.
+  for (const std::string name : {"dom-3", "keccak-2"}) {
+    SCOPED_TRACE(name);
+    const circuit::Gadget g = gadgets::by_name(name);
+    const circuit::Gadget grown = with_early_probe(g);
+    verify::VerifyOptions opt;
+    opt.order = 2;
+    opt.deterministic_report = true;
+    opt.incremental = true;
+
+    TempDir dir("permuted");
+    ArtifactStore store({dir.str(), 0});
+    verify_with_store(g, opt, store, nullptr);
+    const std::optional<verify::IncrementalPlan> plan =
+        plan_for(grown, opt, store);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_FALSE(plan->layout_preserving());
+
+    StoreOutcome o;
+    const verify::VerifyResult r = verify_with_store(grown, opt, store, &o);
+    EXPECT_TRUE(o.summary_hit);
+    EXPECT_TRUE(o.summary_saved);
+    EXPECT_GT(r.stats.incremental.combinations_skipped, 0u);
+    EXPECT_GT(r.stats.incremental.combinations_rechecked, 0u);
+    EXPECT_LT(r.stats.incremental.cones_reused,
+              r.stats.incremental.cones_total);
+    // The summary it wrote holds the cold run's bitmaps and dependency
+    // masks: a combination replayed from the wrong old rank would splice in
+    // another combination's mask.
+    const ColdRun cold = cold_run(name, grown, opt);
+    EXPECT_EQ(verify::json_report(name, opt, r, 2.0), cold.report);
+    EXPECT_EQ(head_summary(grown, opt, store), cold.summary);
+  }
+}
+
+/// Every file under `sub` of a store directory, path -> bytes.
+std::map<std::string, std::string> tree_bytes(const std::string& dir,
+                                              const std::string& sub) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : fs::recursive_directory_iterator(fs::path(dir) / sub))
+    if (e.is_regular_file())
+      files[fs::relative(e.path(), dir).string()] = file_bytes(e.path());
+  return files;
+}
+
+TEST(Incremental, RenamedResubmissionWritesNothing) {
+  // A renamed netlist is a new Basis artifact, but its summary would be
+  // the head's all over again: only the Basis object may appear.
+  const circuit::Gadget g = gadgets::by_name("keccak-2");
+  const circuit::Gadget renamed = renamed_ports(g, "p_");
+  verify::VerifyOptions opt;
+  opt.order = 2;
+  opt.deterministic_report = true;
+  opt.incremental = true;
+
+  TempDir dir("renamed");
+  ArtifactStore store({dir.str(), 0});
+  StoreOutcome first;
+  const verify::VerifyResult r_first = verify_with_store(g, opt, store, &first);
+  ASSERT_TRUE(first.summary_saved);
+  const std::string family = summary_family_key(g, opt);
+  ASSERT_EQ(summary_family_key(renamed, opt), family);
+  const auto head = store.family_head(family);
+  ASSERT_TRUE(head.has_value());
+  const std::map<std::string, std::string> objects =
+      tree_bytes(dir.str(), "objects");
+  const std::map<std::string, std::string> heads =
+      tree_bytes(dir.str(), "heads");
+
+  StoreOutcome again;
+  const verify::VerifyResult r_again =
+      verify_with_store(renamed, opt, store, &again);
+  EXPECT_FALSE(again.hit);
+  EXPECT_TRUE(again.saved);
+  EXPECT_TRUE(again.summary_hit);
+  EXPECT_FALSE(again.summary_saved);
+  EXPECT_EQ(r_again.stats.incremental.combinations_rechecked, 0u);
+  EXPECT_EQ(r_again.secure, r_first.secure);
+  EXPECT_EQ(store.family_head(family), head);
+  EXPECT_EQ(tree_bytes(dir.str(), "heads"), heads);
+  // Every object keeps its bytes; the one new object is the renamed Basis.
+  std::map<std::string, std::string> after = tree_bytes(dir.str(), "objects");
+  const std::string basis_object =
+      (fs::path("objects") / again.key.substr(0, 2) / again.key.substr(2))
+          .string();
+  ASSERT_EQ(after.count(basis_object), 1u);
+  after.erase(basis_object);
+  EXPECT_EQ(after, objects);
 }
 
 }  // namespace

@@ -33,7 +33,8 @@ struct Instance {
   std::map<int, std::vector<Mask>> own;
 };
 
-Instance random_instance(std::uint32_t seed) {
+/// A random instance whose table covers sizes 1..order.
+Instance random_instance(std::uint32_t seed, int order) {
   std::mt19937 rng(seed);
   const auto pick = [&](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
@@ -55,7 +56,7 @@ Instance random_instance(std::uint32_t seed) {
   vars.random_vars = Mask::bit(S * d) | Mask::bit(S * d + 1);
   vars.num_vars = S * d + 2;
 
-  const int N = pick(1, 9);
+  const int N = pick(order, 9);
   for (int i = 0; i < N; ++i) {
     ObservableInfo o;
     o.name = "o" + std::to_string(i);
@@ -73,7 +74,7 @@ Instance random_instance(std::uint32_t seed) {
   VerifyOptions& opt = in.options;
   constexpr Notion kNotions[] = {Notion::kNI, Notion::kSNI, Notion::kPINI};
   opt.notion = kNotions[pick(0, 2)];
-  opt.order = pick(1, std::min(4, N));
+  opt.order = order;
   opt.joint_share_count = opt.notion != Notion::kPINI && pick(0, 3) == 0;
   opt.search_order =
       pick(0, 1) ? SearchOrder::kLargestFirst : SearchOrder::kDepthFirst;
@@ -162,11 +163,20 @@ VerifyResult assembled_union_pass(const Instance& in, std::uint32_t seed) {
 }
 
 TEST(UnionPass, ClosureMatchesTheSubCombinationWalk) {
-  int insecure = 0;
-  int deep_witnesses = 0;  // |Q| >= 2: decided by the closure
+  // Every order 1..4 in turn.  The pass keeps each combination's sub-ranks
+  // across steps that advance only the last element and re-ranks them when
+  // the last element wraps, so the tallies make sure that insecure tables
+  // occur at every order and that witnesses sit both right after a wrap
+  // and mid-run.
+  constexpr int kOrders = 4;
+  int insecure[kOrders + 1] = {};
+  int secure[kOrders + 1] = {};
+  int after_wrap = 0;  // witness Q reached by moving an earlier element
+  int mid_run = 0;     // witness Q reached by moving only the last element
   constexpr std::uint32_t kSeeds = 400;
   for (std::uint32_t seed = 0; seed < kSeeds; ++seed) {
-    const Instance in = random_instance(seed);
+    const int order = 1 + static_cast<int>(seed % kOrders);
+    const Instance in = random_instance(seed, order);
     const VerifyResult want = reference_union_pass(in);
     const VerifyResult got = assembled_union_pass(in, seed * 7919 + 1);
     const std::string ctx = "seed " + std::to_string(seed) + " N=" +
@@ -179,19 +189,32 @@ TEST(UnionPass, ClosureMatchesTheSubCombinationWalk) {
     for (const auto& [k, table] : in.own) entries += table.size();
     EXPECT_EQ(got.stats.qinfo_entries, entries) << ctx;
     EXPECT_GT(got.stats.qinfo_peak_bytes, 0u) << ctx;
-    if (want.secure) continue;
-    ++insecure;
+    if (want.secure) {
+      ++secure[order];
+      continue;
+    }
+    ++insecure[order];
     ASSERT_TRUE(got.counterexample.has_value()) << ctx;
     EXPECT_EQ(got.counterexample->observables, want.counterexample->observables)
         << ctx;
     EXPECT_EQ(got.counterexample->alpha, want.counterexample->alpha) << ctx;
     EXPECT_EQ(got.counterexample->reason, want.counterexample->reason) << ctx;
-    if (want.counterexample->observables.size() >= 2) ++deep_witnesses;
+    // Observable i is named "o<i>"; a size-k witness other than {0..k-1}
+    // follows a wrap exactly when its last two elements are adjacent.
+    std::vector<int> q;
+    for (const std::string& name : want.counterexample->observables)
+      q.push_back(std::stoi(name.substr(1)));
+    const std::size_t k = q.size();
+    if (k >= 2 && q.back() != static_cast<int>(k) - 1)
+      ++(q[k - 1] == q[k - 2] + 1 ? after_wrap : mid_run);
   }
-  // Both verdicts, and witnesses above size 1, must actually occur.
-  EXPECT_GT(insecure, static_cast<int>(kSeeds) / 10);
-  EXPECT_LT(insecure, static_cast<int>(kSeeds) * 9 / 10);
-  EXPECT_GT(deep_witnesses, 10);
+  for (int order = 1; order <= kOrders; ++order) {
+    SCOPED_TRACE("order " + std::to_string(order));
+    EXPECT_GT(insecure[order], 5);
+    EXPECT_GT(secure[order], 5);
+  }
+  EXPECT_GT(after_wrap, 5);
+  EXPECT_GT(mid_run, 5);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,22 @@ TEST(Mask, ForEachBitAscending) {
   m.for_each_bit([&](int i) { bits.push_back(i); });
   EXPECT_EQ(bits, (std::vector<int>{5, 9, 64}));
   EXPECT_EQ(m.to_string(), "{5,9,64}");
+}
+
+TEST(Mask, PopcountMatchesABitLoop) {
+  // Seeded masks of every density, so both words and the empty and full
+  // ends are covered whichever instruction popcount compiles to.
+  std::mt19937_64 rng(20221);
+  for (int i = 0; i < 4096; ++i) {
+    Mask m{rng(), rng()};
+    const int thin = i % 4;  // AND in up to three more words: sparser masks
+    for (int t = 0; t < thin; ++t) m &= Mask{rng(), rng()};
+    if (i % 97 == 0) m = Mask{};
+    if (i % 89 == 0) m = Mask::first_n(128);
+    int bits = 0;
+    for (int b = 0; b < Mask::kMaxBits; ++b) bits += m.test(b) ? 1 : 0;
+    ASSERT_EQ(m.popcount(), bits) << m.to_string();
+  }
 }
 
 TEST(Mask, OrderingIsTotal) {
