@@ -22,8 +22,9 @@
 // convolution, add_check, union, gc, sift, the scheduler's per-task "task"
 // spans, and the fleet phases added with checkpointable scans and the
 // daemon: claim, checkpoint_write, checkpoint_load, finalize,
-// admission_wait.  Counter events (ph:"C") sample the DD ManagerStats
-// (live nodes, arena bytes, cache hit rate) and the enumeration progress.
+// admission_wait, and the artifact store's store_open.  Counter events
+// (ph:"C") sample the DD ManagerStats (live nodes, arena bytes, cache hit
+// rate) and the enumeration progress.
 //
 // Thread ids in the emitted trace are small dense integers assigned on each
 // thread's first event; sched::Pool labels its workers "worker N" via

@@ -94,12 +94,14 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
   const int n = static_cast<int>(basis->size());
   verify::SummaryCollector collector(n, options.order);
   verify::DepTable deps;
+  verify::UnionVerdict union_verdict;
 
   verify::IncrementalContext ctx;
   if (plan) ctx.plan = &*plan;
   if (collect) {
     ctx.collector = &collector;
     ctx.deps_out = &deps;
+    ctx.union_out = &union_verdict;
   }
   if (outcome) outcome->summary_hit = plan.has_value();
 
@@ -123,8 +125,9 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
       !result.timed_out &&
       result.stats.incremental.combinations_rechecked == 0;
   if (collect && !unchanged) {
-    const verify::ConeSummary summary = verify::make_summary(
-        *basis, options, std::move(collector), std::move(deps));
+    const verify::ConeSummary summary =
+        verify::make_summary(*basis, options, std::move(collector),
+                             std::move(deps), union_verdict);
     // A timed-out run publishes the summary of its completed prefix too —
     // unchecked ranks stay 0 in the bitmaps and classify as dirty on
     // replay, so the next attempt resumes past the verdicts this one paid

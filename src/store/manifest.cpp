@@ -233,31 +233,12 @@ std::string serialize_partial(const verify::PartialReport& part,
   w.u64(part.region_cache.misses);
   w.f64(part.convolution_seconds);
   w.f64(part.verification_seconds);
-  // Dependency section: a dictionary of the distinct masks, then one varint
-  // dictionary index per dependency.  V masks repeat massively across a
-  // shard (V is the union of the combined observables' share supports, and
-  // gadgets have few distinct supports), so each entry costs about a byte
-  // instead of 16.  Checkpoint size is the dominant overhead of the scan
-  // over an uncheckpointed run; this keeps it small.  The dictionary stays
-  // tiny, so a linear scan — last match first, consecutive deps
-  // overwhelmingly share one V — beats hashing.
-  std::vector<Mask> dict;
-  std::vector<std::uint64_t> dep_index(part.deps.size());
-  std::uint64_t last = 0;
-  for (std::size_t i = 0; i < part.deps.size(); ++i) {
-    const Mask& V = part.deps[i];
-    std::uint64_t idx = last;
-    if (idx >= dict.size() || dict[idx] != V)
-      idx = static_cast<std::uint64_t>(
-          std::find(dict.begin(), dict.end(), V) - dict.begin());
-    if (idx == dict.size()) dict.push_back(V);
-    dep_index[i] = idx;
-    last = idx;
-  }
-  w.u64(part.deps.size());
-  w.u64(dict.size());
-  for (const Mask& m : dict) write_mask(w, m);
-  for (const std::uint64_t idx : dep_index) w.vu64(idx);
+  // Dependency section: the shared mask-dictionary codec (serial.h).
+  // Checkpoint size is the dominant overhead of the scan over an
+  // uncheckpointed run; coding each mask in about a byte keeps it small.
+  MaskDictionaryWriter deps;
+  deps.add(part.deps.data(), part.deps.size());
+  deps.write(w);
   return frame(kPartialMagic, kPartialFormatVersion, w.bytes());
 }
 
@@ -289,22 +270,9 @@ verify::PartialReport deserialize_partial(const std::string& file_image,
   part.region_cache.misses = r.u64();
   part.convolution_seconds = r.f64();
   part.verification_seconds = r.f64();
-  const std::uint64_t num_deps = r.u64();
-  // Each entry occupies at least one varint byte; cap before reserving.
-  if (num_deps > r.remaining())
-    throw SerializationError("checkpoint: implausible dependency count");
-  const std::uint64_t num_distinct = r.u64();
-  if (num_distinct > num_deps || num_distinct > r.remaining() / 16)
-    throw SerializationError("checkpoint: implausible dictionary size");
-  std::vector<Mask> dict(num_distinct);
-  for (Mask& m : dict) m = read_mask(r);
-  part.deps.reserve(num_deps);
-  for (std::uint64_t i = 0; i < num_deps; ++i) {
-    const std::uint64_t idx = r.vu64();
-    if (idx >= num_distinct)
-      throw SerializationError("checkpoint: dictionary index out of range");
-    part.deps.push_back(dict[idx]);
-  }
+  MaskDictionaryReader deps(r, "checkpoint");
+  part.deps = deps.take(deps.remaining());
+  const std::uint64_t num_deps = part.deps.size();
   if (part.covered_end < part.begin || part.covered_end > part.end)
     throw SerializationError("checkpoint: covered range outside the shard");
   if (num_deps > part.covered_end - part.begin)

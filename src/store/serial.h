@@ -40,6 +40,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "dd/freeze.h"
@@ -62,10 +63,14 @@ inline constexpr char kMagic[8] = {'S', 'A', 'N', 'I', 'B', 'A', 'S', '\x01'};
 ///
 /// v2 stores the dependency masks as the scan's DepTable runs — (k, first
 /// rank) and one length-prefixed mask array per run, ranks implied — where
-/// v1 stored one (k, rank, V) entry per combination.  v3 (current) stores
-/// one share-space mask per combination instead of one per secret, and
-/// drops the secret count.
-inline constexpr std::uint32_t kSummaryFormatVersion = 3;
+/// v1 stored one (k, rank, V) entry per combination.  v3 stores one
+/// share-space mask per combination instead of one per secret, and drops
+/// the secret count.  v4 (current) records the union verdict of the
+/// summary's table (state and closure peak bytes) after the failures, and
+/// writes the dependency runs as (k, first rank, count) headers followed
+/// by one mask-dictionary sequence (write_mask_dictionary) over every
+/// run's masks in run order.
+inline constexpr std::uint32_t kSummaryFormatVersion = 4;
 inline constexpr char kSummaryMagic[8] = {'S', 'A', 'N', 'I',
                                           'S', 'U', 'M', '\x01'};
 
@@ -92,6 +97,8 @@ class ByteWriter {
   /// `n` masks as consecutive (lo, hi) u64 pairs, appended in one piece
   /// (a single copy on a little-endian host).
   void masks(const Mask* m, std::size_t n);
+  /// Bytes another writer produced, verbatim.
+  void append(std::string_view bytes) { out_.append(bytes); }
 
   const std::string& bytes() const { return out_; }
   std::string take() { return std::move(out_); }
@@ -106,10 +113,19 @@ class ByteReader {
  public:
   explicit ByteReader(std::string_view bytes) : s_(bytes) {}
 
-  std::uint8_t u8();
+  std::uint8_t u8() {
+    need(1);
+    return static_cast<std::uint8_t>(s_[pos_++]);
+  }
   std::uint32_t u32();
   std::uint64_t u64();
-  std::uint64_t vu64();
+  /// Inline one-byte fast path: dictionary indices and rank deltas are
+  /// mostly below 128.
+  std::uint64_t vu64() {
+    if (pos_ < s_.size() && static_cast<std::uint8_t>(s_[pos_]) < 0x80)
+      return static_cast<std::uint8_t>(s_[pos_++]);
+    return vu64_long();
+  }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
@@ -121,7 +137,11 @@ class ByteReader {
   std::size_t remaining() const { return s_.size() - pos_; }
 
  private:
-  void need(std::size_t n) const;
+  void need(std::size_t n) const {
+    if (n > s_.size() - pos_) truncated();
+  }
+  [[noreturn]] static void truncated();
+  std::uint64_t vu64_long();
 
   std::string_view s_;
   std::size_t pos_ = 0;
@@ -136,6 +156,52 @@ dd::FrozenForest read_forest(ByteReader& r);
 /// store/manifest.h).
 void write_mask(ByteWriter& w, const Mask& m);
 Mask read_mask(ByteReader& r);
+
+/// The mask-dictionary codec shared by the SANIPAR checkpoint and the
+/// SANISUM summary formats.  A coded sequence is: u64 mask count, u64
+/// distinct count, the distinct masks in first-use order (write_mask), then
+/// one vu64 dictionary index per mask.  Dependency masks repeat massively
+/// (V is the union of the combined observables' share supports, and
+/// gadgets have few distinct supports), so each mask costs about a byte
+/// instead of 16.  The encoder hashes each mask once, after checking the
+/// previous mask's entry (consecutive masks overwhelmingly share one).
+class MaskDictionaryWriter {
+ public:
+  /// Codes `n` more masks, continuing the sequence.
+  void add(const Mask* masks, std::size_t n);
+  /// Appends the coded sequence to `w`.
+  void write(ByteWriter& w) const;
+
+ private:
+  std::vector<Mask> dict_;
+  std::unordered_map<Mask, std::uint64_t, MaskHash> index_;
+  ByteWriter indices_;
+  std::uint64_t count_ = 0;
+  std::uint64_t last_ = 0;
+};
+
+/// Decodes one MaskDictionaryWriter sequence in order, `take(n)` masks at a
+/// time (a summary hands each dependency run its own slice).  An
+/// implausible count or dictionary size, an index outside the dictionary,
+/// or taking past the coded count throws SerializationError; `format`
+/// prefixes the message ("checkpoint", "summary").
+class MaskDictionaryReader {
+ public:
+  /// Reads the counts and the dictionary; the indices follow in `r`.
+  MaskDictionaryReader(ByteReader& r, const char* format);
+  /// Masks coded (and not yet taken).
+  std::uint64_t remaining() const { return remaining_; }
+  /// The next `n` masks of the sequence.
+  std::vector<Mask> take(std::uint64_t n);
+
+ private:
+  [[noreturn]] void fail(const char* what) const;
+
+  ByteReader& r_;
+  const char* format_;
+  std::vector<Mask> dict_;
+  std::uint64_t remaining_ = 0;
+};
 
 /// Common file framing (magic + u32 version + payload SHA-256 + u64 length
 /// + payload) shared by every store artifact format: SANIBAS, SANISUM and

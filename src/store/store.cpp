@@ -1,16 +1,22 @@
 #include "store/store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
-#include <unordered_set>
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "store/serial.h"
 
 namespace sani::store {
@@ -19,26 +25,36 @@ namespace fs = std::filesystem;
 
 namespace {
 
-bool valid_key(const std::string& key) {
+// 64 lowercase hex digits (plain range checks: opening a store checks
+// every indexed key).
+bool valid_key(std::string_view key) {
   if (key.size() != 64) return false;
-  for (char c : key)
-    if (!std::isxdigit(static_cast<unsigned char>(c)) ||
-        (std::isalpha(static_cast<unsigned char>(c)) &&
-         !std::islower(static_cast<unsigned char>(c))))
-      return false;
+  for (const char c : key)
+    if ((c < '0' || c > '9') && (c < 'a' || c > 'f')) return false;
   return true;
 }
 
-// One copy: size the string from the open file and read straight into it.
+// One copy: size the string from the open file and read straight into it
+// (plain POSIX calls: a stream's setup costs more than reading a small
+// index or summary).
 bool read_file(const fs::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return false;
-  const std::streamoff size = in.tellg();
-  if (size < 0) return false;
-  in.seekg(0);
-  out->resize(static_cast<std::size_t>(size));
-  in.read(out->data(), size);
-  return in.gcount() == size;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st;
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) {
+    out->resize(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    while (ok && done < out->size()) {
+      const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
+      if (n > 0)
+        done += static_cast<std::size_t>(n);
+      else if (n == 0 || errno != EINTR)
+        ok = false;
+    }
+  }
+  ::close(fd);
+  return ok;
 }
 
 // Atomic publication: write a dot-tmp sibling, then rename into place.  The
@@ -70,12 +86,26 @@ bool write_file_atomic(const fs::path& path, const std::string& bytes) {
 
 ArtifactStore::ArtifactStore(Options options)
     : dir_(std::move(options.dir)), max_bytes_(options.max_bytes) {
+  obs::Span span("store_open");
   if (dir_.empty())
     throw std::invalid_argument("ArtifactStore: empty store directory");
-  fs::create_directories(fs::path(dir_) / "objects");
-  fs::create_directories(fs::path(dir_) / "heads");
-  fs::create_directories(fs::path(dir_) / "quarantine");
-  load_index();
+  std::lock_guard<std::mutex> lock(mu_);
+  // objects/<shard> and heads/ are created by the first write into them
+  // (insert_locked, publish_summary): a mkdir costs more than the rest of
+  // an open, and a store opened only to plan a scan never writes a head.
+  if (read_index(&entries_)) {
+    for (const auto& [key, e] : entries_) {
+      total_bytes_ += e.size;
+      clock_ = std::max(clock_, e.last_used);
+    }
+  } else {
+    // A new store (or a lost index): lay out the directory with its
+    // quarantine/, which post-mortems expect to find, then walk whatever
+    // objects there are.
+    fs::create_directories(fs::path(dir_) / "quarantine");
+    entries_.clear();
+    reconcile_locked();
+  }
   publish_gauges();
 }
 
@@ -84,29 +114,62 @@ std::string ArtifactStore::object_path(const std::string& key) const {
       .string();
 }
 
-void ArtifactStore::load_index() {
-  std::vector<std::pair<std::string, Entry>> indexed;
+bool ArtifactStore::read_index(Entries* out) const {
   std::string text;
-  if (read_file(fs::path(dir_) / "index", &text)) {
-    std::istringstream lines(text);
-    std::string key;
+  if (!read_file(fs::path(dir_) / "index", &text)) return false;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  // One "key size last_used" line per entry; anything else means the file
+  // cannot be trusted, and the caller falls back to the directory walk.
+  const auto field = [&](char stop) -> std::string_view {
+    const char* from = p;
+    while (p < end && *p != stop && *p != '\n') ++p;
+    const std::string_view f(from, static_cast<std::size_t>(p - from));
+    if (p < end && *p == stop) ++p;
+    return f;
+  };
+  const auto number = [](std::string_view f, std::uint64_t* v) {
+    const auto [ptr, ec] = std::from_chars(f.data(), f.data() + f.size(), *v);
+    return ec == std::errc() && ptr == f.data() + f.size() && !f.empty();
+  };
+  out->reserve(text.size() / 72 + 1);  // about 72 bytes per line
+  while (p < end) {
+    const std::string_view key = field(' ');
     Entry e;
-    while (lines >> key >> e.size >> e.last_used) {
-      if (!valid_key(key)) continue;
-      indexed.emplace_back(key, e);
-      clock_ = std::max(clock_, e.last_used);
-    }
+    if (!valid_key(key) || !number(field(' '), &e.size) ||
+        !number(field('\n'), &e.last_used))
+      return false;
+    out->try_emplace(std::string(key), e);
   }
-  // Reconcile with the filesystem: drop index entries whose object vanished,
-  // adopt objects the index never heard of (e.g. after an index loss).
-  std::unordered_set<std::string> known;
-  for (const auto& [key, entry] : indexed) {
+  return true;
+}
+
+void ArtifactStore::reconcile() {
+  std::lock_guard<std::mutex> lock(mu_);
+  reconcile_locked();
+  publish_gauges();
+}
+
+void ArtifactStore::reconcile_locked() {
+  ++stats_.reconciles;
+  // Drop entries whose object vanished, refresh sizes from disk, then adopt
+  // objects the index never heard of (e.g. after an index loss).
+  bool changed = false;
+  Entries found;
+  found.reserve(entries_.size());
+  for (const auto& [key, entry] : entries_) {
     std::error_code ec;
     const auto size = fs::file_size(object_path(key), ec);
-    if (ec || !known.insert(key).second) continue;
+    if (ec) {
+      removed_.insert(key);
+      pinned_.erase(key);
+      changed = true;
+      continue;
+    }
     Entry e = entry;
+    changed |= e.size != size;
     e.size = size;
-    entries_.emplace_back(key, e);
+    found.emplace(key, e);
   }
   std::error_code ec;
   for (const auto& shard :
@@ -117,15 +180,19 @@ void ArtifactStore::load_index() {
       const std::string name = file.path().filename().string();
       if (!name.empty() && name.front() == '.') continue;  // stale tmp
       const std::string key = shard.path().filename().string() + name;
-      if (!valid_key(key)) continue;
-      if (known.count(key)) continue;
+      if (!valid_key(key) || found.count(key)) continue;
       std::error_code size_ec;
       const auto size = fs::file_size(file.path(), size_ec);
       if (size_ec) continue;
-      known.insert(key);
-      entries_.emplace_back(key, Entry{size, 0});
+      found.emplace(key, Entry{size, 0, false});
+      removed_.erase(key);
+      changed = true;
     }
   }
+  entries_ = std::move(found);
+  total_bytes_ = 0;
+  for (const auto& [key, e] : entries_) total_bytes_ += e.size;
+  if (changed) index_dirty_ = true;
 }
 
 ArtifactStore::~ArtifactStore() {
@@ -139,35 +206,98 @@ ArtifactStore::~ArtifactStore() {
 void ArtifactStore::flush() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!index_dirty_) return;
+  // Merge what other instances published since this one read the index:
+  // an entry this instance never touched follows the disk (gone there
+  // means another instance removed it); a disk entry this instance lacks
+  // is learnt unless this instance removed it; a shared entry keeps the
+  // later use.
+  Entries disk;
+  if (read_index(&disk)) {
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (!it->second.touched && !disk.count(it->first)) {
+        total_bytes_ -= it->second.size;
+        it = entries_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    for (const auto& [key, e] : disk) {
+      if (removed_.count(key)) continue;
+      clock_ = std::max(clock_, e.last_used);
+      const auto [it, added] = entries_.try_emplace(key, e);
+      if (added) {
+        total_bytes_ += e.size;
+      } else if (!it->second.touched) {
+        total_bytes_ = total_bytes_ - it->second.size + e.size;
+        it->second = e;
+      } else {
+        it->second.last_used = std::max(it->second.last_used, e.last_used);
+      }
+    }
+  }
+  removed_.clear();
   index_dirty_ = false;
-  std::ostringstream out;
-  for (const auto& [key, e] : entries_)
-    out << key << ' ' << e.size << ' ' << e.last_used << '\n';
-  write_file_atomic(fs::path(dir_) / "index", out.str());
-}
-
-std::uint64_t ArtifactStore::total_bytes_locked() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, e] : entries_) total += e.size;
-  return total;
+  std::vector<const Entries::value_type*> sorted;
+  sorted.reserve(entries_.size());
+  for (const auto& kv : entries_) sorted.push_back(&kv);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  std::string out;
+  out.reserve(sorted.size() * 96);
+  for (const auto* kv : sorted) {
+    out += kv->first;
+    out += ' ';
+    out += std::to_string(kv->second.size);
+    out += ' ';
+    out += std::to_string(kv->second.last_used);
+    out += '\n';
+  }
+  write_file_atomic(fs::path(dir_) / "index", out);
+  publish_gauges();
 }
 
 void ArtifactStore::publish_gauges() const {
   auto& m = obs::Metrics::instance();
-  m.gauge("store.bytes").set(static_cast<double>(total_bytes_locked()));
+  m.gauge("store.bytes").set(static_cast<double>(total_bytes_));
   m.gauge("store.objects").set(static_cast<double>(entries_.size()));
+}
+
+ArtifactStore::Entry& ArtifactStore::set_locked(const std::string& key,
+                                                std::uint64_t size) {
+  Entry& e = entries_[key];
+  total_bytes_ = total_bytes_ - e.size + size;
+  e.size = size;
+  e.touched = true;
+  removed_.erase(key);
+  index_dirty_ = true;
+  return e;
+}
+
+void ArtifactStore::erase_locked(Entries::iterator it) {
+  total_bytes_ -= it->second.size;
+  removed_.insert(it->first);
+  pinned_.erase(it->first);
+  entries_.erase(it);
+  index_dirty_ = true;
 }
 
 std::optional<std::string> ArtifactStore::get(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const auto& kv) { return kv.first == key; });
+  const auto it = entries_.find(key);
+  if (it == entries_.end() && !valid_key(key)) return std::nullopt;
   std::string bytes;
-  if (it == entries_.end() || !read_file(object_path(key), &bytes))
+  if (!read_file(object_path(key), &bytes)) {
+    // Indexed but gone (another instance deleted it): its bytes must stop
+    // counting against the cap, and contains() must stop answering true.
+    if (it != entries_.end()) {
+      erase_locked(it);
+      publish_gauges();
+    }
     return std::nullopt;
-  it->second.last_used = ++clock_;
-  it->second.size = bytes.size();
-  index_dirty_ = true;
+  }
+  const bool adopted = it == entries_.end();
+  set_locked(key, bytes.size()).last_used = ++clock_;
+  if (adopted) publish_gauges();
   return bytes;
 }
 
@@ -187,46 +317,44 @@ bool ArtifactStore::insert_locked(const std::string& key,
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
   if (!write_file_atomic(path, bytes)) return false;
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const auto& kv) { return kv.first == key; });
-  if (it == entries_.end())
-    it = entries_.emplace(entries_.end(), key, Entry{});
-  it->second.size = bytes.size();
-  it->second.last_used = ++clock_;
+  set_locked(key, bytes.size()).last_used = ++clock_;
   // Pin for the process lifetime: this run's own artifacts must never fall
   // to the LRU sweep (a Basis saved at request start has to survive until
   // the matching summary lands, however much unrelated traffic intervenes).
   pinned_.insert(key);
-  index_dirty_ = true;
   return true;
 }
 
 void ArtifactStore::remove_locked(const std::string& key) {
   std::error_code ec;
   fs::remove(object_path(key), ec);
-  entries_.erase(
-      std::remove_if(entries_.begin(), entries_.end(),
-                     [&](const auto& kv) { return kv.first == key; }),
-      entries_.end());
-  pinned_.erase(key);
-  index_dirty_ = true;
+  const auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    erase_locked(it);
+  } else {
+    // Unknown to this instance, but possibly in another's index: the flush
+    // merge must not bring it back.
+    removed_.insert(key);
+    pinned_.erase(key);
+    index_dirty_ = true;
+  }
 }
 
 void ArtifactStore::evict_to_cap() {
-  if (max_bytes_ == 0) return;
-  while (entries_.size() > 1 && total_bytes_locked() > max_bytes_) {
-    // Least-recently-used among the evictable: pinned (same-run) keys are
-    // off the table entirely.  If everything left is pinned, the store runs
-    // over cap until the process exits — correctness over tidiness.
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (pinned_.count(it->first)) continue;
-      if (victim == entries_.end() ||
-          it->second.last_used < victim->second.last_used)
-        victim = it;
-    }
-    if (victim == entries_.end()) return;
-    remove_locked(std::string(victim->first));
+  if (max_bytes_ == 0 || total_bytes_ <= max_bytes_) return;
+  // Least-recently-used first among the evictable (ties by key): pinned
+  // (same-run) keys are off the table entirely.  If everything left is
+  // pinned, the store runs over cap until the process exits — correctness
+  // over tidiness.
+  std::vector<std::pair<std::uint64_t, const std::string*>> victims;
+  for (const auto& [key, e] : entries_)
+    if (!pinned_.count(key)) victims.emplace_back(e.last_used, &key);
+  std::sort(victims.begin(), victims.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : *a.second < *b.second;
+  });
+  for (const auto& victim : victims) {
+    if (entries_.size() <= 1 || total_bytes_ <= max_bytes_) break;
+    remove_locked(std::string(*victim.second));
     ++stats_.evictions;
     obs::Metrics::instance().counter("store.evictions").add();
   }
@@ -235,12 +363,11 @@ void ArtifactStore::evict_to_cap() {
 void ArtifactStore::quarantine(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   std::error_code ec;
+  fs::create_directories(fs::path(dir_) / "quarantine", ec);
   fs::rename(object_path(key), fs::path(dir_) / "quarantine" / key, ec);
   if (ec) fs::remove(object_path(key), ec);  // cross-device fallback
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [&](const auto& kv) { return kv.first == key; }),
-                 entries_.end());
-  index_dirty_ = true;
+  const auto it = entries_.find(key);
+  if (it != entries_.end()) erase_locked(it);
   publish_gauges();
   ++stats_.quarantined;
   obs::Metrics::instance().counter("store.quarantined").add();
@@ -331,6 +458,8 @@ bool ArtifactStore::publish_summary(const std::string& family_key,
     throw std::invalid_argument("ArtifactStore: malformed key '" + key + "'");
   const std::string bytes = serialize_summary(summary);
   std::lock_guard<std::mutex> lock(mu_);
+  std::error_code ec;
+  fs::create_directories(fs::path(dir_) / "heads", ec);
   const std::optional<std::string> superseded = head_locked(family_key);
   // The object goes in place before the head names it, so a reader
   // following the head always finds it (or a clean miss once superseded).
@@ -348,14 +477,13 @@ bool ArtifactStore::publish_summary(const std::string& family_key,
 
 bool ArtifactStore::contains(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const auto& kv) { return kv.first == key; });
+  return entries_.count(key) != 0;
 }
 
 ArtifactStore::Stats ArtifactStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
-  s.total_bytes = total_bytes_locked();
+  s.total_bytes = total_bytes_;
   s.objects = entries_.size();
   return s;
 }

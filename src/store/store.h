@@ -25,8 +25,11 @@
 //                             publishing a new one deletes the one it
 //                             supersedes: every stored summary is live
 //   index                     text index: "key size last_used" per line,
-//                             rewritten atomically once per session (by
-//                             flush() or on destruction), not per access
+//                             sorted by key, rewritten atomically once per
+//                             session (by flush() or on destruction), not
+//                             per access.  Opening reads this file and
+//                             nothing else; the objects are walked only
+//                             when it is missing or unreadable
 //   quarantine/<key>          artifacts that failed load-side validation
 //                             (bad magic/version/hash): moved aside for
 //                             post-mortem, never deleted, never re-served
@@ -37,7 +40,12 @@
 // (auto_da_alloc) start writeback of the new data inside rename(), which
 // costs milliseconds when the disk is busy; the index is therefore written
 // once per session rather than after every get/put, and a crash before
-// that write costs only recency (the next open adopts the objects).
+// that write costs only recency: get() adopts an unindexed object it
+// finds, and a lost index makes the next open walk the objects.  Several
+// instances may share a directory (a long-lived daemon beside CLI runs):
+// flush() merges the on-disk index first, keeping the entries other
+// instances added and dropping those they removed, so none loses another's
+// work.
 // Load-side validation (serial.h: magic, format version, payload SHA-256)
 // turns truncation, corruption and version skew into clean misses — the
 // caller rebuilds and overwrites; a corrupt entry is never fatal and can
@@ -57,17 +65,20 @@
 // or not this instance pinned it, before the sweep runs, so a long-lived
 // daemon instance and a store opened per request keep the same live set.
 //
-// All operations take an internal mutex: one store instance is shared by
-// every daemon executor thread.  Counters (store.hits / store.misses /
-// store.evictions / store.quarantined, gauges store.bytes / store.objects)
-// are published through obs::Metrics, which the daemon serves as its STATS
-// endpoint.
+// The index is a key -> entry hash map with a running byte total, so
+// every lookup, insert and removal is O(1) and an LRU sweep sorts its
+// candidates once.  All operations take an internal mutex: one store
+// instance is shared by every daemon executor thread.  Counters
+// (store.hits / store.misses / store.evictions / store.quarantined,
+// gauges store.bytes / store.objects) are published through obs::Metrics,
+// which the daemon serves as its STATS endpoint.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -84,10 +95,11 @@ class ArtifactStore {
     std::uint64_t max_bytes = 0;
   };
 
-  /// Opens (creating directories as needed) and loads the index.  Index
-  /// entries whose object file disappeared are dropped; object files not in
-  /// the index are adopted (size from disk), so a lost index degrades to a
-  /// cold recency order, never to data loss.
+  /// Opens the store by loading its index — and touches nothing else, so
+  /// opening costs O(index), not O(objects).  Only when the index is
+  /// missing or unreadable does it create the directory and quarantine/
+  /// as needed and reconcile() instead, so a lost index degrades to a cold
+  /// recency order, never to data loss.  Traced as the `store_open` span.
   explicit ArtifactStore(Options options);
 
   /// Writes the index if this instance changed it (flush()).
@@ -95,11 +107,22 @@ class ArtifactStore {
 
   /// Publishes this instance's index changes (sizes, recency, evictions,
   /// quarantines) to the index file, so instances opened later see them.
-  /// A no-op when nothing changed since the last write.
+  /// The on-disk index is re-read first: entries another instance added
+  /// are kept (and learnt), entries this instance never touched that the
+  /// other removed are dropped, and this instance's own removals stay
+  /// removed.  A no-op when nothing changed since the last write.
   void flush();
 
+  /// Makes the index exact: stats every indexed object (dropping those
+  /// whose file is gone, refreshing sizes) and adopts every object file the
+  /// index lacks.  O(objects); the constructor runs it only without a
+  /// readable index, `sani stats` runs it so its counts are exact.
+  void reconcile();
+
   /// Raw object fetch.  Returns the file image and refreshes the key's
-  /// recency; nullopt (a miss) when absent.  No content validation here —
+  /// recency; nullopt (a miss) when absent.  An indexed key whose file is
+  /// gone leaves the index; an unindexed key whose file exists (another
+  /// instance wrote it) is adopted.  No content validation here —
   /// load_basis() is the validating entry point.
   std::optional<std::string> get(const std::string& key);
 
@@ -147,6 +170,7 @@ class ArtifactStore {
     std::uint64_t quarantined = 0;
     std::uint64_t total_bytes = 0;
     std::size_t objects = 0;
+    std::uint64_t reconciles = 0;  // object-directory walks (reconcile())
   };
   Stats stats() const;
 
@@ -159,25 +183,34 @@ class ArtifactStore {
   struct Entry {
     std::uint64_t size = 0;
     std::uint64_t last_used = 0;  // logical clock, persisted in the index
+    bool touched = false;  // read or written by this instance (flush merge)
   };
+  using Entries = std::unordered_map<std::string, Entry>;
 
   std::string object_path(const std::string& key) const;
-  void load_index();
+  /// Parses the index file into `out`; false when it is missing or any
+  /// line is malformed.
+  bool read_index(Entries* out) const;
   // The *_locked helpers expect mu_ held.  insert_locked writes and pins
-  // an object without sweeping; remove_locked deletes one outright.
+  // an object without sweeping; remove_locked deletes one outright;
+  // set_locked / erase_locked edit the index alone, keeping total_bytes_.
   bool insert_locked(const std::string& key, const std::string& bytes);
   void remove_locked(const std::string& key);
+  Entry& set_locked(const std::string& key, std::uint64_t size);
+  void erase_locked(Entries::iterator it);
+  void reconcile_locked();
   std::optional<std::string> head_locked(const std::string& family_key) const;
   void evict_to_cap();
   void quarantine(const std::string& key);
   void publish_gauges() const;
-  std::uint64_t total_bytes_locked() const;
 
   std::string dir_;
   std::uint64_t max_bytes_;
   mutable std::mutex mu_;
-  std::vector<std::pair<std::string, Entry>> entries_;  // key -> entry
+  Entries entries_;
+  std::uint64_t total_bytes_ = 0;  // sum of entries_' sizes
   std::unordered_set<std::string> pinned_;  // same-run keys, never evicted
+  std::unordered_set<std::string> removed_;  // since the last flush
   std::uint64_t clock_ = 0;
   bool index_dirty_ = false;  // entries_ changed since the index was written
   Stats stats_;

@@ -127,6 +127,24 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
   return failure;
 }
 
+std::uint64_t Driver::replay_passes(const std::vector<int>& combo,
+                                    std::uint64_t rank, std::uint64_t limit,
+                                    std::vector<Mask>& deps) {
+  const Mask* masks = nullptr;
+  const std::uint64_t n =
+      plan_->clean_pass_run(combo, rank, limit, &masks, plan_scratch_);
+  if (n == 0) return 0;
+  stats_.combinations += n;
+  stats_.incremental.combinations_skipped += n;
+  if (options_.progress) options_.progress->tick(n);
+  if (collector_)
+    collector_->note_pass_run(static_cast<int>(combo.size()), rank, n);
+  // The run's masks are the table a cold run would have built for these
+  // ranks, in rank order.
+  if (masks) deps.insert(deps.end(), masks, masks + n);
+  return n;
+}
+
 std::optional<Driver::CheckFailure> Driver::check_path(
     std::vector<Mask>& deps) {
   RowContext row = context_for_combo(*basis_, path_);
@@ -182,7 +200,8 @@ void Driver::run_shard_partial(
     obs::Span span("scan");
     if (records_deps_) part.deps.reserve(shard.size());
     std::vector<int> combo = unrank_combination(N, shard.k, shard.begin);
-    for (std::uint64_t r = shard.begin; r < shard.end; ++r) {
+    const bool ranges = plan_ && plan_->layout_preserving();
+    for (std::uint64_t r = shard.begin; r < shard.end;) {
       if (cancel_->expired()) {
         out.timed_out = true;
         cancel_->acknowledge();
@@ -197,6 +216,17 @@ void Driver::run_shard_partial(
         cancel_->acknowledge();
         break;
       }
+      // Range replay: a run of clean passes is appended in bulk.  Once the
+      // token is cancelled every combination is weighed one at a time, so
+      // the shard stops exactly where it stops without a plan.
+      if (ranges && !cancel_->cancelled()) {
+        if (const std::uint64_t n =
+                replay_passes(combo, r, shard.end, part.deps)) {
+          r += n;
+          if (r < shard.end) combo = unrank_combination(N, shard.k, r);
+          continue;
+        }
+      }
       if (auto failure = check_combo(combo, r, part.deps)) {
         part.has_failure = true;
         part.fail_rank = r;
@@ -204,7 +234,7 @@ void Driver::run_shard_partial(
         part.fail_reason = std::move(failure->reason);
         break;
       }
-      if (r + 1 < shard.end && !next_combination(combo, N)) break;
+      if (++r < shard.end && !next_combination(combo, N)) break;
     }
   }
   if (manager_) manager_->sample_counters();

@@ -127,6 +127,15 @@ class Driver {
                                          std::uint64_t rank,
                                          std::vector<Mask>& deps);
 
+  /// Range replay on a layout-preserving plan: replays the run of clean
+  /// passes starting at `combo` (rank `rank`, at most up to `limit`) in
+  /// bulk — counters, progress, collector bitmaps and the run's dependency
+  /// masks appended to `deps` — and returns its length (0: classify
+  /// `combo` one at a time).
+  std::uint64_t replay_passes(const std::vector<int>& combo,
+                              std::uint64_t rank, std::uint64_t limit,
+                              std::vector<Mask>& deps);
+
   /// The backend check of path_; its dependency mask on a pass.
   std::optional<CheckFailure> check_path(std::vector<Mask>& deps);
 

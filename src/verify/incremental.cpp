@@ -1,6 +1,7 @@
 #include "verify/incremental.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/combinations.h"
 
@@ -53,6 +54,24 @@ void SummaryCollector::note(int k, std::uint64_t rank, bool passed) {
   if (passed) set_bit(t.passed, rank);
 }
 
+void SummaryCollector::note_pass_run(int k, std::uint64_t rank,
+                                     std::uint64_t n) {
+  if (k < 1 || k > order_) return;
+  ConeSummary::Table& t = tables_[static_cast<std::size_t>(k - 1)];
+  if (!t.present) return;
+  const std::uint64_t end = rank + n;
+  while (rank < end) {
+    const unsigned off = static_cast<unsigned>(rank & 63);
+    const std::uint64_t span = std::min<std::uint64_t>(64 - off, end - rank);
+    const std::uint64_t bits =
+        (span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1)
+        << off;
+    t.checked[rank >> 6] |= bits;
+    t.passed[rank >> 6] |= bits;
+    rank += span;
+  }
+}
+
 void SummaryCollector::note_fail(int k, std::uint64_t rank, const Mask& alpha,
                                  const std::string& reason) {
   note(k, rank, false);
@@ -78,8 +97,8 @@ void SummaryCollector::merge_from(const SummaryCollector& other) {
 }
 
 ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
-                         SummaryCollector&& collector,
-                         DepTable&& deps) {
+                         SummaryCollector&& collector, DepTable&& deps,
+                         const UnionVerdict& union_verdict) {
   ConeSummary s;
   s.notion = options.notion;
   s.glitch_robust = options.probes.glitch_robust;
@@ -95,6 +114,7 @@ ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
               return a.k != b.k ? a.k < b.k : a.rank < b.rank;
             });
   s.deps = std::move(deps);
+  s.union_verdict = union_verdict;
   return s;
 }
 
@@ -151,6 +171,8 @@ std::optional<IncrementalPlan> IncrementalPlan::build(
     }
     plan.old_index_.push_back(old);
   }
+  plan.all_matched_ = plan.layout_preserving_ &&
+                      plan.cones_reused_ == plan.old_index_.size();
 
   for (const ConeSummary::Failure& f : s.failures)
     plan.failures_.emplace(key_of(f.k, f.rank), &f);
@@ -180,6 +202,82 @@ IncrementalPlan::Classification IncrementalPlan::classify(
                 combination_rank(old_n_, scratch));
 }
 
+std::uint64_t IncrementalPlan::clean_pass_run(const std::vector<int>& combo,
+                                              std::uint64_t rank,
+                                              std::uint64_t limit,
+                                              const Mask** masks,
+                                              std::vector<int>& scratch) const {
+  *masks = nullptr;
+  const int k = static_cast<int>(combo.size());
+  if (!layout_preserving_ || k < 1 || k > summary_->order) return 0;
+  const ConeSummary::Table& t =
+      summary_->tables[static_cast<std::size_t>(k - 1)];
+  if (!t.present) return 0;
+  std::uint64_t end = std::min(limit, t.num_ranks);
+  if (rank >= end) return 0;
+  // Some cone is unmatched: the run ends at the first combination that
+  // holds one — on an edit often `combo` itself, tested before anything
+  // else is read.
+  const auto matched = [&](int i) {
+    return old_index_[static_cast<std::size_t>(i)] >= 0;
+  };
+  if (!all_matched_ && !std::all_of(combo.begin(), combo.end(), matched))
+    return 0;
+  const DepTable::Run* run = nullptr;
+  if (need_deps_) {
+    run = run_holding(k, rank);
+    if (!run) return 0;
+    end = std::min(end, run->end());
+  }
+  if (!all_matched_) {
+    scratch.assign(combo.begin(), combo.end());
+    const int N = static_cast<int>(old_index_.size());
+    std::uint64_t r = rank + 1;
+    while (r < end && next_combination(scratch, N) &&
+           std::all_of(scratch.begin(), scratch.end(), matched))
+      ++r;
+    end = std::min(end, r);
+  }
+  // The checked-and-passed prefix from `rank`, a word at a time: the shift
+  // brings zeros in above the word's last rank, so a word that is all
+  // ones from `off` up lets the walk continue into the next.
+  std::uint64_t r = rank;
+  while (r < end) {
+    const unsigned off = static_cast<unsigned>(r & 63);
+    const std::size_t w = static_cast<std::size_t>(r >> 6);
+    const std::uint64_t good = (t.checked[w] & t.passed[w]) >> off;
+    const unsigned ones = static_cast<unsigned>(std::countr_one(good));
+    r += ones;
+    if (ones < 64 - off) break;
+  }
+  const std::uint64_t n = std::min(r, end) - rank;
+  if (n > 0 && run) *masks = &run->masks[rank - run->begin];
+  return n;
+}
+
+const UnionVerdict* IncrementalPlan::replayable_union_verdict(
+    int order) const {
+  if (!all_matched_ || summary_->order != order ||
+      summary_->union_verdict.state != UnionVerdict::State::kPassed)
+    return nullptr;
+  return &summary_->union_verdict;
+}
+
+const DepTable::Run* IncrementalPlan::run_holding(int k,
+                                                  std::uint64_t rank) const {
+  // The run holding (k, rank) is the last one starting at or before it.
+  const std::vector<DepTable::Run>& runs = summary_->deps.runs();
+  const auto after = std::upper_bound(
+      runs.begin(), runs.end(), rank,
+      [k](std::uint64_t r, const DepTable::Run& run) {
+        return k < run.k || (k == run.k && r < run.begin);
+      });
+  if (after == runs.begin()) return nullptr;
+  const DepTable::Run& run = *(after - 1);
+  if (run.k != k || rank >= run.end()) return nullptr;
+  return &run;
+}
+
 IncrementalPlan::Classification IncrementalPlan::lookup(
     int k, std::uint64_t rank) const {
   Classification c;
@@ -190,17 +288,9 @@ IncrementalPlan::Classification IncrementalPlan::lookup(
   if (rank >= t.num_ranks || !bit(t.checked, rank)) return c;
   if (bit(t.passed, rank)) {
     if (need_deps_) {
-      // The run holding (k, rank) is the last one starting at or before it.
-      const std::vector<DepTable::Run>& runs = summary_->deps.runs();
-      const auto after = std::upper_bound(
-          runs.begin(), runs.end(), rank, [k](std::uint64_t r,
-                                              const DepTable::Run& run) {
-            return k < run.k || (k == run.k && r < run.begin);
-          });
-      if (after == runs.begin()) return c;  // no recorded masks — re-check
-      const DepTable::Run& run = *(after - 1);
-      if (run.k != k || rank >= run.end()) return c;
-      c.V = &run.masks[rank - run.begin];
+      const DepTable::Run* run = run_holding(k, rank);
+      if (!run) return c;  // no recorded masks — re-check
+      c.V = &run->masks[rank - run->begin];
     }
     c.kind = Kind::kCleanPass;
     return c;

@@ -81,6 +81,10 @@ struct ConeSummary {
   /// in [1, order], one mask per combination, ranks implied, runs sorted by
   /// (k, first rank) and disjoint.
   DepTable deps;
+
+  /// The union pass's outcome over `deps` in the run that wrote this
+  /// summary (unrecorded when the pass did not run to a verdict).
+  UnionVerdict union_verdict;
 };
 
 /// Records per-combination outcomes during a scan (cold or incremental) so
@@ -93,6 +97,8 @@ class SummaryCollector {
 
   /// Outcomes of the size-k combination of lexicographic rank `rank`.
   void note_pass(int k, std::uint64_t rank) { note(k, rank, true); }
+  /// Passes of size-k ranks [rank, rank + n), a bitmap word at a time.
+  void note_pass_run(int k, std::uint64_t rank, std::uint64_t n);
   void note_fail(int k, std::uint64_t rank, const Mask& alpha,
                  const std::string& reason);
   void merge_from(const SummaryCollector& other);
@@ -101,7 +107,8 @@ class SummaryCollector {
   friend ConeSummary make_summary(const Basis& basis,
                                   const VerifyOptions& options,
                                   SummaryCollector&& collector,
-                                  DepTable&& deps);
+                                  DepTable&& deps,
+                                  const UnionVerdict& union_verdict);
 
   void note(int k, std::uint64_t rank, bool passed);
 
@@ -112,10 +119,11 @@ class SummaryCollector {
 };
 
 /// Assembles the summary of a finished scan from the basis' cone index,
-/// the collected verdict bitmaps and the (merged) union-check table, which
-/// it takes over as is.
+/// the collected verdict bitmaps, the (merged) union-check table, which it
+/// takes over as is, and the union pass's verdict over that table.
 ConeSummary make_summary(const Basis& basis, const VerifyOptions& options,
-                         SummaryCollector&& collector, DepTable&& deps);
+                         SummaryCollector&& collector, DepTable&& deps,
+                         const UnionVerdict& union_verdict);
 
 /// Total ranks marked checked across the summary's verdict tables — the
 /// coverage a seeded run can replay.  A timed-out run publishes the summary
@@ -154,6 +162,25 @@ class IncrementalPlan {
   Classification classify(const std::vector<int>& combo, std::uint64_t rank,
                           std::vector<int>& scratch) const;
 
+  /// Range replay on a layout-preserving plan: how many consecutive ranks
+  /// from `rank` (the rank of `combo`), up to `limit`, classify as clean
+  /// passes — checked and passed by the summary, every member matched and,
+  /// on union-checking runs, their dependency masks recorded in one run,
+  /// whose first mask `*masks` then points at (null otherwise).  0 on a
+  /// remapping plan or when `combo` itself is not a clean pass.  The
+  /// bitmaps are read a word at a time; the members are walked only when
+  /// some cone is unmatched (`scratch` is caller-owned).  Thread-safe.
+  std::uint64_t clean_pass_run(const std::vector<int>& combo,
+                               std::uint64_t rank, std::uint64_t limit,
+                               const Mask** masks,
+                               std::vector<int>& scratch) const;
+
+  /// The summary's union verdict when a run at `order` that replays every
+  /// combination from it rebuilds exactly the table the verdict was
+  /// recorded for — every cone reused at its own index, the same order —
+  /// and that verdict is a pass; null otherwise (the pass must run).
+  const UnionVerdict* replayable_union_verdict(int order) const;
+
   /// New observables whose digest matched an old one.
   std::uint64_t cones_reused() const { return cones_reused_; }
 
@@ -164,6 +191,8 @@ class IncrementalPlan {
  private:
   /// The recorded outcome of old size-k rank `rank`.
   Classification lookup(int k, std::uint64_t rank) const;
+  /// The summary's dependency run holding old size-k rank `rank`, or null.
+  const DepTable::Run* run_holding(int k, std::uint64_t rank) const;
 
   std::shared_ptr<const ConeSummary> summary_;
   std::vector<std::int32_t> old_index_;  // per new observable; -1 unmatched
@@ -171,17 +200,20 @@ class IncrementalPlan {
   int old_n_ = 0;
   bool need_deps_ = false;
   bool layout_preserving_ = false;
+  bool all_matched_ = false;  // layout-preserving and every cone reused
   // (rank << 6 | k) lookups.
   std::unordered_map<std::uint64_t, const ConeSummary::Failure*> failures_;
 };
 
 /// What the engine layer threads through to the Driver(s): an optional
 /// plan to replay against, an optional collector for the fresh summary,
-/// and an optional sink for the merged union-check dependency table.
+/// and optional sinks for the merged union-check dependency table and the
+/// union pass's verdict over it.
 struct IncrementalContext {
   const IncrementalPlan* plan = nullptr;
   SummaryCollector* collector = nullptr;
   DepTable* deps_out = nullptr;
+  UnionVerdict* union_out = nullptr;
 };
 
 }  // namespace sani::verify

@@ -115,8 +115,21 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
   if (options.progress) options.progress->stop();
   for (const auto& c : collectors) ictx->collector->merge_from(*c);
 
+  // Every combination replayed (none re-checked) from a summary whose
+  // table passed at this order, every cone reused: the merged table is
+  // that summary's, so its union verdict stands.
+  std::uint64_t rechecked = 0;
+  for (const auto& d : drivers)
+    if (d) rechecked += d->stats().incremental.combinations_rechecked;
+  if (ictx && ictx->plan && rechecked == 0)
+    if (const UnionVerdict* v =
+            ictx->plan->replayable_union_verdict(options.order))
+      assembler.replay_union_verdict(*v);
+
   VerifyResult result = assembler.finalize(&cancel);
   if (ictx && ictx->deps_out) *ictx->deps_out = assembler.take_deps();
+  if (ictx && ictx->union_out) *ictx->union_out = assembler.union_verdict();
+  result.stats.incremental.union_replayed = assembler.union_replayed();
 
   // The runtime fields only the workers know.
   VerifyStats& stats = result.stats;

@@ -274,11 +274,26 @@ VerifyResult ReportAssembler::finalize(sched::CancelToken* cancel) {
     // pure mask arithmetic, so no backend is prepared and the frozen forest
     // is never thawed — finalizing a drained scan costs checkpoint I/O plus
     // this loop, nothing engine-shaped.
-    const Checker checker(basis_->vars, options_.notion,
-                          options_.joint_share_count);
+    //
+    // A replayed pass verdict stands in for the pass: the table is the
+    // recorded one, so the verdict and the closure's peak bytes are too.
     ScopedPhase phase(result.stats.timers, "union");
     obs::Span span("union");
-    union_pass(*basis_, checker, deps_, cancel, result);
+    if (replay_union_) {
+      result.stats.qinfo_peak_bytes += replay_union_->closure_peak_bytes;
+      union_verdict_ = *replay_union_;
+      union_replayed_ = true;
+    } else {
+      const Checker checker(basis_->vars, options_.notion,
+                            options_.joint_share_count);
+      const std::uint64_t table_bytes = result.stats.qinfo_peak_bytes;
+      union_pass(*basis_, checker, deps_, cancel, result);
+      union_verdict_.closure_peak_bytes =
+          result.stats.qinfo_peak_bytes - table_bytes;
+      union_verdict_.state = result.timed_out ? UnionVerdict::State::kUnrecorded
+                             : result.secure  ? UnionVerdict::State::kPassed
+                                              : UnionVerdict::State::kFailed;
+    }
   }
   return result;
 }

@@ -148,6 +148,20 @@ class ReportAssembler {
   /// after finalize().
   DepTable take_deps() { return std::move(deps_); }
 
+  /// Union-verdict replay: finalize() takes `verdict`, a recorded pass,
+  /// instead of running the union pass.  The caller vouches that the merged
+  /// table is the one the verdict was recorded for (every combination
+  /// replayed from that summary at its order, every cone reused —
+  /// verify/incremental.h, IncrementalPlan::replayable_union_verdict).
+  void replay_union_verdict(const UnionVerdict& verdict) {
+    replay_union_ = verdict;
+  }
+
+  /// The union pass's outcome in finalize() (unrecorded when the pass did
+  /// not run to a verdict), and whether it was replayed.
+  const UnionVerdict& union_verdict() const { return union_verdict_; }
+  bool union_replayed() const { return union_replayed_; }
+
   std::uint64_t combinations() const { return combinations_; }
   std::uint64_t coefficients() const { return coefficients_; }
   const CacheStats& region_cache() const { return region_cache_; }
@@ -159,7 +173,8 @@ class ReportAssembler {
   /// verification / union) independent of which engines produced the
   /// partials, and — when every combination passed and the notion has a
   /// set-level condition — the union pass over the merged dependency table
-  /// (polling `cancel`'s deadline, when given).  An insecure verdict with
+  /// (polling `cancel`'s deadline, when given), or the replayed verdict of
+  /// an identical table (replay_union_verdict).  An insecure verdict with
   /// witness combination F reports the search order's canonical counters:
   /// `combinations` counts the combinations ordered at or before F and
   /// `qinfo_entries` the dependency records ordered before F — what a walk
@@ -198,6 +213,9 @@ class ReportAssembler {
   };
   std::vector<Covered> covered_;
   DepTable deps_;
+  std::optional<UnionVerdict> replay_union_;
+  UnionVerdict union_verdict_;
+  bool union_replayed_ = false;
   std::uint64_t combinations_ = 0;
   std::uint64_t coefficients_ = 0;
   CacheStats region_cache_;

@@ -54,4 +54,15 @@ class DepTable {
   std::size_t bytes_ = 0;
 };
 
+/// The union pass's outcome over one DepTable, as a cone summary records
+/// it: a table that passed may skip the pass when a later run rebuilds the
+/// same table (verify/partial.h, ReportAssembler); a failed or unrecorded
+/// pass always re-runs, so witnesses are computed, never replayed.
+struct UnionVerdict {
+  enum class State : std::uint8_t { kUnrecorded, kPassed, kFailed };
+  State state = State::kUnrecorded;
+  /// The pass's closure peak (added to qinfo_peak_bytes on replay too).
+  std::uint64_t closure_peak_bytes = 0;
+};
+
 }  // namespace sani::verify

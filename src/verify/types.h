@@ -209,6 +209,7 @@ struct IncrementalStats {
   std::uint64_t cones_reused = 0;  // whose digest matched the prior summary
   std::uint64_t combinations_skipped = 0;    // verdicts replayed from it
   std::uint64_t combinations_rechecked = 0;  // dirty, re-verified
+  bool union_replayed = false;  // the union pass's verdict came from it
 };
 
 struct VerifyStats {

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "circuit/builder.h"
 #include "circuit/edit.h"
 #include "circuit/ilang.h"
 #include "circuit/unfold.h"
@@ -446,7 +447,7 @@ TEST(SummarySerial, RoundTripPreservesEveryField) {
 
 TEST(SummarySerial, RoundTripKeepsOneMaskPerCombination) {
   // A secure order-2 scan with several secrets: every passing combination's
-  // one share-space mask lands in the v3 runs and survives the round trip
+  // one share-space mask lands in the v4 runs and survives the round trip
   // mask for mask.
   const circuit::Gadget g = gadgets::by_name("dom-2");
   verify::VerifyOptions opt;
@@ -464,7 +465,7 @@ TEST(SummarySerial, RoundTripKeepsOneMaskPerCombination) {
   ASSERT_GE(image->size(), 12u);
   EXPECT_EQ(image->compare(0, 8, std::string(kSummaryMagic, 8)), 0);
   EXPECT_EQ(static_cast<std::uint8_t>((*image)[8]), kSummaryFormatVersion);
-  EXPECT_EQ(kSummaryFormatVersion, 3u);
+  EXPECT_EQ(kSummaryFormatVersion, 4u);
 
   const std::shared_ptr<const verify::ConeSummary> s =
       deserialize_summary(*image);
@@ -475,15 +476,28 @@ TEST(SummarySerial, RoundTripKeepsOneMaskPerCombination) {
 }
 
 // The payload of `image`, the current encoding of `s`, without its trailing
-// dependency section (run count, then k, begin, count and the masks of each
-// run).
+// dependency section (run count, then k, begin and count of each run, then
+// the mask-dictionary sequence over every run's masks).
 std::string payload_without_deps(const std::string& image,
                                  const verify::ConeSummary& s) {
-  std::size_t deps = 8;
+  MaskDictionaryWriter masks;
   for (const verify::DepTable::Run& run : s.deps.runs())
-    deps += 4 + 8 + 8 + run.masks.size() * sizeof(Mask);
+    masks.add(run.masks.data(), run.masks.size());
+  ByteWriter coded;
+  masks.write(coded);
+  const std::size_t deps =
+      8 + s.deps.runs().size() * (4 + 8 + 8) + coded.bytes().size();
   std::string payload = image.substr(52);
   payload.resize(payload.size() - deps);
+  return payload;
+}
+
+// The same payload as v3 laid it out: no union verdict (u8 state, u64
+// closure peak bytes) after the failures.
+std::string v3_payload_without_deps(const std::string& image,
+                                    const verify::ConeSummary& s) {
+  std::string payload = payload_without_deps(image, s);
+  payload.resize(payload.size() - 9);
   return payload;
 }
 
@@ -492,18 +506,19 @@ std::string payload_without_deps(const std::string& image,
 std::string old_payload_without_deps(const std::string& image,
                                      const verify::ConeSummary& s,
                                      std::uint32_t num_secrets) {
-  std::string payload = payload_without_deps(image, s);
+  std::string payload = v3_payload_without_deps(image, s);
   ByteWriter count;
   count.u32(num_secrets);
   payload.insert(8, count.bytes());
   return payload;
 }
 
-// Rewrites a current summary image in an old layout, with one mask per
-// secret for every combination: v1 stores one (k, rank, width, masks)
-// entry per combination, v2 one (k, begin, count, mask count, masks) record
-// per run.  Every other payload byte is identical, so this is what the old
-// writer produced for the same scan.
+// Rewrites a current summary image in an old layout: v1 stores one (k,
+// rank, width, masks) entry per combination and v2 one (k, begin, count,
+// mask count, masks) record per run, both with one mask per secret; v3 one
+// (k, begin, count, masks) record per run with one share-space mask per
+// combination, uncoded.  Every other payload byte is identical, so this is
+// what the old writer produced for the same scan.
 std::string downgrade_summary(const std::string& image,
                               const verify::ConeSummary& s,
                               const std::vector<Mask>& secret_vars,
@@ -512,12 +527,16 @@ std::string downgrade_summary(const std::string& image,
   ByteWriter deps;
   deps.u64(version == 1 ? s.deps.size() : s.deps.runs().size());
   for (const verify::DepTable::Run& run : s.deps.runs()) {
-    if (version == 2) {
+    if (version >= 2) {
       deps.i32(run.k);
       deps.u64(run.begin);
       deps.u64(run.masks.size());
-      deps.u64(run.masks.size() * S);
     }
+    if (version == 3) {
+      deps.masks(run.masks.data(), run.masks.size());
+      continue;
+    }
+    if (version == 2) deps.u64(run.masks.size() * S);
     for (std::uint64_t i = 0; i < run.masks.size(); ++i) {
       if (version == 1) {
         deps.i32(run.k);
@@ -528,10 +547,11 @@ std::string downgrade_summary(const std::string& image,
         write_mask(deps, run.masks[i] & group);
     }
   }
-  return frame(kSummaryMagic, version,
-               old_payload_without_deps(image, s,
-                                        static_cast<std::uint32_t>(S)) +
-                   deps.bytes());
+  const std::string head =
+      version == 3 ? v3_payload_without_deps(image, s)
+                   : old_payload_without_deps(image, s,
+                                              static_cast<std::uint32_t>(S));
+  return frame(kSummaryMagic, version, head + deps.bytes());
 }
 
 TEST(Store, OldSummaryFormatsLoadAsQuarantinedMisses) {
@@ -551,12 +571,13 @@ TEST(Store, OldSummaryFormatsLoadAsQuarantinedMisses) {
   const std::vector<Mask> secret_vars =
       build_basis_for(g, opt)->vars.secret_vars;
 
-  // Both old layouts: v1 (one entry per combination) and v2 (runs of one
-  // mask per secret).
-  for (const std::uint32_t version : {1u, 2u}) {
+  // Every old layout: v1 (one entry per combination), v2 (runs of one mask
+  // per secret) and v3 (runs of one uncoded mask per combination, no union
+  // verdict).
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     const std::string old =
         downgrade_summary(*store.get(*head), *s, secret_vars, version);
-    const std::string key(64, version == 1 ? 'b' : 'c');
+    const std::string key(64, static_cast<char>('a' + version));
     ASSERT_TRUE(store.put(key, old));
     const ArtifactStore::Stats before = store.stats();
     EXPECT_THROW(deserialize_summary(old), SerializationError) << version;
@@ -637,8 +658,8 @@ TEST(SummarySerial, RejectsAlienFraming) {
   EXPECT_THROW(deserialize_basis(*image), SerializationError);
 }
 
-// One dependency run as the v3 encoder lays it out; `masks` is written
-// after the run header, whatever `count` says.
+// One dependency run header as the encoder lays it out; `masks` masks are
+// coded for it, whatever `count` says.
 struct RawRun {
   std::int32_t k;
   std::uint64_t begin;
@@ -646,23 +667,87 @@ struct RawRun {
   std::size_t masks;
 };
 
-// `image` with its trailing dependency section replaced by `runs` (zero
-// masks), re-framed: hash-valid, so only the decoder's checks stand between
-// the table and the plan.
-std::string with_dep_runs(const std::string& image,
-                          const verify::ConeSummary& s,
-                          const std::vector<RawRun>& runs) {
-  const std::string payload = payload_without_deps(image, s);
+// `image` with its trailing dependency section replaced by the headers of
+// `runs` and `coded` (a mask-dictionary sequence), re-framed.
+std::string with_coded_deps(const std::string& image,
+                            const verify::ConeSummary& s,
+                            const std::vector<RawRun>& runs,
+                            const std::string& coded) {
   ByteWriter deps;
   deps.u64(runs.size());
   for (const RawRun& run : runs) {
     deps.i32(run.k);
     deps.u64(run.begin);
     deps.u64(run.count);
-    const std::vector<Mask> zeros(run.masks);
-    deps.masks(zeros.data(), zeros.size());
   }
-  return frame(kSummaryMagic, kSummaryFormatVersion, payload + deps.bytes());
+  deps.append(coded);
+  return frame(kSummaryMagic, kSummaryFormatVersion,
+               payload_without_deps(image, s) + deps.bytes());
+}
+
+// `image` with its trailing dependency section replaced by `runs` (zero
+// masks), re-framed: hash-valid, so only the decoder's checks stand between
+// the table and the plan.
+std::string with_dep_runs(const std::string& image,
+                          const verify::ConeSummary& s,
+                          const std::vector<RawRun>& runs) {
+  MaskDictionaryWriter masks;
+  for (const RawRun& run : runs) {
+    const std::vector<Mask> zeros(run.masks);
+    masks.add(zeros.data(), zeros.size());
+  }
+  ByteWriter coded;
+  masks.write(coded);
+  return with_coded_deps(image, s, runs, coded.bytes());
+}
+
+TEST(SummarySerial, RejectsHostileMaskDictionaries) {
+  // The coded masks are hash-valid too: an index past the dictionary, or a
+  // dictionary larger than its mask count or than the stream can hold,
+  // must throw before any mask reaches the plan.
+  const circuit::Gadget g = gadgets::by_name("dom-1");
+  verify::VerifyOptions opt;
+  opt.order = 1;
+  opt.incremental = true;
+  TempDir dir("hostile_dict");
+  ArtifactStore store({dir.str(), 0});
+  verify_with_store(g, opt, store, nullptr);
+  const auto head = store.family_head(summary_family_key(g, opt));
+  ASSERT_TRUE(head.has_value());
+  const std::shared_ptr<const verify::ConeSummary> s =
+      store.load_summary(*head);
+  ASSERT_NE(s, nullptr);
+  const std::string image = *store.get(*head);
+  const std::vector<RawRun> runs = {{1, 0, 2, 2}};
+  const auto coded = [](std::uint64_t count, std::uint64_t distinct,
+                        std::uint64_t masks,
+                        const std::vector<std::uint64_t>& indices) {
+    ByteWriter w;
+    w.u64(count);
+    w.u64(distinct);
+    for (std::uint64_t i = 0; i < masks; ++i) write_mask(w, Mask{});
+    for (const std::uint64_t idx : indices) w.vu64(idx);
+    return w.take();
+  };
+  // Well formed: two masks, one dictionary entry.
+  EXPECT_EQ(deserialize_summary(
+                with_coded_deps(image, *s, runs, coded(2, 1, 1, {0, 0})))
+                ->deps.size(),
+            2u);
+  const struct {
+    const char* what;
+    std::string bytes;
+  } hostile[] = {
+      {"index out of range", coded(2, 1, 1, {0, 1})},
+      {"dictionary larger than its masks", coded(2, 3, 3, {0, 0})},
+      {"dictionary larger than the stream", coded(2, 1u << 30, 1, {0, 0})},
+      {"count larger than the stream", coded(1u << 30, 1, 1, {0, 0})},
+  };
+  for (const auto& h : hostile)
+    EXPECT_THROW(deserialize_summary(
+                     with_coded_deps(image, *s, runs, h.bytes)),
+                 SerializationError)
+        << h.what;
 }
 
 TEST(SummarySerial, RejectsDependencyRunsOfTheWrongShape) {
@@ -1021,6 +1106,186 @@ TEST(Incremental, RenamedResubmissionWritesNothing) {
   ASSERT_EQ(after.count(basis_object), 1u);
   after.erase(basis_object);
   EXPECT_EQ(after, objects);
+}
+
+// ---------------------------------------------------------------------------
+// Range replay and union-verdict replay
+// ---------------------------------------------------------------------------
+
+TEST(Incremental, RangeReplayMatchesCold) {
+  // A read (the same text again) and a port-renamed resubmission keep every
+  // cone at its index: the scan replays in bulk runs of clean passes, so
+  // nothing is re-checked, and the report is the cold one byte for byte.
+  // With the union check each run is also bounded by the summary's
+  // dependency runs; without it none are recorded, so the verdict bitmaps
+  // alone end a run (at a failed or unchecked rank).
+  struct Case {
+    std::string name;
+    bool union_check;
+    int jobs;
+  };
+  std::vector<Case> cases;
+  for (const bool union_check : {true, false})
+    for (const int jobs : {1, 2})
+      for (const std::string& name : gadgets::all_names())
+        cases.push_back({name, union_check, jobs});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name + (c.union_check ? "" : " no-union") + " jobs " +
+                 std::to_string(c.jobs));
+    const circuit::Gadget g = gadgets::by_name(c.name);
+    verify::VerifyOptions opt;
+    opt.union_check = c.union_check;
+    opt.order = std::min(2, gadgets::security_level(c.name));
+    opt.deterministic_report = true;
+    opt.incremental = true;
+    opt.jobs = c.jobs;
+
+    TempDir dir("range");
+    ArtifactStore store({dir.str(), 0});
+    StoreOutcome seed;
+    verify_with_store(g, opt, store, &seed);
+    ASSERT_TRUE(seed.summary_saved);
+    for (const circuit::Gadget& again : {g, renamed_ports(g, "p_")}) {
+      StoreOutcome o;
+      const verify::VerifyResult r = verify_with_store(again, opt, store, &o);
+      EXPECT_TRUE(o.summary_hit);
+      EXPECT_GT(r.stats.incremental.combinations_skipped, 0u);
+      // Two workers race past an insecure verdict's witness: ranks the
+      // seeding run left unchecked there may be checked now.  Everything
+      // else replays.
+      if (r.secure || c.jobs == 1) {
+        EXPECT_FALSE(o.summary_saved);
+        EXPECT_EQ(r.stats.incremental.combinations_rechecked, 0u);
+      }
+      EXPECT_EQ(verify::json_report(c.name, opt, r, 2.0),
+                cold_run(c.name, again, opt).report);
+    }
+  }
+}
+
+/// `g` with its first AND gate reading the first random instead of its
+/// second operand: the same wires and observables, one gate's function
+/// and support changed (a fan-in swap changes digests but no function, so
+/// a replay past a dirty cone would go unnoticed).
+circuit::Gadget with_first_and_rewired(const circuit::Gadget& g) {
+  const circuit::Netlist& nl = g.netlist;
+  const circuit::WireId r0 = g.spec.randoms.at(0);
+  circuit::Netlist out(nl.name());
+  bool rewired = false;
+  for (circuit::WireId w = 0; w < nl.num_wires(); ++w) {
+    const circuit::GateNode& node = nl.node(w);
+    circuit::WireId b = node.fanin[1];
+    if (!rewired && node.kind == circuit::GateKind::kAnd && r0 < w &&
+        node.fanin[0] != r0 && b != r0) {
+      b = r0;
+      rewired = true;
+    }
+    out.add(node.kind, node.name, node.fanin[0], b, node.fanin[2]);
+  }
+  for (circuit::WireId w : nl.outputs()) out.add_output(w);
+  circuit::Gadget edited{std::move(out), g.spec};
+  edited.validate();
+  return edited;
+}
+
+TEST(Incremental, RangeReplayStopsAtUnmatchedCones) {
+  // A function-changing edit keeps every observable's index but not every
+  // digest: each bulk run must end at the first combination that holds an
+  // unmatched observable, and the report and summary must be cold's.
+  for (const std::string name : {"keccak-2", "dom-3"}) {
+    SCOPED_TRACE(name);
+    const circuit::Gadget g = gadgets::by_name(name);
+    const circuit::Gadget edited = with_first_and_rewired(g);
+    verify::VerifyOptions opt;
+    opt.order = gadgets::security_level(name);
+    opt.deterministic_report = true;
+    opt.incremental = true;
+
+    TempDir dir("unmatched");
+    ArtifactStore store({dir.str(), 0});
+    verify_with_store(g, opt, store, nullptr);
+    const std::optional<verify::IncrementalPlan> plan =
+        plan_for(edited, opt, store);
+    ASSERT_TRUE(plan.has_value());
+    ASSERT_TRUE(plan->layout_preserving());
+    const verify::VerifyResult r =
+        verify_with_store(edited, opt, store, nullptr);
+    EXPECT_LT(r.stats.incremental.cones_reused,
+              r.stats.incremental.cones_total);
+    EXPECT_GT(r.stats.incremental.combinations_skipped, 0u);
+    EXPECT_GT(r.stats.incremental.combinations_rechecked, 0u);
+    const ColdRun cold = cold_run(name, edited, opt);
+    EXPECT_EQ(verify::json_report(name, opt, r, 2.0), cold.report);
+    EXPECT_EQ(head_summary(edited, opt, store), cold.summary);
+  }
+}
+
+/// bruteforce_test's MuxGadgetSeparatesRowAndSetChecks gadget: every row
+/// check passes, the set-level union check fails 1-NI.
+circuit::Gadget union_insecure_gadget() {
+  circuit::GadgetBuilder b("mux_leak");
+  auto a = b.secret("a", 2);
+  auto r = b.random("r");
+  const circuit::WireId q = b.mux(a[1], a[0], r, "q");  // r ? a0 : a1
+  b.output_group("c", {b.buf(q)});
+  return b.build();
+}
+
+TEST(Incremental, UnionVerdictReplaysOnlyOnTheRecordedTable) {
+  // Only a resubmission that rebuilds the recorded table — every
+  // combination replayed at the summary's order, every cone reused — may
+  // take the union verdict from the summary, and only a passing one.  An
+  // edit, a lower-order run, a higher-order run and a union-insecure gadget
+  // all re-run the pass, and every report matches cold.
+  const circuit::Gadget g = gadgets::by_name("dom-3");
+  const circuit::Gadget edited =
+      circuit::with_swapped_fanins(g, circuit::first_swappable_gate(g));
+  verify::VerifyOptions opt;
+  opt.order = 2;
+  opt.deterministic_report = true;
+  opt.incremental = true;
+
+  TempDir dir("union_verdict");
+  ArtifactStore store({dir.str(), 0});
+  const auto submit = [&](const circuit::Gadget& gadget,
+                          const verify::VerifyOptions& o,
+                          const std::string& name) {
+    const verify::VerifyResult r = verify_with_store(gadget, o, store, nullptr);
+    EXPECT_EQ(verify::json_report(name, o, r, 2.0),
+              cold_run(name, gadget, o).report)
+        << name;
+    return r.stats.incremental.union_replayed;
+  };
+  EXPECT_FALSE(submit(g, opt, "dom-3"));  // cold: nothing to replay
+  EXPECT_TRUE(submit(g, opt, "dom-3"));   // the recorded table again
+  EXPECT_FALSE(submit(edited, opt, "dom-3 edited"));
+  EXPECT_TRUE(submit(edited, opt, "dom-3 edited"));
+  verify::VerifyOptions lower = opt;
+  lower.order = 1;
+  EXPECT_FALSE(submit(edited, lower, "dom-3 order 1"));
+  verify::VerifyOptions higher = opt;
+  higher.order = 3;
+  EXPECT_FALSE(submit(edited, higher, "dom-3 order 3"));
+
+  // A failing union pass is recorded as failed and never replayed: the
+  // witness is computed again.
+  const circuit::Gadget mux = union_insecure_gadget();
+  verify::VerifyOptions ni = opt;
+  ni.notion = verify::Notion::kNI;
+  ni.order = 1;
+  for (int run = 0; run < 2; ++run) {
+    const verify::VerifyResult r = verify_with_store(mux, ni, store, nullptr);
+    EXPECT_FALSE(r.secure);
+    EXPECT_FALSE(r.stats.incremental.union_replayed);
+    ASSERT_TRUE(r.counterexample.has_value());
+    EXPECT_NE(r.counterexample->reason.find("set-level"), std::string::npos);
+    EXPECT_EQ(verify::json_report("mux", ni, r, 2.0),
+              cold_run("mux", mux, ni).report);
+  }
+  const auto head = store.family_head(summary_family_key(mux, ni));
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(store.load_summary(*head)->union_verdict.state,
+            verify::UnionVerdict::State::kFailed);
 }
 
 }  // namespace

@@ -306,6 +306,32 @@ TEST(Manifest, OldFormatImagesAreRejectedWithATypedError) {
   EXPECT_THROW(ScanDir::open(old_dir.string()), SerializationError);
 }
 
+// A SANIPAR v5 image whose mask-dictionary sequence (store/serial.h)
+// claims more masks than its stream could hold: the reader refuses it
+// before sizing anything by the claimed count.
+TEST(Manifest, ImplausibleDependencyCountIsRejected) {
+  ByteWriter w;
+  w.str("");
+  w.i32(1);
+  w.u64(0);
+  w.u64(4);
+  w.u64(4);
+  w.u8(0);  // no failure
+  w.u64(4);  // combinations
+  w.u64(0);
+  w.u64(0);
+  w.u64(0);
+  w.f64(0.0);
+  w.f64(0.0);
+  w.u64(std::uint64_t{1} << 62);  // dependencies
+  w.u64(1);                       // distinct masks
+  write_mask(w, Mask::bit(0));
+  for (int i = 0; i < 4; ++i) w.vu64(0);
+  EXPECT_THROW(deserialize_partial(frame(kPartialMagic, kPartialFormatVersion,
+                                         w.bytes())),
+               SerializationError);
+}
+
 TEST(ScanDirTest, CreateIsIdempotentAndGuardsForeignManifest) {
   TempDir tmp("create");
   const ScanManifest m = tiny_manifest();

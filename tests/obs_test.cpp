@@ -38,7 +38,9 @@ const std::set<std::string> kPhaseNames = {
     "sift",        "task",
     // Fleet/control-plane spans (checkpointable scans and the daemon).
     "claim",       "checkpoint_write", "checkpoint_load", "finalize",
-    "admission_wait"};
+    "admission_wait",
+    // The artifact store's constructor (store/store.h).
+    "store_open"};
 
 verify::VerifyResult run_verify(const char* gadget, int jobs) {
   verify::VerifyOptions opt;

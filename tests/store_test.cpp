@@ -568,6 +568,109 @@ TEST(Store, IndexIsWrittenOncePerSessionByFlush) {
   EXPECT_TRUE(capped.contains(k3));
 }
 
+fs::path object_file(const TempDir& dir, const std::string& key) {
+  return fs::path(dir.str()) / "objects" / key.substr(0, 2) / key.substr(2);
+}
+
+TEST(Store, VanishedObjectLeavesTheIndex) {
+  // An indexed object deleted behind the store's back: the get is a miss,
+  // and the entry goes with it — its bytes stop counting against the cap
+  // and the next instance does not inherit it.
+  TempDir dir("vanished");
+  const std::string k1(64, '1'), k2(64, '2');
+  ArtifactStore store({dir.str(), 0});
+  ASSERT_TRUE(store.put(k1, std::string(1000, 'p')));
+  ASSERT_TRUE(store.put(k2, std::string(500, 'q')));
+  fs::remove(object_file(dir, k1));
+  EXPECT_FALSE(store.get(k1).has_value());
+  EXPECT_FALSE(store.contains(k1));
+  EXPECT_EQ(store.stats().objects, 1u);
+  EXPECT_EQ(store.stats().total_bytes, 500u);
+  store.flush();
+  ArtifactStore reopened({dir.str(), 0});
+  EXPECT_FALSE(reopened.contains(k1));
+  EXPECT_TRUE(reopened.contains(k2));
+  EXPECT_EQ(reopened.stats().total_bytes, 500u);
+}
+
+TEST(Store, OpenReadsOnlyTheIndex) {
+  // With a readable index the constructor touches no object; only a
+  // missing index makes it walk the object directory, and that walk writes
+  // the index back for the next open.
+  TempDir dir("open");
+  const std::string k1(64, 'a'), k2(64, 'b');
+  {
+    ArtifactStore store({dir.str(), 0});
+    ASSERT_TRUE(store.put(k1, "hello"));
+    ASSERT_TRUE(store.put(k2, "world"));
+  }
+  {
+    ArtifactStore store({dir.str(), 0});
+    EXPECT_EQ(store.stats().reconciles, 0u);
+    EXPECT_EQ(store.stats().objects, 2u);
+    EXPECT_EQ(store.stats().total_bytes, 10u);
+  }
+  fs::remove(fs::path(dir.str()) / "index");
+  {
+    ArtifactStore store({dir.str(), 0});
+    EXPECT_EQ(store.stats().reconciles, 1u);
+    EXPECT_EQ(store.stats().objects, 2u);
+  }
+  ArtifactStore store({dir.str(), 0});
+  EXPECT_EQ(store.stats().reconciles, 0u);
+  EXPECT_EQ(store.stats().objects, 2u);
+  // An explicit reconcile walks whatever the index says.
+  store.reconcile();
+  EXPECT_EQ(store.stats().reconciles, 1u);
+  EXPECT_EQ(store.stats().objects, 2u);
+}
+
+TEST(Store, GetAdoptsAnObjectAnotherInstanceWrote) {
+  TempDir dir("adopt");
+  const std::string key(64, 'c');
+  ArtifactStore reader({dir.str(), 0});
+  {
+    ArtifactStore writer({dir.str(), 0});
+    ASSERT_TRUE(writer.put(key, "hello"));
+  }
+  EXPECT_FALSE(reader.contains(key));  // opened before the write
+  EXPECT_EQ(reader.get(key), "hello");
+  EXPECT_TRUE(reader.contains(key));
+  EXPECT_EQ(reader.stats().objects, 1u);
+  EXPECT_EQ(reader.stats().total_bytes, 5u);
+  // A key nobody wrote stays a plain miss.
+  EXPECT_FALSE(reader.get(std::string(64, 'd')).has_value());
+  EXPECT_EQ(reader.stats().objects, 1u);
+}
+
+TEST(Store, FlushKeepsEntriesAnotherInstanceAdded) {
+  // Two instances share one directory (a daemon beside CLI runs): each
+  // flush merges the index on disk, so neither drops the other's entries,
+  // and a removal by one is not undone by the other.
+  TempDir dir("merge");
+  const std::string k1(64, '1'), k2(64, '2'), k3(64, '3'), k4(64, '4');
+  {
+    ArtifactStore seed({dir.str(), 0});
+    ASSERT_TRUE(seed.put(k1, "garbage"));
+    ASSERT_TRUE(seed.put(k2, "kept"));
+  }
+  ArtifactStore a({dir.str(), 0});
+  ArtifactStore b({dir.str(), 0});
+  ASSERT_TRUE(a.put(k3, "from a"));
+  EXPECT_EQ(a.load_basis(k1), nullptr);  // quarantined: a removes k1
+  ASSERT_TRUE(b.put(k4, "from b"));
+  a.flush();
+  b.flush();
+  EXPECT_TRUE(b.contains(k3));   // learnt from a's index
+  EXPECT_FALSE(b.contains(k1));  // a removed it; b never touched it
+  ArtifactStore c({dir.str(), 0});
+  EXPECT_EQ(c.stats().reconciles, 0u);
+  EXPECT_FALSE(c.contains(k1));
+  for (const std::string& key : {k2, k3, k4}) EXPECT_TRUE(c.contains(key));
+  EXPECT_EQ(c.stats().objects, 3u);
+  EXPECT_EQ(c.stats().total_bytes, 4u + 6u + 6u);
+}
+
 // A cone summary is read only through its family head, so moving the head
 // deletes the summary it named: pinned by this instance or not, and before
 // the LRU sweep weighs what is left.

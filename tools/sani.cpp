@@ -485,12 +485,15 @@ int main(int argc, char** argv) {
       }
       if (!any_op) std::cout << " (no lookups)";
       std::cout << "\n";
-      // Store-side stats: open the artifact store (read-only in effect) and
-      // report its occupancy; the gauges land in the metrics block below.
+      // Store-side stats: open the artifact store and report its
+      // occupancy; the gauges land in the metrics block below.  Opening
+      // reads only the index, so reconcile with the object directory first
+      // to keep the object and byte counts exact.
       if (auto store_dir = args.value("store")) {
         store::ArtifactStore::Options store_opt;
         store_opt.dir = *store_dir;
         store::ArtifactStore artifacts(store_opt);
+        artifacts.reconcile();
         const store::ArtifactStore::Stats st = artifacts.stats();
         std::cout << "  store: " << st.objects << " objects, "
                   << st.total_bytes << " bytes; this process: hits="
@@ -587,6 +590,8 @@ int main(int argc, char** argv) {
                         : outcome.summary_hit ? "; summary unchanged"
                                               : "")
                     << "\n";
+        if (r.stats.incremental.union_replayed)
+          std::cerr << "incremental: union verdict replayed\n";
         const store::ArtifactStore::Stats st = artifacts.stats();
         std::cerr << "store stats: hits=" << st.hits
                   << " misses=" << st.misses
