@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "sched/pool.h"
+#include "sched/team.h"
 #include "util/table.h"
 #include "verify/report.h"
 
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   };
 
   TextTable table({"gadget", "notion", "engine", "jobs", "seconds", "speedup",
-                   "shards", "stolen"});
+                   "shards"});
   for (const SweepCase& c : cases) {
     const circuit::Gadget g = gadgets::by_name(c.gadget);
     double serial_seconds = 0.0;
@@ -80,12 +80,11 @@ int main(int argc, char** argv) {
           .add(std::to_string(jobs))
           .add(secs.str())
           .add(speedup.str())
-          .add(std::to_string(r.stats.parallel.shards_total))
-          .add(std::to_string(r.stats.parallel.shards_stolen));
+          .add(std::to_string(r.stats.parallel.shards_total));
     }
   }
   std::cout << "== parallel scaling (hardware threads: "
-            << sched::Pool::hardware_threads() << ") ==\n";
+            << sched::hardware_threads() << ") ==\n";
   std::cout << table.to_ascii();
   return 0;
 }

@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "sched/cancel.h"
 #include "sched/queue.h"
+#include "sched/team.h"
 #include "store/cached_verify.h"
 #include "store/scan.h"
 #include "store/store.h"
@@ -415,10 +416,7 @@ void Server::Impl::run_job(const JobPtr& job) {
       // finalize.  A cancel mid-scan (waiters gone / daemon stopping)
       // leaves every completed shard checkpointed; the same request later
       // resumes from them instead of starting over.
-      const int scan_jobs =
-          job->request.options.jobs > 0
-              ? job->request.options.jobs
-              : static_cast<int>(std::thread::hardware_concurrency());
+      const int scan_jobs = sched::default_jobs(job->request.options.jobs);
       store::PlanOutcome plan;
       store::ScanDir scan = store::plan_scan(
           job->gadget, job->label, job->request.options, *store, scan_jobs,
@@ -445,17 +443,7 @@ void Server::Impl::run_job(const JobPtr& job) {
       result = store::verify_with_store(job->gadget, job->request.options,
                                         *store, &outcome, &job->cancel);
     } else {
-      // The storeless path still warm-starts nothing but still honors the
-      // per-request token: run the cold pipeline by hand so the token
-      // reaches verify_basis.
-      const circuit::Unfolded unfolded =
-          verify::unfold_for(job->gadget, job->request.options);
-      verify::ObservableSet observables = verify::build_observables(
-          job->gadget, unfolded, job->request.options.probes);
-      result = verify::verify_basis(
-          verify::build_basis(unfolded, observables,
-                              job->request.options.engine),
-          job->request.options, &job->cancel);
+      result = verify::verify(job->gadget, job->request.options, &job->cancel);
     }
     // The store is long-lived here: publish this job's index changes now
     // rather than at shutdown, so other processes on the directory see them.

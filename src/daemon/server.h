@@ -21,8 +21,8 @@
 // time limit arms its deadline, and a job whose every waiter disconnected
 // before it started is skipped (or, once running, cancelled
 // cooperatively).  Verification itself executes through the ordinary
-// engine paths — per-request "jobs" still selects the sched::Pool worker
-// count inside the job.
+// engine paths — per-request "jobs" still selects the shard executor's
+// worker count inside the job.
 //
 // Lifecycle: start() binds and spawns threads; request_stop() (also
 // triggered by a client's {"op":"shutdown"}) asks for termination;

@@ -4,11 +4,31 @@
 
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "obs/clock.h"
 #include "obs/trace.h"
 
 namespace sani::obs {
+
+Heartbeat::Heartbeat(double interval_seconds, std::function<void()> beat)
+    : interval_(interval_seconds), beat_(std::move(beat)), thread_([this] {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (!wake_.wait_for(lock, interval_, [&] { return stopped_; })) {
+          lock.unlock();
+          beat_();
+          lock.lock();
+        }
+      }) {}
+
+Heartbeat::~Heartbeat() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopped_ = true;
+  }
+  wake_.notify_one();
+  thread_.join();
+}
 
 bool Progress::stderr_is_tty() { return ::isatty(2) == 1; }
 
@@ -18,29 +38,18 @@ void Progress::start(std::uint64_t total) {
   total_.store(total, std::memory_order_relaxed);
   start_ns_ = Clock::now_ns();
   printed_ = false;
-  running_.store(true, std::memory_order_release);
-  sampler_ = std::thread([this] { sampler_loop(); });
-}
-
-void Progress::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  if (sampler_.joinable()) sampler_.join();
-  print_line(/*final_line=*/true);
-}
-
-void Progress::sampler_loop() {
-  // Poll in small slices so stop() never waits a full interval.
-  const auto slice = std::chrono::milliseconds(20);
-  std::int64_t next_ns = start_ns_ + options_.interval_ms * 1'000'000;
-  while (running_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(slice);
-    if (Clock::now_ns() < next_ns) continue;
-    next_ns += options_.interval_ms * 1'000'000;
+  heartbeat_.emplace(static_cast<double>(options_.interval_ms) * 1e-3, [this] {
     print_line(/*final_line=*/false);
     // The heartbeat doubles as the tracer's progress sampler.
     Tracer::instance().counter("verify.checked",
                                static_cast<double>(checked()));
-  }
+  });
+}
+
+void Progress::stop() {
+  if (!heartbeat_) return;
+  heartbeat_.reset();
+  print_line(/*final_line=*/true);
 }
 
 void Progress::print_line(bool final_line) {

@@ -17,17 +17,41 @@
 // got when a deadline or counterexample stopped it.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 namespace sani::obs {
+
+/// Calls `beat` every `interval_seconds` on its own thread until destroyed;
+/// the destructor stops and joins it at once, whatever the exit path.
+class Heartbeat {
+ public:
+  Heartbeat(double interval_seconds, std::function<void()> beat);
+  ~Heartbeat();
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
+
+ private:
+  const std::chrono::duration<double> interval_;
+  const std::function<void()> beat_;
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  bool stopped_ = false;  // guarded by mutex_
+  std::thread thread_;    // last: starts after the members it uses
+};
 
 class Progress {
  public:
   struct Options {
     std::int64_t interval_ms = 500;  // heartbeat period
-    bool use_stderr = true;          // false: heartbeat stays silent
-                                     // (counters still tick; tests)
+    /// false: the heartbeat stays silent (counters still tick; tests).
+    /// Defaults to printing only to an interactive terminal.
+    bool use_stderr = stderr_is_tty();
   };
 
   Progress() = default;
@@ -41,8 +65,8 @@ class Progress {
   /// the counter; idempotent while running (restarts with the new total).
   void start(std::uint64_t total);
 
-  /// Joins the sampling thread and prints the final "…done" line (TTY
-  /// mode).  Safe to call twice; the destructor calls it.
+  /// Stops the heartbeat and prints the final "…done" line (TTY mode).
+  /// Safe to call twice; the destructor calls it.
   void stop();
 
   /// The hot-path hook: one relaxed increment.
@@ -59,16 +83,14 @@ class Progress {
   static bool stderr_is_tty();
 
  private:
-  void sampler_loop();
   void print_line(bool final_line);
 
   Options options_;
   std::atomic<std::uint64_t> checked_{0};
   std::atomic<std::uint64_t> total_{0};
-  std::atomic<bool> running_{false};
   std::int64_t start_ns_ = 0;
-  bool printed_ = false;  // sampler-thread / stop()-owner state
-  std::thread sampler_;
+  bool printed_ = false;  // heartbeat-thread / stop()-owner state
+  std::optional<Heartbeat> heartbeat_;
 };
 
 }  // namespace sani::obs

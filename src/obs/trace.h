@@ -19,16 +19,18 @@
 //
 // Span names are static strings drawn from the documented phase taxonomy
 // (DESIGN.md Sec. 10): parse, unfold, basis_build, freeze, thaw, scan,
-// convolution, add_check, union, gc, sift, the scheduler's per-task "task"
-// spans, and the fleet phases added with checkpointable scans and the
+// convolution, add_check, union, gc, sift, the shard executor's "task"
+// spans (one per shard, in process and in a scan worker alike), and the
+// fleet phases added with checkpointable scans and the
 // daemon: claim, checkpoint_write, checkpoint_load, finalize,
 // admission_wait, and the artifact store's store_open.  Counter events
 // (ph:"C") sample the DD ManagerStats (live nodes, arena bytes, cache hit
 // rate) and the enumeration progress.
 //
 // Thread ids in the emitted trace are small dense integers assigned on each
-// thread's first event; sched::Pool labels its workers "worker N" via
-// thread-name metadata so per-worker rows are recognizable in the viewer.
+// thread's first event; sched::run_workers labels its workers "worker N"
+// via thread-name metadata so per-worker rows are recognizable in the
+// viewer.
 //
 // Multi-process scans: every worker emits its real pid, an optional
 // process_name metadata row (set_process_label) and the scan's trace id in

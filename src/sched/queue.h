@@ -1,12 +1,13 @@
 #pragma once
 // Bounded, priority-ordered admission queue for the sanid daemon.
 //
-// sched::Pool is a batch/barrier executor: run() blocks until a whole shard
-// plan drains, so it cannot also be the structure that *admits* work from
-// many concurrent clients.  AdmissionQueue fills that gap: connection
-// handlers push jobs (rejecting when full, so a flooding client gets
-// backpressure instead of unbounded daemon memory), a small set of executor
-// threads block in pop() and run each job on the Pool.
+// The shard executor (verify/parallel.h) is a batch/barrier executor: it
+// returns once a whole shard plan drains, so it cannot also be the
+// structure that *admits* work from many concurrent clients.
+// AdmissionQueue fills that gap: connection handlers push jobs (rejecting
+// when full, so a flooding client gets backpressure instead of unbounded
+// daemon memory), a small set of executor threads block in pop() and run
+// each job through the shard executor.
 //
 // Ordering: higher priority first; within a priority, FIFO by admission
 // sequence — two equal-priority jobs never reorder, which keeps daemon

@@ -27,8 +27,8 @@ struct Shard {
 };
 
 struct ShardPlanOptions {
-  /// Target shards per worker per size class; >1 gives the work-stealing
-  /// pool slack to rebalance uneven shard costs.
+  /// Target shards per worker per size class; >1 lets the workers' shared
+  /// claim cursor rebalance uneven shard costs.
   int oversubscribe = 8;
   /// Never split below this many combinations (per-shard setup amortization).
   std::uint64_t min_size = 8;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -24,13 +23,13 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "sched/cancel.h"
-#include "sched/pool.h"
 #include "sched/shard.h"
 #include "store/cached_verify.h"
 #include "store/telemetry.h"
 #include "verify/driver.h"
 #include "verify/engine.h"
 #include "verify/observables.h"
+#include "verify/parallel.h"
 #include "verify/partial.h"
 
 namespace sani::store {
@@ -83,46 +82,6 @@ std::shared_ptr<const verify::Basis> resolve_basis(
   if (store) store->save_basis(m.basis_key, *basis, built);
   return basis;
 }
-
-/// Calls `sample` every `interval_seconds` on its own thread until
-/// destroyed.  The destructor stops and joins the thread, so no exit path
-/// of a scan, an exception included, leaves it running.  It waits on a
-/// condition variable rather than sleeping, so stopping costs no wait-out
-/// of a sleep slice.
-class Sampler {
- public:
-  Sampler(double interval_seconds, std::function<void()> sample)
-      : interval_(interval_seconds),
-        sample_(std::move(sample)),
-        thread_([this] { loop(); }) {}
-  ~Sampler() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopped_ = true;
-    }
-    wake_.notify_one();
-    thread_.join();
-  }
-  Sampler(const Sampler&) = delete;
-  Sampler& operator=(const Sampler&) = delete;
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!wake_.wait_for(lock, interval_, [&] { return stopped_; })) {
-      lock.unlock();
-      sample_();
-      lock.lock();
-    }
-  }
-
-  const std::chrono::duration<double> interval_;
-  const std::function<void()> sample_;
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  bool stopped_ = false;  // guarded by mutex_
-  std::thread thread_;    // last: starts after the members it uses
-};
 
 /// Semantic options a worker runs shards with: the manifest's canonical
 /// options minus every runtime knob that must not leak into a checkpoint
@@ -243,6 +202,7 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
       options.progress->tick(st.combinations_done);
   }
 
+  const int jobs = std::max(1, options.jobs);
   std::atomic<std::uint64_t> done{0};
   std::atomic<std::uint64_t> reclaimed{0};
   std::atomic<std::uint64_t> combinations{0};
@@ -253,7 +213,7 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
       {{"dir", scan.dir()},
        {"trace_id", m.trace_id},
        {"engine", verify::engine_name(wopts.engine)},
-       {"jobs", options.jobs > 0 ? options.jobs : 1}});
+       {"jobs", jobs}});
 
   // Telemetry sampler: periodically publish this worker's snapshot into
   // <scan-dir>/telemetry/ so `sani top` / `--status` anywhere on the
@@ -280,7 +240,7 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
     snap.live_nodes = obs::Metrics::instance().gauge("dd.live_nodes").value();
     return snap;
   };
-  std::optional<Sampler> sampler;
+  std::optional<obs::Heartbeat> sampler;
   if (options.telemetry_interval_seconds > 0.0) {
     write_worker_snapshot(scan.dir(), make_snapshot());
     sampler.emplace(options.telemetry_interval_seconds, [&] {
@@ -295,60 +255,24 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
   std::mutex fold_mutex;
   std::vector<char> folded(m.shards.size(), 0);
 
-  // How long to wait when every remaining shard is claimed by someone
-  // else: short enough that a released/expired claim is picked up quickly,
-  // long enough not to spin the directory.  A sibling thread that
-  // checkpoints or releases a shard ends the wait at once, so the last
-  // shard's owner never leaves an idle sibling sleeping out the poll.
-  const auto poll = std::chrono::duration<double>(
-      std::min(0.25, std::max(0.01, options.lease_seconds / 4.0)));
-  std::mutex settle_mutex;
-  std::condition_variable settle_wake;
-  std::uint64_t settled = 0;  // shards checkpointed or released here
-  auto settle = [&] {
-    {
-      std::lock_guard<std::mutex> lock(settle_mutex);
-      ++settled;
-    }
-    settle_wake.notify_all();
-  };
-  auto settled_count = [&] {
-    std::lock_guard<std::mutex> lock(settle_mutex);
-    return settled;
-  };
-  // Set when a claim loop throws: its siblings stop claiming, and the pool
-  // rethrows the first exception on the calling thread.
-  std::atomic<bool> failed{false};
-
-  auto worker = [&]() {
-    // Per-thread driver: private backend/manager state over the one shared
-    // Basis; progress (if any) ticks through the shared options object.
-    verify::VerifyOptions topts = wopts;
-    topts.progress = options.progress;
-    verify::Driver driver(basis, topts, options.cancel);
-    // The shard-stop predicate: without an external token, never stop
-    // early (checkpoint purity); with one, stop at the next combination
-    // once it fires — the shard is then NOT checkpointed.
-    sched::CancelToken* const token = options.cancel;
-    const std::function<bool(const std::vector<int>&)> still_relevant =
-        [token](const std::vector<int>&) {
-          return token == nullptr || !token->cancelled();
-        };
+  // The shard executor's scan ends: claims are ScanDir leases, and a
+  // finished shard is checkpointed (and, when asked, folded in memory).
+  // Without an external token nothing ever stops a shard early.
+  sched::CancelToken never;
+  sched::CancelToken& cancel = options.cancel ? *options.cancel : never;
+  verify::ShardFlow flow;
+  flow.claim = [&]() -> std::optional<std::size_t> {
     for (;;) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      if (options.cancel && options.cancel->cancelled()) return;
+      if (cancel.cancelled()) return std::nullopt;
       if (options.max_shards > 0 &&
           done.load(std::memory_order_relaxed) >= options.max_shards)
-        return;
-      const std::uint64_t seen = settled_count();
+        return std::nullopt;
       std::optional<ScanDir::Claim> claim =
           scan.claim_next(options.lease_seconds);
       if (!claim) {
-        if (scan.drained()) return;
         // Someone else (a thread here or another process) holds the rest.
-        std::unique_lock<std::mutex> lock(settle_mutex);
-        settle_wake.wait_for(lock, poll, [&] { return settled != seen; });
-        continue;
+        if (scan.drained()) return std::nullopt;
+        return verify::ShardFlow::kBusy;
       }
       claimed.fetch_add(1, std::memory_order_relaxed);
       if (claim->reclaimed) {
@@ -364,54 +288,47 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
         // Lost a duplicate-execution race after a steal; the checkpoint is
         // already the canonical bytes.
         scan.release_claim(claim->index);
-        settle();
         continue;
       }
-      verify::Driver::ShardOutcome out;
-      verify::PartialReport part;
-      try {
-        driver.run_shard_partial(m.shards[claim->index], still_relevant, out,
-                                 part);
-        if (part.complete && !scan.write_checkpoint(claim->index, part))
-          throw std::runtime_error("scan: cannot write checkpoint in " +
-                                   scan.dir());
-      } catch (...) {
-        // Release at once, so a resume reruns the shard without waiting
-        // out the lease.
-        scan.release_claim(claim->index);
-        throw;
-      }
-      if (!part.complete) {
-        // Interrupted mid-shard (cancel/deadline): the partial is not a
-        // pure function of the shard — release so someone reruns it whole.
-        scan.release_claim(claim->index);
-        settle();
-        return;
-      }
-      settle();
-      done.fetch_add(1, std::memory_order_relaxed);
-      combinations.fetch_add(part.combinations, std::memory_order_relaxed);
-      if (options.assembler) {
-        std::lock_guard<std::mutex> lock(fold_mutex);
-        if (!folded[claim->index]) {
-          folded[claim->index] = 1;
-          options.assembler->add(std::move(part));
-        }
+      return claim->index;
+    }
+  };
+  // Short enough that a released or expired claim is picked up quickly,
+  // long enough not to spin the directory; a sibling thread that settles a
+  // shard ends the wait at once.
+  flow.busy_wait = std::chrono::duration<double>(
+      std::min(0.25, std::max(0.01, options.lease_seconds / 4.0)));
+  // Checkpoints hold complete shards only, so a shard stops early only
+  // once the external token fires — at its next combination, with nothing
+  // left relevant.  The partial is then not a pure function of the shard:
+  // its claim is released so someone reruns it whole.
+  flow.persists = true;
+  flow.still_relevant = [](const std::vector<int>&) { return false; };
+  flow.sink = [&](int, std::size_t index, const verify::Driver::ShardOutcome&,
+                  verify::PartialReport&& part) {
+    if (!scan.write_checkpoint(index, part))
+      throw std::runtime_error("scan: cannot write checkpoint in " +
+                               scan.dir());
+    done.fetch_add(1, std::memory_order_relaxed);
+    combinations.fetch_add(part.combinations, std::memory_order_relaxed);
+    if (options.assembler) {
+      std::lock_guard<std::mutex> lock(fold_mutex);
+      if (!folded[index]) {
+        folded[index] = 1;
+        options.assembler->add(std::move(part));
       }
     }
   };
+  // A failed or interrupted shard's claim goes back at once, so a resume
+  // reruns it without waiting out the lease.
+  flow.release = [&](std::size_t index) { scan.release_claim(index); };
 
-  // One claim loop per pool worker; the calling thread is worker 0.
-  const int jobs = options.jobs > 0 ? options.jobs : 1;
-  sched::Pool pool(jobs);
-  pool.run(static_cast<std::size_t>(jobs), [&](int, std::size_t) {
-    try {
-      worker();
-    } catch (...) {
-      failed.store(true, std::memory_order_relaxed);
-      settle();  // wake siblings waiting for a shard
-      throw;
-    }
+  // Private backend/manager state per worker over the one shared Basis;
+  // progress (if any) ticks through the shared options object.
+  verify::VerifyOptions topts = wopts;
+  topts.progress = options.progress;
+  verify::run_claim_loops(jobs, m.shards, flow, [&](int) {
+    return std::make_unique<verify::Driver>(basis, topts, cancel);
   });
 
   if (options.progress) options.progress->stop();

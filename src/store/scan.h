@@ -13,9 +13,11 @@
 //                    Idempotent: re-planning the same job reopens the same
 //                    directory, checkpoints intact.
 //   run_scan_worker — claim-and-run until the manifest drains (or a shard
-//                    quota is hit).  Safe to run N of these concurrently
-//                    on a shared directory; a SIGKILL at any point loses at
-//                    most the in-flight shards, whose stale leases the next
+//                    quota is hit), on the shard executor's claim loop
+//                    (verify/parallel.h) with lease claims and checkpoint
+//                    sinks.  Safe to run N of these concurrently on a
+//                    shared directory; a SIGKILL at any point loses at most
+//                    the in-flight shards, whose stale leases the next
 //                    worker reclaims.
 //   finalize_scan  — fold every checkpoint through verify::ReportAssembler
 //                    into the canonical serial-shaped report.  Byte-
@@ -85,7 +87,7 @@ struct WorkerOptions {
   /// engines across workers (or across a crash/resume boundary) cannot
   /// change the finalized report.
   verify::EngineKind engine = verify::EngineKind::kAuto;
-  /// Claiming threads inside this process (each owns a private Driver).
+  /// Claiming workers in this process (worker 0 is the calling thread).
   int jobs = 1;
   /// Claims older than this are considered abandoned and stolen; 0 steals
   /// any existing claim immediately (single-owner resume).

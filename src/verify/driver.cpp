@@ -13,7 +13,7 @@
 namespace sani::verify {
 
 Driver::Driver(std::shared_ptr<const Basis> basis,
-               const VerifyOptions& options, sched::CancelToken* cancel)
+               const VerifyOptions& options, sched::CancelToken& cancel)
     : basis_(std::move(basis)),
       options_(options),
       needs_region_(backend_info(options.engine).needs_region),
@@ -29,13 +29,7 @@ Driver::Driver(std::shared_ptr<const Basis> basis,
       rowcheck_(basis_->vars, options.notion, options.joint_share_count,
                 basis_->relevant_publics, preds_.get(),
                 &stats_.region_cache),
-      cancel_(cancel) {
-  if (!cancel_) {
-    if (options_.time_limit > 0)
-      own_cancel_.set_deadline_after(options_.time_limit);
-    cancel_ = &own_cancel_;
-  }
-}
+      cancel_(&cancel) {}
 
 Driver::~Driver() = default;
 

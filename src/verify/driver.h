@@ -5,18 +5,17 @@
 // checks XOR-combinations of observables against the notion's spectral
 // predicate.  Its one entry point is run_shard_partial(): check a
 // contiguous rank range of the size-k combinations and hand back a
-// PartialReport (verify/partial.h).  Both shard executors call it — the
-// in-process one (verify/parallel.h, every --jobs value) and the
-// checkpointed scan worker (store/scan.h) — and both fold the partials
-// through one ReportAssembler, so the union-check dependency masks live in
-// exactly one table.  Every engine shares the one Basis; for the ADD
+// PartialReport (verify/partial.h).  Its one caller is the shard
+// executor's claim loop (verify/parallel.h), which every in-process run
+// and every checkpointed scan worker (store/scan.h) goes through, and the
+// partials fold through one ReportAssembler, so the union-check dependency
+// masks live in exactly one table.  Every engine shares the one Basis; for the ADD
 // engines (MAPI/FUJITA) the Driver additionally owns a private dd::Manager
 // and thaws the Basis' frozen forest into it at construction
 // (Manager::import_forest) — no unfolding replay anywhere.
 //
-// Cancellation is cooperative: the sched::CancelToken (external, or an
-// internal one armed from VerifyOptions::time_limit) is polled at every
-// combination.  All mutable state is confined to the Driver; the Basis is
+// Cancellation is cooperative: the executor's sched::CancelToken is polled
+// at every combination.  All mutable state is confined to the Driver; the Basis is
 // read-only, so Drivers over one Basis run concurrently without sharing.
 
 #include <functional>
@@ -48,11 +47,10 @@ class Driver {
   /// The Basis is the complete verification input for every engine.  When
   /// the engine's registry entry has needs_thaw (MAPI/FUJITA) the Driver
   /// creates a private dd::Manager and thaws the Basis' frozen forest into
-  /// it here; the scan engines never touch a manager.  `cancel` may be
-  /// null: the driver then arms an internal token from options.time_limit.
-  /// An external token is polled but never armed.
+  /// it here; the scan engines never touch a manager.  `cancel` is polled,
+  /// never armed: its owner sets any deadline.
   Driver(std::shared_ptr<const Basis> basis, const VerifyOptions& options,
-         sched::CancelToken* cancel = nullptr);
+         sched::CancelToken& cancel);
   ~Driver();
 
   /// Arms the diff-aware scan: combinations `plan` classifies as clean are
@@ -167,7 +165,6 @@ class Driver {
   std::vector<int> plan_scratch_;
   spectral::ArenaStats arena_stats_;
   VerifyStats stats_;
-  sched::CancelToken own_cancel_;
   sched::CancelToken* cancel_;
 };
 

@@ -56,10 +56,11 @@ circuit::Unfolded unfold_for(const circuit::Gadget& gadget,
 }
 
 VerifyResult verify(const circuit::Gadget& gadget,
-                    const VerifyOptions& options) {
+                    const VerifyOptions& options, sched::CancelToken* cancel) {
   const circuit::Unfolded unfolded = unfold_for(gadget, options);
   ObservableSet obs = build_observables(gadget, unfolded, options.probes);
-  return verify_prepared(unfolded, obs, options);
+  return verify_basis(build_basis(unfolded, obs, options.engine), options,
+                      cancel);
 }
 
 }  // namespace sani::verify

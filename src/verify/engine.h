@@ -56,8 +56,10 @@ circuit::Unfolded unfold_for(const circuit::Gadget& gadget,
 
 /// Unfolds `gadget`, builds the observable universe and decides the notion
 /// on options.jobs workers (verify/parallel.h): same verdict, same witness,
-/// same deterministic report for any worker count.
-VerifyResult verify(const circuit::Gadget& gadget, const VerifyOptions& options);
+/// same deterministic report for any worker count.  `cancel` as in
+/// verify_basis.
+VerifyResult verify(const circuit::Gadget& gadget, const VerifyOptions& options,
+                    sched::CancelToken* cancel = nullptr);
 
 /// Same, over a pre-built unfolding and observable set (used to analyse
 /// fixed probe configurations such as the Fig. 1 composition example, and

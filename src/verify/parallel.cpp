@@ -2,21 +2,86 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
-#include "sched/cancel.h"
-#include "sched/pool.h"
-#include "sched/shard.h"
-#include "util/combinations.h"
 #include "obs/progress.h"
+#include "obs/trace.h"
+#include "sched/cancel.h"
+#include "sched/shard.h"
+#include "sched/team.h"
+#include "util/combinations.h"
 #include "verify/driver.h"
 #include "verify/incremental.h"
 #include "verify/partial.h"
 
 namespace sani::verify {
+
+std::vector<std::unique_ptr<Driver>> run_claim_loops(
+    int jobs, const std::vector<sched::Shard>& shards, ShardFlow& flow,
+    const std::function<std::unique_ptr<Driver>(int worker)>& make_driver) {
+  // A busy claim waits until a sibling settles a shard (sinks, releases or
+  // fails), or for flow.busy_wait at most.
+  std::mutex settle_mu;
+  std::condition_variable settle_cv;
+  std::atomic<std::uint64_t> settled{0};
+  auto settle = [&] {
+    {
+      std::lock_guard<std::mutex> lk(settle_mu);
+      settled.fetch_add(1, std::memory_order_relaxed);
+    }
+    settle_cv.notify_all();
+  };
+  auto stopped = [&] { return flow.failed.load(std::memory_order_relaxed); };
+
+  std::vector<std::unique_ptr<Driver>> drivers(
+      static_cast<std::size_t>(std::max(1, jobs)));
+  sched::run_workers(jobs, [&](int w) {
+    std::unique_ptr<Driver>& driver = drivers[static_cast<std::size_t>(w)];
+    std::size_t held = 0;
+    bool holding = false;  // `held` is claimed and not handed to the sink
+    try {
+      while (!stopped()) {
+        const std::uint64_t seen = settled.load(std::memory_order_relaxed);
+        const std::optional<std::size_t> claim = flow.claim();
+        if (!claim) return;
+        if (*claim == ShardFlow::kBusy) {
+          std::unique_lock<std::mutex> lk(settle_mu);
+          settle_cv.wait_for(lk, flow.busy_wait, [&] {
+            return settled.load(std::memory_order_relaxed) != seen ||
+                   stopped();
+          });
+          continue;
+        }
+        held = *claim;
+        holding = true;
+        if (!driver) driver = make_driver(w);
+        obs::Span span("task");
+        Driver::ShardOutcome out;
+        PartialReport part;
+        driver->run_shard_partial(shards[held], flow.still_relevant, out,
+                                  part);
+        if (flow.persists && !part.complete) break;
+        flow.sink(w, held, out, std::move(part));
+        holding = false;
+        settle();
+      }
+    } catch (...) {
+      flow.failed.store(true, std::memory_order_relaxed);
+      if (holding && flow.release) flow.release(held);
+      settle();
+      throw;
+    }
+    if (holding) {  // stopped by a cancel mid-shard
+      flow.release(held);
+      settle();
+    }
+  });
+  return drivers;
+}
 
 VerifyResult run_shards(std::shared_ptr<const Basis> basis,
                         const VerifyOptions& options,
@@ -43,14 +108,10 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
     for (auto& c : collectors)
       c = std::make_unique<SummaryCollector>(N, options.order);
   }
-  // Worker 0's Driver is built here, on the calling thread that runs it;
-  // the others lazily on their own threads (the ADD engines thaw the
-  // basis' frozen forest into a private manager in the Driver constructor
-  // — the only per-worker setup).
-  std::vector<std::unique_ptr<Driver>> drivers(static_cast<std::size_t>(jobs));
-  std::vector<std::uint64_t> worker_shards(static_cast<std::size_t>(jobs));
+  // Each worker builds its Driver on its own thread (the ADD engines thaw
+  // the frozen forest there — the only per-worker setup).
   auto make_driver = [&](int worker) {
-    auto driver = std::make_unique<Driver>(basis, options, &cancel);
+    auto driver = std::make_unique<Driver>(basis, options, cancel);
     if (ictx)
       driver->set_incremental(
           ictx->plan, collectors.empty()
@@ -58,7 +119,6 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
                           : collectors[static_cast<std::size_t>(worker)].get());
     return driver;
   };
-  drivers[0] = make_driver(0);
 
   // Workers emit one PartialReport per shard and the assembler folds each
   // in as it completes (order-minimal failure, merged dependency table) —
@@ -68,50 +128,51 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
   ReportAssembler assembler(basis, options);
   std::atomic<std::uint64_t> skipped{0};
   std::atomic<std::uint64_t> abandoned{0};
+  std::atomic<std::size_t> cursor{0};
+  std::vector<std::uint64_t> worker_shards(static_cast<std::size_t>(jobs));
 
+  ShardFlow flow;
   // True while checking `combo` can still change the result: before any
   // failure, until an external cancel() (a failure is folded in before the
   // token is cancelled, so a cancelled token without one is external);
   // after one, while `combo` is ordered before the best known failure.
-  auto still_relevant = [&](const std::vector<int>& combo) {
+  flow.still_relevant = [&](const std::vector<int>& combo) {
     std::lock_guard<std::mutex> lk(best_mu);
     if (!assembler.has_failure()) return !cancel.cancelled();
     return combo_before(combo, assembler.failure_combo(), largest);
   };
+  flow.claim = [&]() -> std::optional<std::size_t> {
+    for (;;) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= shards.size()) return std::nullopt;
+      // Claiming a whole shard is pointless once it cannot change the
+      // result; skip it outright.
+      const sched::Shard& shard = shards[i];
+      if (cancel.cancelled() &&
+          !flow.still_relevant(unrank_combination(N, shard.k, shard.begin))) {
+        skipped.fetch_add(1, std::memory_order_relaxed);
+        cancel.acknowledge();
+        continue;
+      }
+      return i;
+    }
+  };
+  flow.sink = [&](int worker, std::size_t, const Driver::ShardOutcome& out,
+                  PartialReport&& part) {
+    ++worker_shards[static_cast<std::size_t>(worker)];
+    if (out.abandoned) abandoned.fetch_add(1, std::memory_order_relaxed);
+    const bool failed = part.has_failure;
+    {
+      std::lock_guard<std::mutex> lk(best_mu);
+      assembler.add(std::move(part));
+    }
+    if (failed) cancel.cancel();
+  };
 
   if (options.progress)
     options.progress->start(count_combinations_up_to(N, options.order));
-
-  sched::Pool pool(jobs);
-  const sched::PoolStats pool_stats = pool.run(
-      shards.size(), [&](int worker, std::size_t task) {
-        std::unique_ptr<Driver>& driver =
-            drivers[static_cast<std::size_t>(worker)];
-        if (!driver) driver = make_driver(worker);
-        const sched::Shard& shard = shards[task];
-
-        // Claiming a whole shard is pointless once it cannot change the
-        // result; skip it outright.
-        if (cancel.cancelled() &&
-            !still_relevant(unrank_combination(N, shard.k, shard.begin))) {
-          skipped.fetch_add(1, std::memory_order_relaxed);
-          cancel.acknowledge();
-          return;
-        }
-
-        Driver::ShardOutcome out;
-        PartialReport part;
-        driver->run_shard_partial(shard, still_relevant, out, part);
-        ++worker_shards[static_cast<std::size_t>(worker)];
-        if (out.abandoned) abandoned.fetch_add(1, std::memory_order_relaxed);
-        const bool failed = part.has_failure;
-        {
-          std::lock_guard<std::mutex> lk(best_mu);
-          assembler.add(std::move(part));
-        }
-        if (failed) cancel.cancel();
-      });
-
+  const std::vector<std::unique_ptr<Driver>> drivers =
+      run_claim_loops(jobs, shards, flow, make_driver);
   if (options.progress) options.progress->stop();
   for (const auto& c : collectors) ictx->collector->merge_from(*c);
 
@@ -136,13 +197,13 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
   if (options.jobs != 1) {
     ParallelStats& p = stats.parallel;
     p.jobs = jobs;
-    // Every engine shares the one Basis; the frozen forest replaced the
-    // per-worker unfolding replays, so these are constants, kept as report
-    // fields (and test assertions) rather than run-dependent state.
+    // Constants kept as report fields: every engine shares the one Basis
+    // (no unfolding replays), and one cursor hands out every shard (no
+    // owner to steal from).
     p.shared_basis = true;
     p.replays = 0;
+    p.shards_stolen = 0;
     p.shards_total = shards.size();
-    p.shards_stolen = pool_stats.tasks_stolen;
     p.shards_skipped = skipped.load(std::memory_order_relaxed);
     p.shards_abandoned = abandoned.load(std::memory_order_relaxed);
     p.cancel_latency = cancel.max_ack_latency();

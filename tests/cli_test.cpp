@@ -113,10 +113,13 @@ TEST(Cli, RegionLimitIsOneLineUsageErrorInScanWorkers) {
     EXPECT_EQ(run.err.find("error:"), run.err.size() - want.size());
     EXPECT_EQ(run.err.find("usage"), std::string::npos);
   }
-  const CliRun run =
-      run_sani("verify --file " + file.string() + " --order 1 --engine map");
-  EXPECT_EQ(run.exit_code, 64);
-  EXPECT_EQ(run.err, want);
+  for (const char* args : {" --order 1 --engine map",
+                           " --order 1 --engine lil --jobs 2"}) {
+    SCOPED_TRACE(std::string("verify") + args);
+    const CliRun run = run_sani("verify --file " + file.string() + args);
+    EXPECT_EQ(run.exit_code, 64);
+    EXPECT_EQ(run.err, want);
+  }
 }
 
 TEST(Cli, VerifyTraceRecordsTheParseSpan) {

@@ -374,9 +374,12 @@ TEST(DirectEngine, UnfoldTableIsSizedFromTheNetlistWithinTheCeiling) {
 
 TEST(DirectEngine, LiftsTheForbiddenRegionCap) {
   const circuit::Gadget g = test::wide_xor();
+  // The cap is raised inside a shard, so every worker count must stop its
+  // siblings and rethrow it on the caller.
   for (EngineKind e : {EngineKind::kLIL, EngineKind::kMAP})
-    EXPECT_THROW(run(g, Notion::kSNI, 1, e), InputLimitError)
-        << engine_name(e);
+    for (int jobs : {1, 2, 4})
+      EXPECT_THROW(run(g, Notion::kSNI, 1, e, jobs), InputLimitError)
+          << engine_name(e) << " jobs " << jobs;
   const VerifyResult direct = run(g, Notion::kSNI, 1, EngineKind::kDIRECT);
   const VerifyResult mapi = run(g, Notion::kSNI, 1, EngineKind::kMAPI);
   EXPECT_FALSE(direct.secure);

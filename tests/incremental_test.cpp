@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,23 +78,76 @@ std::shared_ptr<const verify::Basis> build_basis_for(
   return verify::build_basis(u, obs, opt.engine);
 }
 
+/// `g` with its first AND gate reading the first random instead of its
+/// second operand: the same wires and observables, one gate's function
+/// and support changed (a fan-in swap changes digests but no function, so
+/// a replay past a dirty cone would go unnoticed).  nullopt when no AND
+/// gate after the first random reads two other wires.
+std::optional<circuit::Gadget> with_first_and_rewired(
+    const circuit::Gadget& g) {
+  if (g.spec.randoms.empty()) return std::nullopt;
+  const circuit::Netlist& nl = g.netlist;
+  const circuit::WireId r0 = g.spec.randoms.front();
+  circuit::Netlist out(nl.name());
+  bool rewired = false;
+  for (circuit::WireId w = 0; w < nl.num_wires(); ++w) {
+    const circuit::GateNode& node = nl.node(w);
+    circuit::WireId b = node.fanin[1];
+    if (!rewired && node.kind == circuit::GateKind::kAnd && r0 < w &&
+        node.fanin[0] != r0 && b != r0) {
+      b = r0;
+      rewired = true;
+    }
+    out.add(node.kind, node.name, node.fanin[0], b, node.fanin[2]);
+  }
+  if (!rewired) return std::nullopt;
+  for (circuit::WireId w : nl.outputs()) out.add_output(w);
+  circuit::Gadget edited{std::move(out), g.spec};
+  edited.validate();
+  return edited;
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance sweep: every registry gadget, edit-resubmit == cold.
 // ---------------------------------------------------------------------------
 
+// Registry gadgets with no AND gate for with_first_and_rewired — the
+// threshold implementations use no randoms, the refresh gadgets no AND —
+// which the sweep edits by fan-in swap only.
+const std::set<std::string> kNoRewirableAnd = {"keccak-ti", "refresh-3",
+                                               "sni-refresh-3", "ti-1"};
+
 TEST(Incremental, EditResubmitMatchesColdAcrossTheRegistry) {
-  // One worker on the calling thread, and two, whose report carries the
-  // per-worker visit counts.
-  std::vector<std::pair<std::string, int>> cases;
-  for (const int jobs : {1, 2})
-    for (const std::string& name : gadgets::all_names())
-      cases.emplace_back(name, jobs);
-  for (const auto& [name, jobs] : cases) {
-    SCOPED_TRACE("jobs " + std::to_string(jobs));
+  // Two edits: a fan-in swap changes cone digests but no function, so only
+  // the AND rewiring shows a stale replay of an edited cone.  One worker on
+  // the calling thread, and two, whose report carries the per-worker visit
+  // counts.
+  struct Case {
+    std::string name;
+    int jobs;
+    bool rewire;
+  };
+  std::vector<Case> cases;
+  for (const bool rewire : {false, true})
+    for (const int jobs : {1, 2})
+      for (const std::string& name : gadgets::all_names())
+        cases.push_back({name, jobs, rewire});
+  for (const auto& [name, jobs, rewire] : cases) {
+    SCOPED_TRACE(std::string(rewire ? "AND rewired" : "fan-ins swapped") +
+                 ", jobs " + std::to_string(jobs));
     const circuit::Gadget g = gadgets::by_name(name);
-    const circuit::WireId swap = circuit::first_swappable_gate(g);
-    ASSERT_NE(swap, circuit::kNoWire) << name;
-    const circuit::Gadget edited = circuit::with_swapped_fanins(g, swap);
+    std::optional<circuit::Gadget> maybe_edited;
+    if (rewire) {
+      maybe_edited = with_first_and_rewired(g);
+      EXPECT_EQ(maybe_edited.has_value(), kNoRewirableAnd.count(name) == 0)
+          << name;
+      if (!maybe_edited) continue;
+    } else {
+      const circuit::WireId swap = circuit::first_swappable_gate(g);
+      ASSERT_NE(swap, circuit::kNoWire) << name;
+      maybe_edited = circuit::with_swapped_fanins(g, swap);
+    }
+    const circuit::Gadget& edited = *maybe_edited;
 
     verify::VerifyOptions opt;
     opt.order = std::min(2, gadgets::security_level(name));
@@ -1163,31 +1217,6 @@ TEST(Incremental, RangeReplayMatchesCold) {
   }
 }
 
-/// `g` with its first AND gate reading the first random instead of its
-/// second operand: the same wires and observables, one gate's function
-/// and support changed (a fan-in swap changes digests but no function, so
-/// a replay past a dirty cone would go unnoticed).
-circuit::Gadget with_first_and_rewired(const circuit::Gadget& g) {
-  const circuit::Netlist& nl = g.netlist;
-  const circuit::WireId r0 = g.spec.randoms.at(0);
-  circuit::Netlist out(nl.name());
-  bool rewired = false;
-  for (circuit::WireId w = 0; w < nl.num_wires(); ++w) {
-    const circuit::GateNode& node = nl.node(w);
-    circuit::WireId b = node.fanin[1];
-    if (!rewired && node.kind == circuit::GateKind::kAnd && r0 < w &&
-        node.fanin[0] != r0 && b != r0) {
-      b = r0;
-      rewired = true;
-    }
-    out.add(node.kind, node.name, node.fanin[0], b, node.fanin[2]);
-  }
-  for (circuit::WireId w : nl.outputs()) out.add_output(w);
-  circuit::Gadget edited{std::move(out), g.spec};
-  edited.validate();
-  return edited;
-}
-
 TEST(Incremental, RangeReplayStopsAtUnmatchedCones) {
   // A function-changing edit keeps every observable's index but not every
   // digest: each bulk run must end at the first combination that holds an
@@ -1195,7 +1224,9 @@ TEST(Incremental, RangeReplayStopsAtUnmatchedCones) {
   for (const std::string name : {"keccak-2", "dom-3"}) {
     SCOPED_TRACE(name);
     const circuit::Gadget g = gadgets::by_name(name);
-    const circuit::Gadget edited = with_first_and_rewired(g);
+    const std::optional<circuit::Gadget> rewired = with_first_and_rewired(g);
+    ASSERT_TRUE(rewired.has_value());
+    const circuit::Gadget& edited = *rewired;
     verify::VerifyOptions opt;
     opt.order = gadgets::security_level(name);
     opt.deterministic_report = true;

@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/builder.h"
 #include "gadgets/registry.h"
 #include "sched/cancel.h"
-#include "sched/pool.h"
+#include "sched/team.h"
 #include "util/combinations.h"
 #include "verify/bruteforce.h"
 #include "verify/engine.h"
 #include "verify/heuristic.h"
+#include "verify/observables.h"
+#include "verify/parallel.h"
 #include "verify/partial.h"
 #include "verify/report.h"
 
@@ -309,13 +317,15 @@ TEST(Parallel, TimeLimitFiresMidEnumerationSerial) {
 TEST(Parallel, TimeLimitFiresMidEnumerationParallel) {
   VerifyOptions opt;
   opt.notion = Notion::kSNI;
-  opt.order = 2;
+  // Order 3: four workers finish order 2 (25,425 combinations) inside the
+  // budget on a fast host.
+  opt.order = 3;
   opt.time_limit = 0.005;
   opt.jobs = 4;
   const VerifyResult r = verify(gadgets::by_name("keccak-3"), opt);
   EXPECT_TRUE(r.timed_out);
   EXPECT_FALSE(r.counterexample.has_value());
-  EXPECT_LT(r.stats.combinations, 25425u);
+  EXPECT_LT(r.stats.combinations, count_combinations_up_to(225, 3));
 }
 
 TEST(Parallel, TimeLimitFiresInBruteforce) {
@@ -339,6 +349,58 @@ TEST(Parallel, TimeLimitFiresInHeuristic) {
   EXPECT_FALSE(r.proven_secure);
 }
 
+// The executor's failure path: the first exception stops every other
+// worker at its next claim instead of letting it drain the plan, the
+// throwing shard's claim is released, and the exception reaches the caller
+// only after every worker returned.
+TEST(Parallel, ShardExceptionStopsTheOtherWorkersAtTheirNextClaim) {
+  const Gadget g = gadgets::by_name("dom-1");
+  VerifyOptions opt;
+  opt.order = 1;
+  opt.engine = EngineKind::kDIRECT;
+  const circuit::Unfolded u = unfold_for(g, opt);
+  const std::shared_ptr<const Basis> basis =
+      build_basis(u, build_observables(g, u, opt.probes), opt.engine);
+  const std::vector<sched::Shard> shards(256, sched::Shard{1, 0, 1});
+  const int jobs = 4;
+
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<std::size_t> claims{0};
+  std::atomic<std::size_t> sunk{0};
+  std::mutex mu;
+  std::vector<std::size_t> released;
+  ShardFlow flow;
+  flow.claim = [&]() -> std::optional<std::size_t> {
+    const std::size_t i = cursor.fetch_add(1);
+    if (i >= shards.size()) return std::nullopt;
+    claims.fetch_add(1);
+    return i;
+  };
+  flow.sink = [&](int, std::size_t i, const Driver::ShardOutcome&,
+                  PartialReport&&) {
+    if (i == 0) throw std::runtime_error("shard 0");
+    // Every other shard is held until the failure is flagged.
+    while (!flow.failed.load()) std::this_thread::yield();
+    sunk.fetch_add(1);
+  };
+  flow.release = [&](std::size_t i) {
+    std::lock_guard<std::mutex> lock(mu);
+    released.push_back(i);
+  };
+  sched::CancelToken cancel;
+  try {
+    run_claim_loops(jobs, shards, flow, [&](int) {
+      return std::make_unique<Driver>(basis, opt, cancel);
+    });
+    FAIL() << "expected the sink's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 0");
+  }
+  EXPECT_LE(claims.load(), static_cast<std::size_t>(jobs));
+  EXPECT_EQ(sunk.load(), claims.load() - 1);
+  EXPECT_EQ(released, std::vector<std::size_t>{0});
+}
+
 // jobs = 0 resolves to the hardware thread count and must behave like any
 // other worker count; the *resolved* count (sched::default_jobs) is what
 // the report records, never the literal 0.
@@ -354,7 +416,7 @@ TEST(Parallel, JobsZeroUsesHardwareConcurrency) {
   EXPECT_EQ(fingerprint(r), want);
   EXPECT_GE(r.stats.parallel.jobs, 1);
   EXPECT_EQ(r.stats.parallel.jobs, sched::default_jobs(0));
-  EXPECT_EQ(sched::default_jobs(0), sched::Pool::hardware_threads());
+  EXPECT_EQ(sched::default_jobs(0), sched::hardware_threads());
   EXPECT_EQ(r.stats.parallel.workers.size(),
             static_cast<std::size_t>(r.stats.parallel.jobs));
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -10,116 +12,118 @@
 #include <vector>
 
 #include "sched/cancel.h"
-#include "sched/pool.h"
 #include "sched/queue.h"
 #include "sched/shard.h"
+#include "sched/team.h"
 #include "util/combinations.h"
 
 namespace sani::sched {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Pool
+// run_workers
 
-TEST(Pool, RunsEveryTaskExactlyOnce) {
-  for (int threads : {1, 2, 4}) {
-    Pool pool(threads);
-    EXPECT_EQ(pool.threads(), threads);
-    const std::size_t n = 237;
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    const PoolStats stats = pool.run(n, [&](int worker, std::size_t task) {
+TEST(Workers, EveryWorkerIdRunsExactlyOnce) {
+  for (int n : {1, 2, 4}) {
+    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+    for (auto& r : runs) r.store(0);
+    run_workers(n, [&](int worker) {
       ASSERT_GE(worker, 0);
-      ASSERT_LT(worker, threads);
-      hits[task].fetch_add(1);
+      ASSERT_LT(worker, n);
+      runs[static_cast<std::size_t>(worker)].fetch_add(1);
     });
-    EXPECT_EQ(stats.tasks_run, n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+    for (int w = 0; w < n; ++w)
+      EXPECT_EQ(runs[static_cast<std::size_t>(w)].load(), 1) << "worker " << w;
   }
 }
 
-TEST(Pool, ReusableAcrossJobs) {
-  Pool pool(2);
-  for (int job = 0; job < 50; ++job) {
-    std::atomic<std::size_t> sum{0};
-    pool.run(10, [&](int, std::size_t task) { sum.fetch_add(task + 1); });
-    EXPECT_EQ(sum.load(), 55u);
+TEST(Workers, BelowOneRunsOneWorker) {
+  for (int n : {0, -3}) {
+    std::atomic<int> runs{0};
+    run_workers(n, [&](int worker) {
+      EXPECT_EQ(worker, 0);
+      runs.fetch_add(1);
+    });
+    EXPECT_EQ(runs.load(), 1) << n;
   }
 }
 
-TEST(Pool, ZeroTasksIsANoop) {
-  Pool pool(2);
-  const PoolStats stats =
-      pool.run(0, [&](int, std::size_t) { FAIL() << "no tasks to run"; });
-  EXPECT_EQ(stats.tasks_run, 0u);
-  EXPECT_EQ(stats.tasks_stolen, 0u);
-}
-
-TEST(Pool, StealingMovesWorkToIdleWorkers) {
-  // Worker 0 blocks on its first task until every other task is done; the
-  // rest of its deque must get stolen by the other workers.
-  Pool pool(4);
-  const std::size_t n = 64;
-  std::atomic<std::size_t> done{0};
-  const PoolStats stats = pool.run(n, [&](int, std::size_t task) {
-    if (task == 0) {
-      // Round-robin dealing puts tasks 4, 8, 12, ... in worker 0's deque.
-      while (done.load() < n - 1) std::this_thread::yield();
-    }
-    done.fetch_add(1);
-  });
-  EXPECT_EQ(stats.tasks_run, n);
-  if (Pool::hardware_threads() > 1) {
-    EXPECT_GT(stats.tasks_stolen, 0u);
-  }
-}
-
-TEST(Pool, FirstExceptionPropagatesAndJobStillDrains) {
-  Pool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.run(20,
-               [&](int, std::size_t task) {
-                 ran.fetch_add(1);
-                 if (task == 3) throw std::runtime_error("boom");
-               }),
-      std::runtime_error);
-  EXPECT_EQ(ran.load(), 20);
-  // The pool survives a throwing job.
-  std::atomic<int> again{0};
-  pool.run(5, [&](int, std::size_t) { again.fetch_add(1); });
-  EXPECT_EQ(again.load(), 5);
-}
-
-TEST(Pool, WorkerZeroRunsOnTheCallingThread) {
-  // The caller of run() is worker 0; a one-worker pool runs every task
-  // inline, and the other workers of a larger pool are spawned threads.
+TEST(Workers, WorkerZeroRunsOnTheCallingThread) {
+  // The caller is worker 0; the other workers are spawned threads, one
+  // each.
   const std::thread::id caller = std::this_thread::get_id();
-  for (int threads : {1, 2, 4}) {
-    Pool pool(threads);
+  for (int n : {1, 2, 4}) {
     std::mutex mu;
-    std::vector<std::set<std::thread::id>> ids(
-        static_cast<std::size_t>(threads));
-    pool.run(64, [&](int worker, std::size_t) {
+    std::vector<std::thread::id> ids(static_cast<std::size_t>(n));
+    run_workers(n, [&](int worker) {
       std::lock_guard<std::mutex> lock(mu);
-      ids[static_cast<std::size_t>(worker)].insert(
-          std::this_thread::get_id());
+      ids[static_cast<std::size_t>(worker)] = std::this_thread::get_id();
     });
-    for (int w = 0; w < threads; ++w) {
-      const auto& seen = ids[static_cast<std::size_t>(w)];
-      EXPECT_LE(seen.size(), 1u) << "worker " << w;
-      if (seen.empty()) continue;
-      EXPECT_EQ(*seen.begin() == caller, w == 0) << "worker " << w;
-    }
-    // Stealing may leave worker 0 idle in a larger pool; alone, it runs all.
-    if (threads == 1) {
-      EXPECT_EQ(ids[0].size(), 1u);
-    }
+    const std::set<std::thread::id> distinct(ids.begin(), ids.end());
+    EXPECT_EQ(distinct.size(), static_cast<std::size_t>(n));
+    for (int w = 0; w < n; ++w)
+      EXPECT_EQ(ids[static_cast<std::size_t>(w)] == caller, w == 0)
+          << "worker " << w;
   }
 }
 
-TEST(Pool, HardwareThreadsIsPositive) {
-  EXPECT_GE(Pool::hardware_threads(), 1);
+TEST(Workers, OneWorkerSpawnsNoThread) {
+  // The process's thread count, seen from inside the one worker, is the
+  // caller's: nothing was spawned to run it.
+  const auto threads = [] {
+    std::error_code ec;
+    const std::filesystem::directory_iterator tasks("/proc/self/task", ec);
+    return ec ? std::ptrdiff_t{-1}
+              : std::distance(tasks, std::filesystem::directory_iterator());
+  };
+  const std::ptrdiff_t before = threads();
+  if (before < 1) GTEST_SKIP() << "no /proc/self/task";
+  std::ptrdiff_t inside = 0;
+  run_workers(1, [&](int) { inside = threads(); });
+  EXPECT_EQ(inside, before);
+  // The control: a three-worker team runs two threads beside the caller
+  // (they wait until worker 0 has counted them).
+  std::atomic<bool> counted{false};
+  run_workers(3, [&](int worker) {
+    if (worker != 0) {
+      while (!counted.load()) std::this_thread::yield();
+      return;
+    }
+    while (threads() < before + 2) std::this_thread::yield();
+    inside = threads();
+    counted.store(true);
+  });
+  EXPECT_EQ(inside, before + 2);
+}
+
+TEST(Workers, FirstExceptionIsRethrownAfterEveryWorkerReturned) {
+  // Worker 1 throws at once; the others are still running and must all
+  // have returned before the caller sees the exception.
+  const int n = 4;
+  std::atomic<bool> thrown{false};
+  std::atomic<int> returned{0};
+  try {
+    run_workers(n, [&](int worker) {
+      if (worker == 1) {
+        thrown.store(true);
+        throw std::runtime_error("boom");
+      }
+      while (!thrown.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      returned.fetch_add(1);
+    });
+    FAIL() << "expected the worker's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+    EXPECT_EQ(returned.load(), n - 1);
+  }
+}
+
+TEST(Workers, HardwareThreadsIsPositive) {
+  EXPECT_GE(hardware_threads(), 1);
+  EXPECT_EQ(default_jobs(0), hardware_threads());
+  EXPECT_EQ(default_jobs(3), 3);
+  EXPECT_EQ(default_jobs(-2), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "sched/team.h"
 #include "store/cached_verify.h"
 #include "store/scan.h"
 #include "store/store.h"
@@ -275,6 +276,18 @@ std::string human_eta(double seconds) {
   if (seconds >= 3600) return fmt1(seconds / 3600) + "h";
   if (seconds >= 60) return fmt1(seconds / 60) + "m";
   return fmt1(seconds) + "s";
+}
+
+/// The artifact store at `root`, capped by --store-max-bytes; null without
+/// a root.
+std::unique_ptr<store::ArtifactStore> open_store(
+    const CliArgs& args, const std::optional<std::string>& root) {
+  if (!root) return nullptr;
+  store::ArtifactStore::Options store_opt;
+  store_opt.dir = *root;
+  if (auto cap = args.value("store-max-bytes"))
+    store_opt.max_bytes = std::stoull(*cap);
+  return std::make_unique<store::ArtifactStore>(store_opt);
 }
 
 /// In-flight lease ages (claimed shards, from claim-file mtimes): the
@@ -564,21 +577,14 @@ int main(int argc, char** argv) {
       if (!metrics_path.empty() || (json_format && !opt.deterministic_report))
         obs::Metrics::instance().enable();
 
-      obs::Progress::Options prog_options;
-      prog_options.use_stderr = obs::Progress::stderr_is_tty();
-      obs::Progress progress(prog_options);
+      obs::Progress progress;
       if (args.has("progress")) opt.progress = &progress;
 
       Stopwatch watch;
       verify::VerifyResult r;
-      if (auto store_dir = args.value("store")) {
-        store::ArtifactStore::Options store_opt;
-        store_opt.dir = *store_dir;
-        if (auto cap = args.value("store-max-bytes"))
-          store_opt.max_bytes = std::stoull(*cap);
-        store::ArtifactStore artifacts(store_opt);
+      if (const auto artifacts = open_store(args, args.value("store"))) {
         store::StoreOutcome outcome;
-        r = store::verify_with_store(g, opt, artifacts, &outcome);
+        r = store::verify_with_store(g, opt, *artifacts, &outcome);
         std::cerr << "store: " << (outcome.hit ? "hit" : "miss")
                   << (outcome.saved ? " (saved)" : "") << " key "
                   << outcome.key << "\n";
@@ -592,7 +598,7 @@ int main(int argc, char** argv) {
                     << "\n";
         if (r.stats.incremental.union_replayed)
           std::cerr << "incremental: union verdict replayed\n";
-        const store::ArtifactStore::Stats st = artifacts.stats();
+        const store::ArtifactStore::Stats st = artifacts->stats();
         std::cerr << "store stats: hits=" << st.hits
                   << " misses=" << st.misses
                   << " evictions=" << st.evictions
@@ -651,21 +657,11 @@ int main(int argc, char** argv) {
           return parent.parent_path().string();
         return std::nullopt;
       };
-      const auto open_store = [&args](const std::optional<std::string>& root)
-          -> std::unique_ptr<store::ArtifactStore> {
-        if (!root) return nullptr;
-        store::ArtifactStore::Options store_opt;
-        store_opt.dir = *root;
-        if (auto cap = args.value("store-max-bytes"))
-          store_opt.max_bytes = std::stoull(*cap);
-        return std::make_unique<store::ArtifactStore>(store_opt);
-      };
       const auto worker_options_from = [&args]() {
         store::WorkerOptions wo;
         wo.jobs = args.value_int("jobs", 1);
         if (wo.jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
-        if (wo.jobs == 0)
-          wo.jobs = static_cast<int>(std::thread::hardware_concurrency());
+        wo.jobs = sched::default_jobs(wo.jobs);
         wo.lease_seconds = args.value_double("lease", 300.0);
         wo.throttle_seconds = args.value_double("throttle", 0.0);
         wo.max_shards =
@@ -759,11 +755,9 @@ int main(int argc, char** argv) {
       }
       if (auto dir = args.value("resume")) {
         store::ScanDir scan = store::ScanDir::open(*dir);
-        const auto artifacts = open_store(store_root_for(*dir));
+        const auto artifacts = open_store(args, store_root_for(*dir));
         store::WorkerOptions wo = worker_options_from();
-        obs::Progress::Options prog_options;
-        prog_options.use_stderr = obs::Progress::stderr_is_tty();
-        obs::Progress progress(prog_options);
+        obs::Progress progress;
         if (args.has("progress")) wo.progress = &progress;
         start_trace(scan);
         // The worker's journal events (worker_start / worker_done) carry
@@ -774,7 +768,7 @@ int main(int argc, char** argv) {
       }
       if (auto dir = args.value("finalize")) {
         store::ScanDir scan = store::ScanDir::open(*dir);
-        const auto artifacts = open_store(store_root_for(*dir));
+        const auto artifacts = open_store(args, store_root_for(*dir));
         Stopwatch watch;
         start_trace(scan);
         const verify::VerifyResult r =
@@ -790,10 +784,8 @@ int main(int argc, char** argv) {
       if (!store_dir)
         throw std::invalid_argument(
             "scan needs --store DIR (or --resume/--finalize/--status)");
-      const auto artifacts = open_store(store_dir);
-      const int hint =
-          opt.jobs > 0 ? opt.jobs
-                       : static_cast<int>(std::thread::hardware_concurrency());
+      const auto artifacts = open_store(args, store_dir);
+      const int hint = sched::default_jobs(opt.jobs);
       store::PlanOutcome plan;
       store::ScanDir scan =
           store::plan_scan(g, label, opt, *artifacts, hint, &plan);
@@ -815,9 +807,7 @@ int main(int argc, char** argv) {
       // from memory instead of re-reading every SANIPAR file.
       verify::ReportAssembler assembler(plan.basis, scan.manifest().options);
       wo.assembler = &assembler;
-      obs::Progress::Options prog_options;
-      prog_options.use_stderr = obs::Progress::stderr_is_tty();
-      obs::Progress progress(prog_options);
+      obs::Progress progress;
       if (args.has("progress")) wo.progress = &progress;
       Stopwatch watch;
       start_trace(scan);
