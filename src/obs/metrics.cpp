@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -9,9 +10,9 @@
 
 namespace sani::obs {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
+namespace {
+
+void append_escaped(std::string& out, const std::string& s) {
   for (unsigned char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -31,6 +32,14 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  append_escaped(out, s);
   return out;
 }
 
@@ -114,34 +123,80 @@ void Metrics::reset() {
 
 namespace {
 
-/// Renders every instrument as (name, json value) pairs, globally sorted by
-/// name across the three kinds — the one ordering both dumps share.
-std::map<std::string, std::string> render_sorted(const Metrics::Impl& im) {
-  std::map<std::string, std::string> out;
-  for (const auto& [name, c] : im.counters)
-    out[name] = std::to_string(c->value());
-  for (const auto& [name, g] : im.gauges) {
-    std::ostringstream os;
-    os << g->value();
-    out[name] = os.str();
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// ostream's default double output: printf's %g at precision 6 (nan and
+/// inf included).
+void append_double(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 6)
+                      .ptr);
+}
+
+void append_histogram(std::string& out, const Histogram& h) {
+  out += "{\"count\":";
+  append_uint(out, h.count());
+  out += ",\"sum\":";
+  append_uint(out, h.sum());
+  out += ",\"p50\":";
+  append_double(out, h.quantile(0.50));
+  out += ",\"p95\":";
+  append_double(out, h.quantile(0.95));
+  out += ",\"p99\":";
+  append_double(out, h.quantile(0.99));
+  out += ",\"buckets\":[";
+  bool first = true;
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+    const std::uint64_t n = h.bucket(i);
+    if (n == 0) continue;
+    if (!first) out += ',';
+    first = false;
+    out += '[';
+    append_uint(out, i);
+    out += ',';
+    append_uint(out, n);
+    out += ']';
   }
-  for (const auto& [name, h] : im.histograms) {
-    std::ostringstream os;
-    os << "{\"count\":" << h->count() << ",\"sum\":" << h->sum()
-       << ",\"p50\":" << h->quantile(0.50) << ",\"p95\":" << h->quantile(0.95)
-       << ",\"p99\":" << h->quantile(0.99) << ",\"buckets\":[";
-    bool bfirst = true;
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t n = h->bucket(i);
-      if (n == 0) continue;
-      if (!bfirst) os << ",";
-      bfirst = false;
-      os << "[" << i << "," << n << "]";
-    }
-    os << "]}";
-    out[name] = os.str();
+  out += "]}";
+}
+
+/// Visits every instrument as (name, rendered value) in one merge pass over
+/// the three name-sorted maps — the one ordering both dumps share.  A name
+/// registered as more than one kind renders once: histogram over gauge over
+/// counter.
+template <typename Visit>
+void for_each_sorted(const Metrics::Impl& im, Visit&& visit) {
+  auto c = im.counters.begin();
+  auto g = im.gauges.begin();
+  auto h = im.histograms.begin();
+  std::string value;
+  for (;;) {
+    const std::string* least = nullptr;
+    if (c != im.counters.end()) least = &c->first;
+    if (g != im.gauges.end() && (!least || g->first < *least))
+      least = &g->first;
+    if (h != im.histograms.end() && (!least || h->first < *least))
+      least = &h->first;
+    if (!least) return;
+    const bool at_c = c != im.counters.end() && c->first == *least;
+    const bool at_g = g != im.gauges.end() && g->first == *least;
+    const bool at_h = h != im.histograms.end() && h->first == *least;
+    value.clear();
+    if (at_h)
+      append_histogram(value, *h->second);
+    else if (at_g)
+      append_double(value, g->second->value());
+    else
+      append_uint(value, c->second->value());
+    visit(*least, value);
+    if (at_c) ++c;
+    if (at_g) ++g;
+    if (at_h) ++h;
   }
-  return out;
 }
 
 }  // namespace
@@ -149,25 +204,30 @@ std::map<std::string, std::string> render_sorted(const Metrics::Impl& im) {
 std::string Metrics::to_json() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const auto& [name, value] : render_sorted(im)) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(name) << "\":" << value;
-  }
-  os << "}";
-  return os.str();
+  std::string out = "{";
+  for_each_sorted(im, [&](const std::string& name, const std::string& value) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    append_escaped(out, name);
+    out += "\":";
+    out += value;
+  });
+  out += '}';
+  return out;
 }
 
 std::string Metrics::to_text(const std::string& indent) const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
-  std::ostringstream os;
-  for (const auto& [name, value] : render_sorted(im))
-    os << indent << name << " " << value << "\n";
-  return os.str();
+  std::string out;
+  for_each_sorted(im, [&](const std::string& name, const std::string& value) {
+    out += indent;
+    out += name;
+    out += ' ';
+    out += value;
+    out += '\n';
+  });
+  return out;
 }
 
 namespace {

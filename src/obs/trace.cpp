@@ -24,7 +24,7 @@ struct Event {
   const char* name;      // static string (phase taxonomy)
   std::int64_t ts_ns;    // Clock::now_ns() at event start
   std::int64_t dur_ns;   // 'X' spans only
-  double value;          // 'C' counters only
+  double value;          // 'C' counter value; 'X' aggregate count (0: none)
   char ph;               // 'X' complete, 'C' counter, 'i' instant
 };
 
@@ -89,9 +89,10 @@ void Tracer::start() {
 void Tracer::stop() { enabled_.store(false, std::memory_order_release); }
 
 void Tracer::complete(const char* name, std::int64_t start_ns,
-                      std::int64_t dur_ns) {
+                      std::int64_t dur_ns, std::uint64_t count) {
   if (!enabled()) return;
-  Impl::get().local_buf().push(Event{name, start_ns, dur_ns, 0.0, 'X'});
+  Impl::get().local_buf().push(
+      Event{name, start_ns, dur_ns, static_cast<double>(count), 'X'});
 }
 
 void Tracer::counter(const char* name, double value) {
@@ -184,6 +185,9 @@ std::string Tracer::to_json() {
          << ",\"tid\":" << b->tid << ",\"name\":\"" << e.name
          << "\",\"cat\":\"sani\",\"ts\":" << us(e.ts_ns - t0);
       if (e.ph == 'X') os << ",\"dur\":" << us(e.dur_ns);
+      if (e.ph == 'X' && e.value > 0)
+        os << ",\"args\":{\"count\":" << static_cast<std::uint64_t>(e.value)
+           << "}";
       if (e.ph == 'C') os << ",\"args\":{\"value\":" << e.value << "}";
       if (e.ph == 'i') os << ",\"s\":\"t\"";
       os << "}";

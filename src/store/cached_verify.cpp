@@ -19,11 +19,11 @@ std::string artifact_key(const std::string& canonical_ilang,
                          const verify::VerifyOptions& options) {
   const verify::BasisNeeds needs = verify::basis_needs(options.engine);
   std::ostringstream material;
-  // A versioned, field-tagged preimage: any change to what a Basis contains
-  // bumps kFormatVersion, which re-keys every artifact — old objects simply
-  // stop being referenced (and age out of the LRU) instead of being
-  // misread.
-  material << "sani-artifact-key-v" << kFormatVersion << '\n'
+  // A versioned, field-tagged preimage: a change to what a Basis means
+  // bumps kArtifactKeyVersion, which re-keys every artifact — old objects
+  // simply stop being referenced (and age out of the LRU) instead of being
+  // misread.  An encoding-only change bumps kFormatVersion instead.
+  material << "sani-artifact-key-v" << kArtifactKeyVersion << '\n'
            << "netlist-sha256:" << util::sha256_hex(canonical_ilang)
            << '\n'
            << "probes:include_inputs=" << options.probes.include_inputs
@@ -159,7 +159,12 @@ verify::VerifyResult verify_with_store(const circuit::Gadget& gadget,
   const std::string key = artifact_key(gadget, options);
   if (outcome) outcome->key = key;
 
-  std::shared_ptr<const verify::Basis> basis = store.load_basis(key);
+  // The artifact key ignores names: a hit names the observables after
+  // this request's netlist, never after the text that saved the Basis.
+  const std::vector<std::string> wire_names =
+      circuit::canonical_wire_names(gadget);
+  std::shared_ptr<const verify::Basis> basis =
+      store.load_basis(key, &wire_names);
   if (basis) {
     if (outcome) outcome->hit = true;
   } else {

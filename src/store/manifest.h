@@ -55,7 +55,8 @@ namespace sani::store {
 /// v2 adds the fleet trace id (minted at plan time, excluded from the
 /// content key) so every worker process stitches into one trace.  v3 drops
 /// the prefix-memo capacity from the options block, v4 the secret count.
-inline constexpr std::uint32_t kManifestFormatVersion = 4;
+/// v5 records the planned gadget's wire names (ScanManifest::wire_names).
+inline constexpr std::uint32_t kManifestFormatVersion = 5;
 inline constexpr char kManifestMagic[8] = {'S', 'A', 'N', 'I',
                                            'M', 'A', 'N', '\x01'};
 /// SANIPAR v2 compacts the dependency section into a dictionary of distinct
@@ -73,6 +74,10 @@ inline constexpr char kPartialMagic[8] = {'S', 'A', 'N', 'I',
 struct ScanManifest {
   std::string label;            // gadget name / file label, for reports
   std::string canonical_ilang;  // rebuild recipe if the Basis was evicted
+  /// The planned gadget's circuit::canonical_wire_names: a finalized
+  /// report names its witness after the planned text, whichever text the
+  /// stored Basis (or the canonical rebuild) came from.  Not keyed.
+  std::vector<std::string> wire_names;
   std::string basis_key;        // SANIBAS object key in the sibling store
   /// Canonical semantic options; the engine is always resolved (never
   /// kAuto) so every report renders the same engine label no matter which

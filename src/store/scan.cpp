@@ -24,6 +24,7 @@
 #include "obs/trace.h"
 #include "sched/cancel.h"
 #include "sched/shard.h"
+#include "sched/team.h"
 #include "store/cached_verify.h"
 #include "store/telemetry.h"
 #include "verify/driver.h"
@@ -69,7 +70,7 @@ std::shared_ptr<const verify::Basis> resolve_basis(
     const verify::BasisNeeds& needs) {
   if (store) {
     std::shared_ptr<const verify::Basis> basis =
-        store->load_basis(m.basis_key);
+        store->load_basis(m.basis_key, &m.wire_names);
     if (basis && basis_covers(*basis, needs)) return basis;
   }
   const circuit::Gadget gadget = circuit::parse_ilang_string(m.canonical_ilang);
@@ -77,8 +78,11 @@ std::shared_ptr<const verify::Basis> resolve_basis(
   const verify::ObservableSet observables =
       verify::build_observables(gadget, unfolded, m.options.probes);
   const verify::BasisNeeds built = union_needs(m.needs, needs);
-  std::shared_ptr<const verify::Basis> basis =
+  std::shared_ptr<verify::Basis> basis =
       verify::build_basis(unfolded, observables, built);
+  // The canonical text names its wires by position; reports use the
+  // planned gadget's names.
+  verify::name_observables(*basis, m.wire_names);
   if (store) store->save_basis(m.basis_key, *basis, built);
   return basis;
 }
@@ -124,8 +128,10 @@ ScanDir plan_scan(const circuit::Gadget& gadget, const std::string& label,
   const std::string ilang = circuit::write_ilang_string(gadget);
   const std::string basis_key = artifact_key(ilang, options);
   const verify::BasisNeeds needs = verify::basis_needs(options.engine);
+  std::vector<std::string> wire_names = circuit::canonical_wire_names(gadget);
 
-  std::shared_ptr<const verify::Basis> basis = store.load_basis(basis_key);
+  std::shared_ptr<const verify::Basis> basis =
+      store.load_basis(basis_key, &wire_names);
   if (basis) {
     if (outcome) outcome->basis_hit = true;
   } else {
@@ -140,6 +146,7 @@ ScanDir plan_scan(const circuit::Gadget& gadget, const std::string& label,
   ScanManifest m;
   m.label = label.empty() ? gadget.netlist.name() : label;
   m.canonical_ilang = ilang;
+  m.wire_names = std::move(wire_names);
   m.basis_key = basis_key;
   // The manifest's engine is always concrete, so every worker and the
   // finalizer agree on the canonical report shape.
@@ -202,7 +209,7 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
       options.progress->tick(st.combinations_done);
   }
 
-  const int jobs = std::max(1, options.jobs);
+  const int jobs = sched::default_jobs(options.jobs);
   std::atomic<std::uint64_t> done{0};
   std::atomic<std::uint64_t> reclaimed{0};
   std::atomic<std::uint64_t> combinations{0};
@@ -341,6 +348,7 @@ WorkerOutcome run_scan_worker(ScanDir& scan, ArtifactStore* store,
   }
 
   WorkerOutcome outcome;
+  outcome.jobs = jobs;
   outcome.shards_done = done.load();
   outcome.shards_reclaimed = reclaimed.load();
   outcome.combinations = combinations.load();

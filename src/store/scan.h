@@ -87,7 +87,9 @@ struct WorkerOptions {
   /// engines across workers (or across a crash/resume boundary) cannot
   /// change the finalized report.
   verify::EngineKind engine = verify::EngineKind::kAuto;
-  /// Claiming workers in this process (worker 0 is the calling thread).
+  /// Claiming workers in this process (worker 0 is the calling thread); 0
+  /// means one per hardware thread (sched::default_jobs, as for
+  /// VerifyOptions::jobs).
   int jobs = 1;
   /// Claims older than this are considered abandoned and stolen; 0 steals
   /// any existing claim immediately (single-owner resume).
@@ -126,6 +128,7 @@ struct WorkerOptions {
 };
 
 struct WorkerOutcome {
+  int jobs = 0;                        // claiming workers this call ran
   std::uint64_t shards_done = 0;       // checkpoints this call wrote
   std::uint64_t shards_reclaimed = 0;  // of those, claims stolen from a
                                        // stale lease

@@ -26,8 +26,6 @@ Mask read_mask(ByteReader& r) {
   return m;
 }
 
-namespace {
-
 // A hostile or truncated length prefix must not drive a multi-gigabyte
 // reserve before the bounds check catches it: every element of the claimed
 // count occupies at least `min_bytes` in the stream, so a count exceeding
@@ -38,6 +36,8 @@ std::uint64_t read_count(ByteReader& r, std::size_t min_bytes) {
     throw SerializationError("artifact: element count exceeds stream size");
   return n;
 }
+
+namespace {
 
 void write_var_map(ByteWriter& w, const circuit::VarMap& vars) {
   w.u64(vars.wire_to_var.size());
@@ -123,7 +123,7 @@ circuit::ConeDigest read_digest(ByteReader& r) {
 
 void write_observable_info(ByteWriter& w, const verify::ObservableInfo& o) {
   w.u8(static_cast<std::uint8_t>(o.kind));
-  w.str(o.name);
+  w.u32(o.position);
   w.i32(o.output_group);
   w.i32(o.output_share_index);
   w.u64(o.num_subsets);
@@ -136,7 +136,7 @@ verify::ObservableInfo read_observable_info(ByteReader& r) {
   if (kind > static_cast<std::uint8_t>(verify::Observable::Kind::kProbe))
     throw SerializationError("artifact: bad observable kind");
   o.kind = static_cast<verify::Observable::Kind>(kind);
-  o.name = r.str();
+  o.position = r.u32();
   o.output_group = r.i32();
   o.output_share_index = r.i32();
   o.num_subsets = r.u64();
@@ -506,7 +506,8 @@ verify::BasisNeeds peek_needs(const std::string& file_image) {
 }
 
 std::shared_ptr<const verify::Basis> deserialize_basis(
-    const std::string& file_image) {
+    const std::string& file_image,
+    const std::vector<std::string>* wire_names) {
   const std::string_view payload =
       checked_payload_for(file_image, kMagic, kFormatVersion);
   ByteReader r(payload);
@@ -555,6 +556,14 @@ std::shared_ptr<const verify::Basis> deserialize_basis(
   }
   if (!r.at_end())
     throw SerializationError("artifact: trailing bytes after payload");
+  if (wire_names) {
+    for (const verify::ObservableInfo& o : basis->obs)
+      if (o.position >= wire_names->size())
+        throw SerializationError("artifact: observable position " +
+                                 std::to_string(o.position) +
+                                 " past the request's wires");
+    verify::name_observables(*basis, *wire_names);
+  }
 
   // The LIL mirror is derived data — rebuild instead of shipping it.
   if (needs.lil) {

@@ -22,11 +22,15 @@
 // Version history.  v2 serializes the spectra straight from the flat
 // container (same byte layout v1 used — sorted (mask, coeff) pairs) and
 // adds the per-observable support mask to the observable metadata.
-// v3 (current) appends the cone index (verify::Basis::cones): the varmap
+// v3 appends the cone index (verify::Basis::cones): the varmap
 // fingerprint plus one structural cone digest per observable, feeding the
-// incremental clean/dirty classifier (verify/incremental.h).  Only v3 is
-// read or written: the store is a cache, so a v1/v2 artifact fails the
-// version check and is quarantined as a miss (the next run rebuilds it).
+// incremental clean/dirty classifier (verify/incremental.h).  v4 (current)
+// records each observable's canonical wire position
+// (circuit::canonical_wire_order) instead of its name: the artifact key
+// ignores names, so the names a report shows come from the request that
+// loads the Basis, never from the text that saved it.  Only v4 is read or
+// written: the store is a cache, so an older artifact fails the version
+// check and is quarantined as a miss (the next run rebuilds it).
 //
 // The sorted-list (LIL) mirror is NOT serialized: it is a deterministic
 // function of the spectra and is rebuilt on load when the needs flags say
@@ -50,7 +54,11 @@
 
 namespace sani::store {
 
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
+/// The artifact key's preimage version (store::artifact_key).  Bumped when
+/// what a key names changes, not when only the encoding does: a v3 object
+/// under a live key fails the version check and is quarantined as a miss.
+inline constexpr std::uint32_t kArtifactKeyVersion = 3;
 inline constexpr char kMagic[8] = {'S', 'A', 'N', 'I', 'B', 'A', 'S', '\x01'};
 
 /// Cone-summary (verify::ConeSummary) format.  Same framing discipline as
@@ -215,6 +223,11 @@ std::string_view checked_payload_for(const std::string& file_image,
                                      const char (&magic)[8],
                                      std::uint32_t version);
 
+/// Reads an element count and rejects one the rest of the stream cannot
+/// hold at `min_bytes` per element (a hostile prefix never drives a huge
+/// reserve).
+std::uint64_t read_count(ByteReader& r, std::size_t min_bytes);
+
 /// Full artifact file image (header + integrity hash + payload).
 std::string serialize_basis(const verify::Basis& basis,
                             const verify::BasisNeeds& needs);
@@ -222,9 +235,12 @@ std::string serialize_basis(const verify::Basis& basis,
 /// Parses an artifact file image.  Checks magic, version and payload hash;
 /// throws SerializationError on any mismatch (the store quarantines).  The
 /// returned Basis has its LIL mirror rebuilt when the stored needs flags
-/// include it.
+/// include it, and its observables named after `wire_names` (the request's
+/// circuit::canonical_wire_names; a position past it is a
+/// SerializationError).  Without names the observables stay unnamed.
 std::shared_ptr<const verify::Basis> deserialize_basis(
-    const std::string& file_image);
+    const std::string& file_image,
+    const std::vector<std::string>* wire_names = nullptr);
 
 /// The needs flags stored in `file_image` (for cache-compatibility checks)
 /// without decoding the whole payload.

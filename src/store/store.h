@@ -73,11 +73,13 @@
 // gauges store.bytes / store.objects) are published through obs::Metrics,
 // which the daemon serves as its STATS endpoint.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -131,10 +133,15 @@ class ArtifactStore {
   /// writable — callers treat the store as best-effort and continue.
   bool put(const std::string& key, const std::string& bytes);
 
-  /// get() + deserialize.  A missing object, or one failing validation
-  /// (truncated, corrupted, wrong magic/version, hash mismatch), returns
-  /// null; validation failures additionally move the file to quarantine/.
-  std::shared_ptr<const verify::Basis> load_basis(const std::string& key);
+  /// get() + deserialize, the observables named after `wire_names` (the
+  /// request's circuit::canonical_wire_names; null leaves them unnamed).
+  /// A missing object, or one failing validation (truncated, corrupted,
+  /// wrong magic/version, hash mismatch, a position past `wire_names`),
+  /// returns null; validation failures additionally move the file to
+  /// quarantine/.
+  std::shared_ptr<const verify::Basis> load_basis(
+      const std::string& key,
+      const std::vector<std::string>* wire_names = nullptr);
 
   /// serialize + put().
   bool save_basis(const std::string& key, const verify::Basis& basis,
@@ -180,28 +187,44 @@ class ArtifactStore {
   ArtifactStore& operator=(const ArtifactStore&) = delete;
 
  private:
+  /// An object key as its 32-byte SHA-256 digest: the in-memory index
+  /// holds no key text (the index file and object paths use the hex form).
+  struct Digest {
+    std::array<std::uint8_t, 32> bytes;
+
+    /// Parses 64 lowercase hex digits; nullopt for anything else.
+    static std::optional<Digest> parse(std::string_view hex);
+    std::string hex() const;
+    bool operator==(const Digest& o) const { return bytes == o.bytes; }
+    /// Byte order, which is also the hex keys' string order.
+    bool operator<(const Digest& o) const { return bytes < o.bytes; }
+  };
+  struct DigestHash {
+    std::size_t operator()(const Digest& d) const;
+  };
   struct Entry {
     std::uint64_t size = 0;
     std::uint64_t last_used = 0;  // logical clock, persisted in the index
     bool touched = false;  // read or written by this instance (flush merge)
   };
-  using Entries = std::unordered_map<std::string, Entry>;
+  using Entries = std::unordered_map<Digest, Entry, DigestHash>;
+  using DigestSet = std::unordered_set<Digest, DigestHash>;
 
-  std::string object_path(const std::string& key) const;
+  std::string object_path(const Digest& key) const;
   /// Parses the index file into `out`; false when it is missing or any
   /// line is malformed.
   bool read_index(Entries* out) const;
   // The *_locked helpers expect mu_ held.  insert_locked writes and pins
   // an object without sweeping; remove_locked deletes one outright;
   // set_locked / erase_locked edit the index alone, keeping total_bytes_.
-  bool insert_locked(const std::string& key, const std::string& bytes);
-  void remove_locked(const std::string& key);
-  Entry& set_locked(const std::string& key, std::uint64_t size);
+  bool insert_locked(const Digest& key, const std::string& bytes);
+  void remove_locked(const Digest& key);
+  Entry& set_locked(const Digest& key, std::uint64_t size);
   void erase_locked(Entries::iterator it);
   void reconcile_locked();
   std::optional<std::string> head_locked(const std::string& family_key) const;
   void evict_to_cap();
-  void quarantine(const std::string& key);
+  void quarantine(const Digest& key);
   void publish_gauges() const;
 
   std::string dir_;
@@ -209,8 +232,8 @@ class ArtifactStore {
   mutable std::mutex mu_;
   Entries entries_;
   std::uint64_t total_bytes_ = 0;  // sum of entries_' sizes
-  std::unordered_set<std::string> pinned_;  // same-run keys, never evicted
-  std::unordered_set<std::string> removed_;  // since the last flush
+  DigestSet pinned_;   // same-run keys, never evicted
+  DigestSet removed_;  // since the last flush
   std::uint64_t clock_ = 0;
   bool index_dirty_ = false;  // entries_ changed since the index was written
   Stats stats_;

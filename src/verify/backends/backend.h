@@ -15,7 +15,6 @@
 
 #include "dd/bdd.h"
 #include "util/mask.h"
-#include "obs/clock.h"
 #include "verify/basis.h"
 #include "verify/checker.h"
 #include "verify/observables.h"
@@ -34,7 +33,6 @@ struct BackendContext {
   /// Driver; indexed by Basis::frozen_fn_roots / frozen_spectrum_roots.
   const std::vector<dd::Add>* thawed = nullptr;
   dd::Bdd rho_zero;  // FUJITA set-level check
-  PhaseTimers* timers = nullptr;
   std::uint64_t* coefficients = nullptr;
   /// Allocation counters of the flat convolution path (owned by the
   /// Driver); backends credit every scratch/row buffer growth here so the
@@ -52,6 +50,9 @@ struct RowCheckQuery {
   dd::Bdd violation_region;                 // ADD backends
   const ForbiddenRegion* region = nullptr;  // scan backends
   std::uint64_t* coefficients = nullptr;    // region lookups are counted here
+  /// Set when the notion has a set-level check: on a pass, the rho = 0
+  /// share supports of the rows are ORed into *deps.
+  Mask* deps = nullptr;
 };
 
 /// Engine-specific representation of the rows at the current combination.
@@ -70,12 +71,12 @@ class Backend {
   virtual void push(const std::vector<int>& path) = 0;
   virtual void pop() = 0;
 
-  /// Applies the per-row check to every row of the current combination.
+  /// Applies the per-row check to every row of the current combination and
+  /// returns the witness coordinate of the first violation.  On a pass with
+  /// q.deps set, the rho = 0 share supports of the rows are ORed into
+  /// *q.deps for the set-level check (DIRECT in the same pass over the
+  /// coefficients, the paper's engines in a second one).
   virtual std::optional<Mask> check_rows(const RowCheckQuery& q) = 0;
-
-  /// Unions the rho=0 share supports of the current rows into V, for the
-  /// set-level check.
-  virtual void accumulate_deps(Mask& V) = 0;
 };
 
 }  // namespace sani::verify

@@ -1,7 +1,5 @@
 #include "verify/backends/fujita_backend.h"
 
-#include "obs/trace.h"
-
 #include <stdexcept>
 
 #include "dd/walsh.h"
@@ -13,7 +11,6 @@ FujitaBackend::FujitaBackend(const BackendContext& ctx)
       manager_(ctx.manager),
       thawed_(ctx.thawed),
       rho0_(ctx.rho_zero),
-      timers_(*ctx.timers),
       coefficients_(*ctx.coefficients) {}
 
 void FujitaBackend::prepare() {
@@ -36,8 +33,6 @@ void FujitaBackend::prepare() {
 }
 
 void FujitaBackend::push(const std::vector<int>& path) {
-  ScopedPhase phase(timers_, "convolution");
-  obs::Span span("convolution");
   const RowSet& cur = rows_.back();
   const std::vector<dd::Bdd>& base = base_[path.back()];
   RowSet next;
@@ -58,17 +53,16 @@ void FujitaBackend::push(const std::vector<int>& path) {
 void FujitaBackend::pop() { rows_.pop_back(); }
 
 std::optional<Mask> FujitaBackend::check_rows(const RowCheckQuery& q) {
-  ScopedPhase phase(timers_, "verification");
-  obs::Span span("add_check");
   for (const Row& r : rows_.back()) {
     dd::Bdd hit = r.spectrum.nonzero() & q.violation_region;
     Mask alpha;
     if (hit.any_sat(&alpha)) return alpha;
   }
+  if (q.deps) accumulate_deps(*q.deps);
   return std::nullopt;
 }
 
-void FujitaBackend::accumulate_deps(Mask& V) {
+void FujitaBackend::accumulate_deps(Mask& V) const {
   const circuit::VarMap& vars = basis_->vars;
   for (const Row& r : rows_.back()) {
     dd::Bdd nz = r.spectrum.nonzero() & rho0_;

@@ -21,9 +21,11 @@ class FujitaBackend : public Backend {
   void push(const std::vector<int>& path) override;
   void pop() override;
   std::optional<Mask> check_rows(const RowCheckQuery& q) override;
-  void accumulate_deps(Mask& V) override;
-
  private:
+  /// Unions the rho = 0 share supports of the current rows into V (the
+  /// set-level check's second pass after a passing check_rows).
+  void accumulate_deps(Mask& V) const;
+
   struct Row {
     dd::Bdd fn;
     dd::Add spectrum;
@@ -34,7 +36,6 @@ class FujitaBackend : public Backend {
   dd::Manager* manager_;
   const std::vector<dd::Add>* thawed_;
   dd::Bdd rho0_;
-  PhaseTimers& timers_;
   std::uint64_t& coefficients_;
   std::vector<std::vector<dd::Bdd>> base_;
   std::vector<RowSet> rows_;  // one row set per stack depth

@@ -1,7 +1,5 @@
 #include "verify/backends/lil_backend.h"
 
-#include "obs/trace.h"
-
 namespace sani::verify {
 
 using spectral::LilSpectrum;
@@ -9,7 +7,6 @@ using spectral::Spectrum;
 
 LilBackend::LilBackend(const BackendContext& ctx)
     : basis_(ctx.basis),
-      timers_(*ctx.timers),
       coefficients_(*ctx.coefficients) {}
 
 void LilBackend::prepare() {
@@ -18,8 +15,6 @@ void LilBackend::prepare() {
 }
 
 void LilBackend::push(const std::vector<int>& path) {
-  ScopedPhase phase(timers_, "convolution");
-  obs::Span span("convolution");
   const RowSet& cur = rows_.back();
   const std::vector<LilSpectrum>& base = basis_->lil[path.back()];
   RowSet next;
@@ -35,23 +30,22 @@ void LilBackend::push(const std::vector<int>& path) {
 void LilBackend::pop() { rows_.pop_back(); }
 
 std::optional<Mask> LilBackend::check_rows(const RowCheckQuery& q) {
-  ScopedPhase phase(timers_, "verification");
-  obs::Span span("add_check");
   // LIL verification = product with the materialized relation vector,
   // each forbidden coordinate resolved by binary search in the sorted
   // list (the TCHES'20 baseline's cost model).
-  if (q.region->empty()) return std::nullopt;
-  for (const LilSpectrum& r : rows_.back()) {
-    Mask witness;
-    if (q.region->find_violation(
-            [&](const Mask& a) { return r.at(a) != 0; }, &witness,
-            q.coefficients))
-      return witness;
-  }
+  if (!q.region->empty())
+    for (const LilSpectrum& r : rows_.back()) {
+      Mask witness;
+      if (q.region->find_violation(
+              [&](const Mask& a) { return r.at(a) != 0; }, &witness,
+              q.coefficients))
+        return witness;
+    }
+  if (q.deps) accumulate_deps(*q.deps);
   return std::nullopt;
 }
 
-void LilBackend::accumulate_deps(Mask& V) {
+void LilBackend::accumulate_deps(Mask& V) const {
   for (const LilSpectrum& r : rows_.back())
     for (const auto& [alpha, v] : r.entries())
       if (!alpha.intersects(basis_->vars.random_vars))

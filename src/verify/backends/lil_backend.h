@@ -17,13 +17,14 @@ class LilBackend : public Backend {
   void push(const std::vector<int>& path) override;
   void pop() override;
   std::optional<Mask> check_rows(const RowCheckQuery& q) override;
-  void accumulate_deps(Mask& V) override;
-
  private:
+  /// Unions the rho = 0 share supports of the current rows into V (the
+  /// set-level check's second pass after a passing check_rows).
+  void accumulate_deps(Mask& V) const;
+
   using RowSet = std::vector<spectral::LilSpectrum>;
 
   std::shared_ptr<const Basis> basis_;
-  PhaseTimers& timers_;
   std::uint64_t& coefficients_;
   std::vector<RowSet> rows_;  // one row set per stack depth
 };

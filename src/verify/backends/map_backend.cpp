@@ -1,7 +1,5 @@
 #include "verify/backends/map_backend.h"
 
-#include "obs/trace.h"
-
 #include "dd/add.h"
 
 namespace sani::verify {
@@ -13,7 +11,6 @@ MapBackend::MapBackend(const BackendContext& ctx, Check check)
     : basis_(ctx.basis),
       manager_(ctx.manager),
       check_(check),
-      timers_(*ctx.timers),
       coefficients_(*ctx.coefficients),
       order_(ctx.order),
       arena_(ctx.arena_stats),
@@ -45,8 +42,6 @@ std::uint64_t MapBackend::build_level(const RowSet& cur,
 }
 
 void MapBackend::push(const std::vector<int>& path) {
-  ScopedPhase phase(timers_, "convolution");
-  obs::Span span("convolution");
   RowSet& slot = slots_[path.size()];
   coefficients_ +=
       build_level(*stack_.back(), basis_->flat[path.back()], slot);
@@ -56,22 +51,34 @@ void MapBackend::push(const std::vector<int>& path) {
 void MapBackend::pop() { stack_.pop_back(); }
 
 std::optional<Mask> MapBackend::check_rows(const RowCheckQuery& q) {
-  ScopedPhase phase(timers_, "verification");
-  obs::Span span("add_check");
   const RowSet& top = *stack_.back();
+  if (check_ == Check::kDirect) {
+    // Every stored coefficient is nonzero, so W.T is nonzero iff one of
+    // them lies in the forbidden region; the sorted order makes the first
+    // hit the canonical witness.  Only random-free coefficients can violate,
+    // and exactly those make up V.
+    const Mask& random = basis_->vars.random_vars;
+    const Mask& shares = basis_->vars.share_vars;
+    Mask V;
+    for (std::size_t r = 0; r < top.row_count(); ++r) {
+      const Mask* masks = top.row_masks(r);
+      const std::size_t n = top.row_size(r);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (masks[i].intersects(random)) continue;
+        if (q.checker->random_free_violates(masks[i], *q.row)) return masks[i];
+        V |= masks[i] & shares;
+      }
+    }
+    if (q.deps) *q.deps |= V;
+    return std::nullopt;
+  }
   for (std::size_t r = 0; r < top.row_count(); ++r) {
     const Mask* masks = top.row_masks(r);
     const std::int64_t* coeffs = top.row_coeffs(r);
     const std::size_t n = top.row_size(r);
     switch (check_) {
       case Check::kDirect:
-        // Every stored coefficient is nonzero, so W.T is nonzero iff one of
-        // them lies in the forbidden region; the sorted order makes the
-        // first hit the canonical witness.
-        for (std::size_t i = 0; i < n; ++i)
-          if (q.checker->coefficient_violates(masks[i], *q.row))
-            return masks[i];
-        break;
+        break;  // one pass, above
       case Check::kAdd: {
         // The paper's MAPI step: W as an ADD, multiplied against the
         // violation region T; a nonzero product is a witness.
@@ -99,10 +106,11 @@ std::optional<Mask> MapBackend::check_rows(const RowCheckQuery& q) {
       }
     }
   }
+  if (q.deps) accumulate_deps(*q.deps);
   return std::nullopt;
 }
 
-void MapBackend::accumulate_deps(Mask& V) {
+void MapBackend::accumulate_deps(Mask& V) const {
   const RowSet& top = *stack_.back();
   for (std::size_t r = 0; r < top.row_count(); ++r) {
     const Mask* masks = top.row_masks(r);

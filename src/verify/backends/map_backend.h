@@ -7,10 +7,12 @@
 // combination scan performs zero heap allocations (ArenaStats makes the
 // claim testable).  The three engines differ only in the verification step:
 //
-//  * DIRECT — one pass over each row's nonzero coefficients, each tested
-//    with Checker::coefficient_violates; the witness is the first violating
-//    mask of the first violating row (the smallest in FlatSpectrum order).
-//    No region, no manager, no cap on the number of share coordinates.
+//  * DIRECT — one pass over each row's nonzero coefficients: each
+//    random-free one is tested with Checker::random_free_violates and, for
+//    the set-level check, ORed into V in the same pass.  The witness is the
+//    first violating mask of the first violating row (the smallest in
+//    FlatSpectrum order).  No region, no manager, no cap on the number of
+//    share coordinates.
 //  * MAP — the scan product with the materialized ForbiddenRegion, each
 //    coordinate resolved by binary search over the sorted row.
 //  * MAPI — the paper's symbolic ADD product (needs the manager).  The
@@ -32,7 +34,11 @@ class MapBackend : public Backend {
   void push(const std::vector<int>& path) override;
   void pop() override;
   std::optional<Mask> check_rows(const RowCheckQuery& q) override;
-  void accumulate_deps(Mask& V) override;
+
+  /// Unions the rho = 0 share supports of the current rows into V: the
+  /// second pass MAP and MAPI make after a passing check (DIRECT folds it
+  /// into check_rows).
+  void accumulate_deps(Mask& V) const;
 
  private:
   using RowSet = spectral::FlatRowSet;
@@ -45,7 +51,6 @@ class MapBackend : public Backend {
   std::shared_ptr<const Basis> basis_;
   dd::Manager* manager_;  // MAPI verification only
   Check check_;
-  PhaseTimers& timers_;
   std::uint64_t& coefficients_;
   int order_;
   spectral::ConvolutionArena arena_;

@@ -8,9 +8,9 @@
 
 namespace sani::verify {
 
-std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
-                                         const ObservableSet& observables,
-                                         const BasisNeeds& needs) {
+std::shared_ptr<Basis> build_basis(const circuit::Unfolded& unfolded,
+                                   const ObservableSet& observables,
+                                   const BasisNeeds& needs) {
   obs::Span span("basis_build");
   Stopwatch watch;
   auto basis = std::make_shared<Basis>();
@@ -41,6 +41,7 @@ std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
     ObservableInfo info;
     info.kind = o.kind;
     info.name = o.name;
+    info.position = o.position;
     info.output_group = o.output_group;
     info.output_share_index = o.output_share_index;
     info.num_subsets = (std::size_t{1} << o.fns.size()) - 1;
@@ -120,10 +121,15 @@ BasisNeeds basis_needs(EngineKind engine) {
   return needs;
 }
 
-std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
-                                         const ObservableSet& observables,
-                                         EngineKind engine) {
+std::shared_ptr<Basis> build_basis(const circuit::Unfolded& unfolded,
+                                   const ObservableSet& observables,
+                                   EngineKind engine) {
   return build_basis(unfolded, observables, basis_needs(engine));
+}
+
+void name_observables(Basis& basis,
+                      const std::vector<std::string>& wire_names) {
+  for (ObservableInfo& o : basis.obs) o.name = wire_names.at(o.position);
 }
 
 }  // namespace sani::verify

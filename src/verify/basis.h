@@ -41,7 +41,10 @@ namespace sani::verify {
 /// enumeration layer needs; the BDD functions stay in ObservableSet).
 struct ObservableInfo {
   Observable::Kind kind = Observable::Kind::kProbe;
+  /// The request's name for the observable's wire.  Not serialized: a
+  /// loaded Basis is named after the request by name_observables.
   std::string name;
+  std::uint32_t position = 0;  // circuit::canonical_wire_order position
   int output_group = -1;
   int output_share_index = -1;
   std::size_t num_subsets = 0;  // 2^m - 1 nonempty XOR-subsets
@@ -125,19 +128,27 @@ void for_each_xor_subset(const Observable& o, dd::Manager& manager, Fn&& fn) {
   }
 }
 
+/// Names every observable after a request: obs[i].name becomes
+/// wire_names[obs[i].position], where wire_names lists the request's wire
+/// names in canonical order (circuit::canonical_wire_names).  A Basis built
+/// from another text with the same canonical form then reports the
+/// request's names.  Throws std::out_of_range on a position past the list.
+void name_observables(Basis& basis, const std::vector<std::string>& wire_names);
+
 /// Engine -> BasisNeeds from the backend registry (kAuto resolves to DIRECT
 /// first).  Shared by the build, the artifact keying and the scan
 /// planner/worker basis-coverage checks (store/scan.h).
 BasisNeeds basis_needs(EngineKind engine);
 
 /// Builds the prepared artifact from an unfolded gadget ("base" phase).
-std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
-                                         const ObservableSet& observables,
-                                         const BasisNeeds& needs);
+/// Mutable until the caller shares it (name_observables).
+std::shared_ptr<Basis> build_basis(const circuit::Unfolded& unfolded,
+                                   const ObservableSet& observables,
+                                   const BasisNeeds& needs);
 
 /// Same, with the needs derived from the engine's registry entry.
-std::shared_ptr<const Basis> build_basis(const circuit::Unfolded& unfolded,
-                                         const ObservableSet& observables,
-                                         EngineKind engine);
+std::shared_ptr<Basis> build_basis(const circuit::Unfolded& unfolded,
+                                   const ObservableSet& observables,
+                                   EngineKind engine);
 
 }  // namespace sani::verify

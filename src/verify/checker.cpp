@@ -58,9 +58,8 @@ int Checker::disallowed_indices(const Mask& bits,
   return count;
 }
 
-bool Checker::coefficient_violates(const Mask& alpha,
+bool Checker::random_free_violates(const Mask& alpha,
                                    const RowContext& row) const {
-  if (alpha.intersects(vars_.random_vars)) return false;  // rho != 0
   switch (notion_) {
     case Notion::kNI:
     case Notion::kSNI: {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "circuit/cone.h"
+#include "circuit/ilang.h"
 
 namespace sani::verify {
 
@@ -76,6 +77,15 @@ Observable make_probe(const circuit::Gadget& gadget,
   return o;
 }
 
+/// Records each observable's canonical wire position.
+void assign_positions(const circuit::Gadget& gadget, ObservableSet& set) {
+  const std::vector<WireId> order = circuit::canonical_wire_order(gadget);
+  std::vector<std::uint32_t> position(order.size());
+  for (std::size_t p = 0; p < order.size(); ++p)
+    position[order[p]] = static_cast<std::uint32_t>(p);
+  for (Observable& o : set.items) o.position = position[o.wire];
+}
+
 }  // namespace
 
 ObservableSet build_observables(const circuit::Gadget& gadget,
@@ -117,6 +127,7 @@ ObservableSet build_observables(const circuit::Gadget& gadget,
     set.digests.push_back(observable_digest(o, wire_digests, cone_ptr));
     set.items.push_back(std::move(o));
   }
+  assign_positions(gadget, set);
   return set;
 }
 
@@ -151,6 +162,7 @@ ObservableSet build_observables_with_probes(
     set.digests.push_back(observable_digest(o, wire_digests, cone_ptr));
     set.items.push_back(std::move(o));
   }
+  assign_positions(gadget, set);
   return set;
 }
 

@@ -23,6 +23,9 @@ struct Observable {
   Kind kind = Kind::kProbe;
   std::string name;
   circuit::WireId wire = circuit::kNoWire;
+  /// The wire's position in circuit::canonical_wire_order: what SANIBAS
+  /// records in place of the name.
+  std::uint32_t position = 0;
 
   /// The functions the adversary learns from this observation.  Exactly one
   /// entry in the standard model; the glitch-cone tuple in the robust model.

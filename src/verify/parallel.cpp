@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "obs/progress.h"
-#include "obs/trace.h"
 #include "sched/cancel.h"
 #include "sched/shard.h"
 #include "sched/team.h"
@@ -59,7 +58,6 @@ std::vector<std::unique_ptr<Driver>> run_claim_loops(
         held = *claim;
         holding = true;
         if (!driver) driver = make_driver(w);
-        obs::Span span("task");
         Driver::ShardOutcome out;
         PartialReport part;
         driver->run_shard_partial(shards[held], flow.still_relevant, out,
@@ -239,7 +237,8 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
       out.peak_nodes = dd.peak_nodes;
     }
   }
-  if (stats.thaw_seconds > 0) stats.timers.add("thaw", stats.thaw_seconds);
+  if (stats.thaw_seconds > 0)
+    stats.timers.add(Phase::kThaw, stats.thaw_seconds);
   return result;
 }
 

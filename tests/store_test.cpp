@@ -135,7 +135,10 @@ void expect_serial_round_trip(const std::string& label,
   ASSERT_EQ(back->obs.size(), basis.obs.size()) << label;
   for (std::size_t i = 0; i < basis.obs.size(); ++i) {
     EXPECT_EQ(back->obs[i].kind, basis.obs[i].kind);
-    EXPECT_EQ(back->obs[i].name, basis.obs[i].name);
+    // Names are not stored: a load without the request's wire names leaves
+    // them empty, and the position is what names them.
+    EXPECT_TRUE(back->obs[i].name.empty());
+    EXPECT_EQ(back->obs[i].position, basis.obs[i].position);
     EXPECT_EQ(back->obs[i].output_group, basis.obs[i].output_group);
     EXPECT_EQ(back->obs[i].output_share_index,
               basis.obs[i].output_share_index);
@@ -295,25 +298,10 @@ std::string strip_cone_index(std::string payload, std::uint64_t count) {
   return payload;
 }
 
-// Rewrites a current file image as the v2 format: version field 2 and no
-// trailing cone-index section.  Every other payload byte is identical.
-std::string downgrade_image_to_v2(const std::string& v3_image,
-                                  std::uint64_t num_observables) {
-  return reframe(strip_cone_index(v3_image.substr(52), num_observables), 2);
-}
-
-// Rewrites a current file image as the v1 format the oldest release wrote:
-// version field 1, observable metadata without the per-observable support
-// masks (added in v2) and no trailing cone-index section (added in v3).
-// Every other payload byte is identical — all versions share the spectra
-// encoding — so this shim produces exactly what an old writer would.
-std::string downgrade_image_to_v1(const std::string& v2_image) {
-  const std::string payload = v2_image.substr(52);
-  ByteReader r(payload);
-  const auto pos = [&] { return payload.size() - r.remaining(); };
-
+// Walks `r` past the needs flags and the VarMap section to the observable
+// count, mirroring the reader's field order.
+void skip_to_observables(ByteReader& r) {
   r.u8();  // needs flags
-  // Walk (and keep) the VarMap section, mirroring the reader's field order.
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) r.i32();  // wire_to_var
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) r.u32();  // var_to_wire
   for (int m = 0; m < 3; ++m) {  // random/public/share masks
@@ -329,6 +317,51 @@ std::string downgrade_image_to_v1(const std::string& v2_image) {
   r.i32();  // num_vars
   r.u64();  // relevant_publics
   r.u64();
+}
+
+// Rewrites a current file image as the v3 format: version field 3 and a
+// name string per observable where v4 records its canonical wire position.
+// Every other payload byte is identical.
+std::string downgrade_image_to_v3(const std::string& v4_image) {
+  const std::string payload = v4_image.substr(52);
+  ByteReader r(payload);
+  const auto pos = [&] { return payload.size() - r.remaining(); };
+  skip_to_observables(r);
+  std::string v3_payload = payload.substr(0, pos());
+  ByteWriter obs;
+  const std::uint64_t count = r.u64();
+  obs.u64(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    obs.u8(r.u8());                               // kind
+    obs.str("w" + std::to_string(r.u32()));       // name (v4: position)
+    obs.i32(r.i32());                             // output_group
+    obs.i32(r.i32());                             // output_share_index
+    obs.u64(r.u64());                             // num_subsets
+    obs.u64(r.u64());                             // support
+    obs.u64(r.u64());
+  }
+  v3_payload += obs.bytes();
+  v3_payload += payload.substr(pos());
+  return reframe(v3_payload, 3);
+}
+
+// Rewrites a v3 file image as the v2 format: version field 2 and no
+// trailing cone-index section.  Every other payload byte is identical.
+std::string downgrade_image_to_v2(const std::string& v3_image,
+                                  std::uint64_t num_observables) {
+  return reframe(strip_cone_index(v3_image.substr(52), num_observables), 2);
+}
+
+// Rewrites a v2 file image as the v1 format the oldest release wrote:
+// version field 1, observable metadata without the per-observable support
+// masks (added in v2) and no trailing cone-index section (added in v3).
+// Every other payload byte is identical — all versions share the spectra
+// encoding — so this shim produces exactly what an old writer would.
+std::string downgrade_image_to_v1(const std::string& v2_image) {
+  const std::string payload = v2_image.substr(52);
+  ByteReader r(payload);
+  const auto pos = [&] { return payload.size() - r.remaining(); };
+  skip_to_observables(r);
 
   std::string v1_payload = payload.substr(0, pos());
 
@@ -359,12 +392,15 @@ TEST(Serial, V1AndV2ArtifactsAreRejected) {
     verify::VerifyOptions opt;
     opt.engine = engine;
     std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
-    const std::string v3 = serialize_basis(*basis, needs_of(engine));
+    const std::string v4 = serialize_basis(*basis, needs_of(engine));
+    const std::string v3 = downgrade_image_to_v3(v4);
     const std::string v2 = downgrade_image_to_v2(v3, basis->obs.size());
-    const std::string v1 = downgrade_image_to_v1(v3);
+    const std::string v1 = downgrade_image_to_v1(v2);
     EXPECT_LT(v2.size(), v3.size());
     EXPECT_LT(v1.size(), v2.size());
-    EXPECT_NO_THROW(deserialize_basis(v3));
+    EXPECT_NO_THROW(deserialize_basis(v4));
+    EXPECT_THROW(deserialize_basis(v3), SerializationError)
+        << verify::engine_name(engine);
     EXPECT_THROW(deserialize_basis(v2), SerializationError)
         << verify::engine_name(engine);
     EXPECT_THROW(deserialize_basis(v1), SerializationError)
@@ -378,20 +414,26 @@ TEST(Store, V1AndV2ArtifactsLoadAsQuarantinedMisses) {
   verify::VerifyOptions opt;
   opt.engine = verify::EngineKind::kMAPI;  // an image with a frozen forest
   std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
-  const std::string v3 = serialize_basis(*basis, needs_of(opt.engine));
+  const std::string v3 =
+      downgrade_image_to_v3(serialize_basis(*basis, needs_of(opt.engine)));
+  const std::string v2 = downgrade_image_to_v2(v3, basis->obs.size());
 
   TempDir dir("old_versions");
   ArtifactStore store({dir.str(), 0});
   const std::string v1_key(64, 'b');
   const std::string v2_key(64, 'c');
-  ASSERT_TRUE(store.put(v1_key, downgrade_image_to_v1(v3)));
-  ASSERT_TRUE(store.put(v2_key, downgrade_image_to_v2(v3, basis->obs.size())));
+  const std::string v3_key(64, 'd');
+  ASSERT_TRUE(store.put(v1_key, downgrade_image_to_v1(v2)));
+  ASSERT_TRUE(store.put(v2_key, v2));
+  ASSERT_TRUE(store.put(v3_key, v3));
   EXPECT_EQ(store.load_basis(v1_key), nullptr);
   EXPECT_EQ(store.load_basis(v2_key), nullptr);
+  EXPECT_EQ(store.load_basis(v3_key), nullptr);
   EXPECT_EQ(store.stats().hits, 0u);
-  EXPECT_EQ(store.stats().quarantined, 2u);
+  EXPECT_EQ(store.stats().quarantined, 3u);
   EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v1_key));
   EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v2_key));
+  EXPECT_TRUE(fs::exists(fs::path(dir.str()) / "quarantine" / v3_key));
 }
 
 // ---------------------------------------------------------------------------
@@ -963,6 +1005,43 @@ TEST(WarmStart, VerdictWitnessAndReportMatchColdAllRegistryGadgets) {
           << name;
     }
   }
+}
+
+// The artifact key ignores names, so a renamed twin of a stored text hits
+// its Basis; the twin's report must still name the twin's wires.  Every
+// registry gadget x notion: the store is seeded with the canonical text
+// (positional names), the twin renames every wire and cell, and the hit's
+// deterministic report must equal the twin's cold report byte for byte.
+TEST(WarmStart, RenamedTwinReportsItsOwnNames) {
+  TempDir dir("twin");
+  ArtifactStore store({dir.str(), 0});
+  int insecure = 0;
+  for (const std::string& name : gadgets::all_names()) {
+    const circuit::Gadget g = gadgets::by_name(name);
+    const circuit::Gadget canonical =
+        circuit::parse_ilang_string(circuit::write_ilang_string(g));
+    const circuit::Gadget twin = circuit::with_renamed_wires(g, "twin_");
+    for (verify::Notion notion :
+         {verify::Notion::kProbing, verify::Notion::kNI, verify::Notion::kSNI,
+          verify::Notion::kPINI}) {
+      SCOPED_TRACE(name + " " + verify::notion_name(notion));
+      verify::VerifyOptions opt;
+      opt.notion = notion;
+      opt.order = std::min(2, gadgets::security_level(name));
+      opt.deterministic_report = true;
+      StoreOutcome seeded, hit;
+      verify_with_store(canonical, opt, store, &seeded);
+      const verify::VerifyResult warm =
+          verify_with_store(twin, opt, store, &hit);
+      EXPECT_TRUE(hit.hit);
+      EXPECT_EQ(hit.key, seeded.key);
+      const verify::VerifyResult cold = verify::verify(twin, opt);
+      EXPECT_EQ(verify::json_report(name, opt, warm, 0.0),
+                verify::json_report(name, opt, cold, 0.0));
+      if (cold.counterexample) ++insecure;
+    }
+  }
+  EXPECT_GT(insecure, 0);  // some report names a witness at all
 }
 
 TEST(WarmStart, ParallelWarmRunMatchesSerialCold) {

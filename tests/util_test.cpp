@@ -202,7 +202,7 @@ TEST(Timers, Accumulates) {
   EXPECT_DOUBLE_EQ(t.get("b"), 2.0);
   EXPECT_DOUBLE_EQ(t.get("missing"), 0.0);
   EXPECT_DOUBLE_EQ(t.total(), 3.5);
-  EXPECT_EQ(t.names().size(), 2u);
+  EXPECT_EQ(t.size(), 2u);
 }
 
 TEST(Table, RendersAlignedAscii) {
