@@ -9,8 +9,8 @@
 // `jobs` workers on a sched::run_workers team whose worker 0 is the calling
 // thread, so `jobs == 1` spawns no thread and there is no serial path.
 // Each worker builds its own Driver at its first claim and loops: claim a
-// shard, run Driver::run_shard_partial inside one "task" span, hand the
-// PartialReport to the sink.  The callers differ only in their ShardFlow:
+// shard, run Driver::run_shard_partial (which records the shard's "scan"
+// span), hand the PartialReport to the sink.  The callers differ only in their ShardFlow:
 // run_shards claims from an atomic cursor over the plan and folds into one
 // ReportAssembler; a scan worker claims ScanDir leases and checkpoints.  An
 // exception in any shard stops every loop at its next claim and is
