@@ -51,11 +51,6 @@ namespace sani::verify {
 bool combo_before(const std::vector<int>& a, const std::vector<int>& b,
                   bool largest_first);
 
-/// The RowContext of a combination: a pure function of the observables'
-/// kinds, recomputed wherever a check needs it (dependency records carry
-/// none).
-RowContext context_for_combo(const Basis& basis, const std::vector<int>& combo);
-
 /// The set-level union pass over a dependency table: for every recorded
 /// combination Q, the closed V(Q) — the union of the recorded masks of
 /// every nonempty sub-combination of Q — is tested against the notion's
