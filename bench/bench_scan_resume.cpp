@@ -16,7 +16,10 @@
 // the shard plan size, the drained combination count and the checkpoint
 // byte footprint.  Seconds and the overhead percentage are machine-
 // specific; CI re-measures the overhead with a relaxed gate rather than
-// diffing it (shared runners are noisy).
+// diffing it (shared runners are noisy).  The ratio moves whenever the
+// scan itself gets faster, so the JSON also states the protocol cost in
+// absolute terms: the plan and finalize seconds of the best scan rep, and
+// the overhead per shard in microseconds.
 //
 // --json [PATH] writes the rows as machine-readable JSON (default PATH:
 // BENCH_scan.json).  The committed baseline was generated with
@@ -61,6 +64,7 @@ struct Row {
   double worker_seconds = 0.0;    // of scan_seconds: run_scan_worker
   double finalize_seconds = 0.0;  // of scan_seconds: finalize_scan
   double overhead_percent = 0.0;
+  double protocol_us_per_shard = 0.0;  // (scan - plain) / shards
 };
 
 struct TempStore {
@@ -137,6 +141,9 @@ Row run_row(const std::string& name, int order, int reps) {
   row.scan_seconds = scan_best;
   row.overhead_percent =
       plain > 0.0 ? 100.0 * (scan_best - plain) / plain : 0.0;
+  if (row.shards > 0)
+    row.protocol_us_per_shard =
+        1e6 * (scan_best - plain) / static_cast<double>(row.shards);
   return row;
 }
 
@@ -154,7 +161,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
        << ", \"checkpoint_bytes\": " << r.checkpoint_bytes
        << ", \"plain_seconds\": " << r.plain_seconds
        << ", \"scan_seconds\": " << r.scan_seconds
-       << ", \"overhead_percent\": " << r.overhead_percent << "}"
+       << ", \"plan_seconds\": " << r.plan_seconds
+       << ", \"finalize_seconds\": " << r.finalize_seconds
+       << ", \"overhead_percent\": " << r.overhead_percent
+       << ", \"protocol_us_per_shard\": " << r.protocol_us_per_shard
+       << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -176,7 +187,8 @@ int main(int argc, char** argv) {
 
   std::cout << "== Checkpointed scan vs plain serial scan (d-SNI) ==\n";
   TextTable table({"gadget", "order", "shards", "combos", "ckpt bytes",
-                   "plain (s)", "plan", "work", "fin", "overhead"});
+                   "plain (s)", "plan", "work", "fin", "overhead",
+                   "us/shard"});
   std::vector<Row> rows;
   for (const auto& [name, order] : jobs) {
     Row r = run_row(name, order, reps);
@@ -192,7 +204,8 @@ int main(int argc, char** argv) {
         .add(r.plan_seconds)
         .add(r.worker_seconds)
         .add(r.finalize_seconds)
-        .add(pct.str());
+        .add(pct.str())
+        .add(r.protocol_us_per_shard);
     rows.push_back(std::move(r));
   }
   std::cout << table.to_ascii();

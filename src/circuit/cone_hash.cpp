@@ -85,25 +85,34 @@ std::string ConeDigest::hex() const {
   return out;
 }
 
-std::vector<ConeDigest> wire_structure_digests(const Gadget& gadget) {
-  const Netlist& nl = gadget.netlist;
-  const std::vector<Role> roles = input_roles(gadget);
-  std::vector<ConeDigest> digests(nl.num_wires());
-  for (WireId w = 0; w < nl.num_wires(); ++w) {
-    const GateNode& node = nl.node(w);
+std::vector<ConeDigest> function_digests(const dd::Manager& manager,
+                                         const std::vector<dd::NodeId>& roots) {
+  // slot[n] indexes node n's digest in `nodes`; the post-order walk fills
+  // a node's children before the node itself.
+  std::vector<std::uint32_t> slot(manager.node_capacity());
+  std::vector<ConeDigest> nodes;
+  manager.visit_postorder(roots, [&](dd::NodeId n) {
     Sha256 h;
-    h.update("sani-wire-v1", 12);
-    put_u32(h, static_cast<std::uint32_t>(node.kind));
-    if (node.kind == GateKind::kInput) {
-      put_role(h, roles[w]);
+    if (manager.is_terminal(n)) {
+      // A terminal's first word is ~0, which no variable id takes.
+      const auto value = static_cast<std::uint64_t>(manager.terminal_value(n));
+      put_u32(h, ~std::uint32_t{0});
+      put_u32(h, static_cast<std::uint32_t>(value));
+      put_u32(h, static_cast<std::uint32_t>(value >> 32));
     } else {
-      for (int i = 0; i < node.arity(); ++i)
-        h.update(digests[node.fanin[i]].bytes.data(),
-                 digests[node.fanin[i]].bytes.size());
+      put_u32(h, static_cast<std::uint32_t>(manager.node_var(n)));
+      for (const dd::NodeId child : {manager.node_lo(n), manager.node_hi(n)}) {
+        const ConeDigest& d = nodes[slot[child]];
+        h.update(d.bytes.data(), d.bytes.size());
+      }
     }
-    h.digest(digests[w].bytes.data());
-  }
-  return digests;
+    slot[n] = static_cast<std::uint32_t>(nodes.size());
+    h.digest(nodes.emplace_back().bytes.data());
+  });
+  std::vector<ConeDigest> out;
+  out.reserve(roots.size());
+  for (dd::NodeId r : roots) out.push_back(nodes[slot[r]]);
+  return out;
 }
 
 ConeDigest combine_cone_digest(std::uint32_t tag, std::int32_t group,

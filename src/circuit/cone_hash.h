@@ -1,20 +1,25 @@
 #pragma once
-// Structural hashing of probe cones (content addressing below whole-gadget
+// Function digests of probe cones (content addressing below whole-gadget
 // granularity).
 //
-// Every wire gets a Merkle-style digest over its fan-in cone: the digest of
-// a gate hashes its kind tag and the digests of its fan-ins, and the digest
-// of a primary input hashes only its *security role* — (secret group, share
-// index) for shares, the annotation ordinal for randoms and publics — never
-// its net name.  Two wires with equal digests therefore have identical
-// unfolded expression trees over role-identified inputs, hence identical
-// Boolean functions; wire renaming and edits outside the cone cannot change
-// the digest, while any edit inside it does.  This is the key the store's
-// per-cone verdict summaries (store/serial.h) are built on: digest equality
-// is what licenses replaying a cached verdict, and inequality is always
-// safe — it merely forces a re-check.
+// A reduced ordered BDD is a canonical form of its function, so hashing a
+// BDD hashes the function itself.  function_digests() computes a Merkle
+// digest per node of the shared DAG: a terminal hashes its value, an
+// internal node hashes its variable id and the digests of its two children.
+// Equal digests therefore mean equal functions whatever the netlist looked
+// like: renaming, commutative fan-in swaps, cell reorders, buffers and XOR
+// re-association all keep the digest, and any change of function changes
+// it.  Nodes hash variable ids, not levels, so equal digests mean equal
+// functions even across managers ordered differently; one function under
+// two orders may digest differently, which is safe: inequality merely
+// forces a re-check.
 //
-// Digest equality is only meaningful between runs that bind roles to
+// An observable's digest (combine_cone_digest) folds the sorted digests of
+// its member functions with its kind and output position.  These are the
+// keys the store's per-cone verdict summaries (store/serial.h) are built
+// on: digest equality licenses replaying a cached verdict.
+//
+// A variable id is only meaningful between runs that bind roles to
 // decision-diagram variables the same way, so varmap_digest() fingerprints
 // the per-variable role sequence of a VarMap; summaries are invalidated
 // when it changes (different --var-order, changed input declaration order
@@ -27,10 +32,11 @@
 
 #include "circuit/spec.h"
 #include "circuit/unfold.h"
+#include "dd/manager.h"
 
 namespace sani::circuit {
 
-/// A 32-byte SHA-256 structural digest.
+/// A 32-byte SHA-256 digest of a function or an observable.
 struct ConeDigest {
   std::array<std::uint8_t, 32> bytes{};
 
@@ -58,11 +64,13 @@ struct ConeDigestHash {
   }
 };
 
-/// The Merkle digest of every wire's fan-in cone, in wire order (one O(W)
-/// pass over the topologically-ordered netlist).
-std::vector<ConeDigest> wire_structure_digests(const Gadget& gadget);
+/// The digest of each root's function, parallel to `roots`: one Merkle
+/// pass over the DAG the roots share, so a node reachable from several
+/// roots is hashed once.
+std::vector<ConeDigest> function_digests(const dd::Manager& manager,
+                                         const std::vector<dd::NodeId>& roots);
 
-/// Folds a set of member cone digests into one observable-level digest.
+/// Folds a set of member function digests into one observable-level digest.
 /// `tag` distinguishes observable kinds, `group`/`share_index` pin an
 /// output share's position (pass -1 for probes).  Members are hashed in
 /// sorted order, matching the order-insensitive function-set identity the

@@ -68,6 +68,18 @@ std::string summary_object_key(const std::string& family_key,
   return util::sha256_hex(material.str());
 }
 
+std::shared_ptr<verify::Basis> build_stored_basis(
+    const circuit::Gadget& gadget, const verify::VerifyOptions& options,
+    const verify::BasisNeeds& needs) {
+  const circuit::Unfolded unfolded = verify::unfold_for(gadget, options);
+  const verify::ObservableSet observables =
+      verify::build_observables(gadget, unfolded, options.probes);
+  std::shared_ptr<verify::Basis> basis =
+      verify::build_basis(unfolded, observables, needs);
+  basis->cones = verify::index_cones(gadget, unfolded, observables);
+  return basis;
+}
+
 namespace {
 
 /// The incremental scan around verify_basis: seed a plan from the family
@@ -168,13 +180,10 @@ verify::VerifyResult verify_with_store(const circuit::Gadget& gadget,
   if (basis) {
     if (outcome) outcome->hit = true;
   } else {
-    // Cold path: exactly verify::verify's pipeline, plus a best-effort save.
-    const circuit::Unfolded unfolded = verify::unfold_for(gadget, options);
-    verify::ObservableSet observables =
-        verify::build_observables(gadget, unfolded, options.probes);
-    basis = verify::build_basis(unfolded, observables, options.engine);
-    const bool saved =
-        store.save_basis(key, *basis, verify::basis_needs(options.engine));
+    // Cold path, then a best-effort save.
+    const verify::BasisNeeds needs = verify::basis_needs(options.engine);
+    basis = build_stored_basis(gadget, options, needs);
+    const bool saved = store.save_basis(key, *basis, needs);
     if (outcome) outcome->saved = saved;
   }
 

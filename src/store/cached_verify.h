@@ -68,6 +68,14 @@ std::string summary_family_key(const circuit::Gadget& gadget,
 std::string summary_object_key(const std::string& family_key,
                                const std::string& artifact_key);
 
+/// The Basis a key miss builds and persists: verify::verify's pipeline
+/// with the needs given, plus the cone index (verify::index_cones) an
+/// incremental run reads from a stored Basis.  Only the store's paths pay
+/// for the index; plain verification computes none.
+std::shared_ptr<verify::Basis> build_stored_basis(
+    const circuit::Gadget& gadget, const verify::VerifyOptions& options,
+    const verify::BasisNeeds& needs);
+
 /// What the store contributed to one verification (for reports, the daemon
 /// protocol and the CI warm-start assertions).
 struct StoreOutcome {

@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include "circuit/ilang.h"
-#include "circuit/unfold.h"
 #include "obs/clock.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -29,7 +28,6 @@
 #include "store/telemetry.h"
 #include "verify/driver.h"
 #include "verify/engine.h"
-#include "verify/observables.h"
 #include "verify/parallel.h"
 #include "verify/partial.h"
 
@@ -73,13 +71,9 @@ std::shared_ptr<const verify::Basis> resolve_basis(
         store->load_basis(m.basis_key, &m.wire_names);
     if (basis && basis_covers(*basis, needs)) return basis;
   }
-  const circuit::Gadget gadget = circuit::parse_ilang_string(m.canonical_ilang);
-  const circuit::Unfolded unfolded = verify::unfold_for(gadget, m.options);
-  const verify::ObservableSet observables =
-      verify::build_observables(gadget, unfolded, m.options.probes);
   const verify::BasisNeeds built = union_needs(m.needs, needs);
-  std::shared_ptr<verify::Basis> basis =
-      verify::build_basis(unfolded, observables, built);
+  std::shared_ptr<verify::Basis> basis = build_stored_basis(
+      circuit::parse_ilang_string(m.canonical_ilang), m.options, built);
   // The canonical text names its wires by position; reports use the
   // planned gadget's names.
   verify::name_observables(*basis, m.wire_names);
@@ -135,10 +129,7 @@ ScanDir plan_scan(const circuit::Gadget& gadget, const std::string& label,
   if (basis) {
     if (outcome) outcome->basis_hit = true;
   } else {
-    const circuit::Unfolded unfolded = verify::unfold_for(gadget, options);
-    const verify::ObservableSet observables =
-        verify::build_observables(gadget, unfolded, options.probes);
-    basis = verify::build_basis(unfolded, observables, options.engine);
+    basis = build_stored_basis(gadget, options, needs);
     const bool saved = store.save_basis(basis_key, *basis, needs);
     if (outcome) outcome->basis_saved = saved;
   }

@@ -482,9 +482,8 @@ std::string serialize_basis(const verify::Basis& basis,
   payload.u64(basis.base_coefficients);
   payload.f64(basis.build_seconds);
 
-  // v3 cone section: the varmap fingerprint and one structural digest per
-  // observable.  A Basis without a cone index (deserialized from an older
-  // artifact and re-saved) stays without one.
+  // Cone section: the varmap fingerprint and one function digest per
+  // observable.  A Basis without a cone index stays without one.
   const bool cones =
       basis.cones.available && basis.cones.digests.size() == basis.obs.size();
   payload.u8(cones ? 1 : 0);

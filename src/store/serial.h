@@ -23,14 +23,17 @@
 // container (same byte layout v1 used — sorted (mask, coeff) pairs) and
 // adds the per-observable support mask to the observable metadata.
 // v3 appends the cone index (verify::Basis::cones): the varmap
-// fingerprint plus one structural cone digest per observable, feeding the
-// incremental clean/dirty classifier (verify/incremental.h).  v4 (current)
-// records each observable's canonical wire position
-// (circuit::canonical_wire_order) instead of its name: the artifact key
-// ignores names, so the names a report shows come from the request that
-// loads the Basis, never from the text that saved it.  Only v4 is read or
-// written: the store is a cache, so an older artifact fails the version
-// check and is quarantined as a miss (the next run rebuilds it).
+// fingerprint plus one cone digest per observable, feeding the
+// incremental clean/dirty classifier (verify/incremental.h).  v4 records
+// each observable's canonical wire position (circuit::canonical_wire_order)
+// instead of its name: the artifact key ignores names, so the names a
+// report shows come from the request that loads the Basis, never from the
+// text that saved it.  v5 (current) has v4's layout, but its cone digests
+// hash the observables' functions (circuit::function_digests) where v3 and
+// v4 hashed netlist structure; the two kinds must never be compared.  Only
+// v5 is read or written: the store is a cache, so an older artifact fails
+// the version check and is quarantined as a miss (the next run rebuilds
+// it).
 //
 // The sorted-list (LIL) mirror is NOT serialized: it is a deterministic
 // function of the spectra and is rebuilt on load when the needs flags say
@@ -54,7 +57,7 @@
 
 namespace sani::store {
 
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 /// The artifact key's preimage version (store::artifact_key).  Bumped when
 /// what a key names changes, not when only the encoding does: a v3 object
 /// under a live key fails the version check and is quarantined as a miss.
@@ -73,12 +76,13 @@ inline constexpr char kMagic[8] = {'S', 'A', 'N', 'I', 'B', 'A', 'S', '\x01'};
 /// rank) and one length-prefixed mask array per run, ranks implied — where
 /// v1 stored one (k, rank, V) entry per combination.  v3 stores one
 /// share-space mask per combination instead of one per secret, and drops
-/// the secret count.  v4 (current) records the union verdict of the
-/// summary's table (state and closure peak bytes) after the failures, and
-/// writes the dependency runs as (k, first rank, count) headers followed
-/// by one mask-dictionary sequence (write_mask_dictionary) over every
-/// run's masks in run order.
-inline constexpr std::uint32_t kSummaryFormatVersion = 4;
+/// the secret count.  v4 records the union verdict of the summary's table
+/// (state and closure peak bytes) after the failures, and writes the
+/// dependency runs as (k, first rank, count) headers followed by one
+/// mask-dictionary sequence (write_mask_dictionary) over every run's masks
+/// in run order.  v5 (current) has v4's layout with function digests in
+/// place of structural ones (see kFormatVersion).
+inline constexpr std::uint32_t kSummaryFormatVersion = 5;
 inline constexpr char kSummaryMagic[8] = {'S', 'A', 'N', 'I',
                                           'S', 'U', 'M', '\x01'};
 

@@ -3,7 +3,7 @@
 //
 // The artifact store keys every prepared-verification artifact by the
 // SHA-256 of its canonicalized inputs (store/store.h), and the circuit
-// layer keys probe cones by the SHA-256 of their normalized structure
+// layer keys probe cones by a SHA-256 Merkle hash of their functions' BDDs
 // (circuit/cone_hash.h), so the hash must be stable across platforms,
 // compilers and endianness — which is exactly what a bit-level FIPS
 // implementation gives us, and why this does not reuse the process-local

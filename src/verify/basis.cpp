@@ -17,11 +17,6 @@ std::shared_ptr<Basis> build_basis(const circuit::Unfolded& unfolded,
   basis->vars = unfolded.vars;
   basis->num_outputs = observables.num_outputs;
   basis->obs.reserve(observables.items.size());
-  if (observables.digests.size() == observables.items.size()) {
-    basis->cones.available = true;
-    basis->cones.digests = observables.digests;
-    basis->cones.varmap = observables.varmap;
-  }
 
   const bool subset_walk =
       needs.spectra || needs.frozen_fns || needs.frozen_spectra;
@@ -125,6 +120,38 @@ std::shared_ptr<Basis> build_basis(const circuit::Unfolded& unfolded,
                                    const ObservableSet& observables,
                                    EngineKind engine) {
   return build_basis(unfolded, observables, basis_needs(engine));
+}
+
+ConeIndex index_cones(const circuit::Gadget& gadget,
+                      const circuit::Unfolded& unfolded,
+                      const ObservableSet& observables) {
+  // Observable-kind tags for combine_cone_digest.  The tag (and for outputs
+  // the group/share position) is part of the digest because the per-row
+  // threshold logic treats outputs and probes differently (PINI, SNI output
+  // counting), so a verdict may only be replayed onto an observable with the
+  // same role.
+  constexpr std::uint32_t kConeTagOutput = 0;
+  constexpr std::uint32_t kConeTagProbe = 1;
+
+  std::vector<dd::NodeId> roots;
+  for (const Observable& o : observables.items)
+    for (const dd::Bdd& f : o.fns) roots.push_back(f.node());
+  const std::vector<circuit::ConeDigest> fns =
+      circuit::function_digests(*unfolded.manager, roots);
+
+  ConeIndex index;
+  index.available = true;
+  index.varmap = circuit::varmap_digest(gadget, unfolded.vars);
+  index.digests.reserve(observables.items.size());
+  auto member = fns.begin();
+  for (const Observable& o : observables.items) {
+    const auto end = member + static_cast<std::ptrdiff_t>(o.fns.size());
+    index.digests.push_back(circuit::combine_cone_digest(
+        o.kind == Observable::Kind::kOutput ? kConeTagOutput : kConeTagProbe,
+        o.output_group, o.output_share_index, {member, end}));
+    member = end;
+  }
+  return index;
 }
 
 void name_observables(Basis& basis,

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit/cone_hash.h"
 #include "circuit/unfold.h"
 #include "dd/bdd.h"
 #include "dd/freeze.h"
@@ -66,10 +67,11 @@ struct BasisNeeds {
   bool dense = false;
 };
 
-/// Per-observable structural cone digests (circuit/cone_hash.h) plus the
-/// varmap role fingerprint they are relative to.  `available` is false when
-/// the observable set carried no digests (a hand-built set), in which case
-/// the incremental scan path falls back to a cold run.
+/// Per-observable function digests (circuit/cone_hash.h) plus the varmap
+/// role fingerprint they are relative to.  Only the paths that persist a
+/// Basis or a summary (store/cached_verify.h, store/scan.h) fill it, with
+/// index_cones; elsewhere `available` stays false, and an incremental run
+/// over such a Basis falls back to a cold scan.
 struct ConeIndex {
   bool available = false;
   std::vector<circuit::ConeDigest> digests;  // parallel to Basis::obs
@@ -86,7 +88,8 @@ struct Basis {
   std::vector<ObservableInfo> obs;
   std::size_t num_outputs = 0;
 
-  /// Cone digests for incremental re-verification (verify/incremental.h).
+  /// Function digests for incremental re-verification
+  /// (verify/incremental.h); empty unless index_cones filled them.
   ConeIndex cones;
 
   /// flat[i][s] = Walsh spectrum of XOR-subset s of observable i, in the
@@ -150,5 +153,12 @@ std::shared_ptr<Basis> build_basis(const circuit::Unfolded& unfolded,
 std::shared_ptr<Basis> build_basis(const circuit::Unfolded& unfolded,
                                    const ObservableSet& observables,
                                    EngineKind engine);
+
+/// The cone index of `observables`: each observable's digest folds its
+/// kind, its output position and the function digests of its members, all
+/// read from `unfolded`'s manager in one Merkle pass.
+ConeIndex index_cones(const circuit::Gadget& gadget,
+                      const circuit::Unfolded& unfolded,
+                      const ObservableSet& observables);
 
 }  // namespace sani::verify

@@ -1,7 +1,7 @@
 #pragma once
 // Diff-aware incremental re-verification (cone-keyed verdict caching).
 //
-// A ConeSummary is the distilled outcome of one finished scan: the cone
+// A ConeSummary is the distilled outcome of one finished scan: the function
 // digest of every observable (circuit/cone_hash.h), per-size bitmaps of
 // which combination ranks were checked and which passed, the per-row
 // failures, and the per-combination dependency masks the set-level union
@@ -15,10 +15,11 @@
 //   * clean-fail  — same, but it failed: replay the recorded witness;
 //   * dirty       — anything else: re-check for real.
 //
-// Digest equality implies function equality (Merkle hashing over role-
-// identified inputs), and a varmap fingerprint guards that both runs bind
-// roles to the same dd variables, so a replayed verdict is exactly what a
-// cold check would have computed: verdicts, witnesses and deterministic
+// Digest equality implies equal member functions and an equal observable
+// role (a Merkle hash over each member's BDD), and a varmap fingerprint
+// guards that both runs bind roles to the same dd variables, so a replayed
+// verdict is exactly what a cold check would have computed — after any
+// function-preserving edit too: verdicts, witnesses and deterministic
 // reports are byte-identical to a cold run (the incremental correctness
 // gate in tests/incremental_test.cpp), only the work differs.  The
 // dependency masks are engine-invariant (every backend accumulates the

@@ -26,29 +26,6 @@ std::vector<dd::NodeId> signature(const std::vector<dd::Bdd>& fns) {
 
 bool is_constant(const dd::Bdd& f) { return f.is_zero() || f.is_one(); }
 
-// Observable-kind tags for combine_cone_digest.  The tag (and for outputs
-// the group/share position) is part of the digest because the per-row
-// threshold logic treats outputs and probes differently (PINI, SNI output
-// counting), so a verdict may only be replayed onto an observable with the
-// same role.
-constexpr std::uint32_t kConeTagOutput = 0;
-constexpr std::uint32_t kConeTagProbe = 1;
-
-circuit::ConeDigest observable_digest(
-    const Observable& o, const std::vector<circuit::ConeDigest>& wire_digests,
-    const std::vector<std::vector<WireId>>* cones) {
-  std::vector<circuit::ConeDigest> members;
-  if (o.kind == Observable::Kind::kProbe && cones) {
-    for (WireId src : (*cones)[o.wire]) members.push_back(wire_digests[src]);
-  } else {
-    members = {wire_digests[o.wire]};
-  }
-  const bool is_output = o.kind == Observable::Kind::kOutput;
-  return circuit::combine_cone_digest(
-      is_output ? kConeTagOutput : kConeTagProbe, o.output_group,
-      o.output_share_index, std::move(members));
-}
-
 Observable make_output(const circuit::Gadget& gadget,
                        const circuit::Unfolded& unfolded, int group, int index) {
   const WireId w = gadget.spec.outputs[group].shares[index];
@@ -93,9 +70,6 @@ ObservableSet build_observables(const circuit::Gadget& gadget,
                                 const ProbeModelOptions& options) {
   ObservableSet set;
   std::set<std::vector<dd::NodeId>> seen;
-  const std::vector<circuit::ConeDigest> wire_digests =
-      circuit::wire_structure_digests(gadget);
-  set.varmap = circuit::varmap_digest(gadget, unfolded.vars);
 
   std::vector<std::vector<WireId>> cones;
   if (options.glitch_robust) cones = circuit::glitch_cones(gadget.netlist);
@@ -106,7 +80,6 @@ ObservableSet build_observables(const circuit::Gadget& gadget,
       Observable o = make_output(gadget, unfolded, static_cast<int>(g),
                                  static_cast<int>(j));
       if (options.dedupe && !seen.insert(signature(o.fns)).second) continue;
-      set.digests.push_back(observable_digest(o, wire_digests, nullptr));
       set.items.push_back(std::move(o));
     }
   }
@@ -124,7 +97,6 @@ ObservableSet build_observables(const circuit::Gadget& gadget,
     if (o.fns.empty()) continue;
     if (o.fns.size() == 1 && is_constant(o.fns.front())) continue;
     if (options.dedupe && !seen.insert(signature(o.fns)).second) continue;
-    set.digests.push_back(observable_digest(o, wire_digests, cone_ptr));
     set.items.push_back(std::move(o));
   }
   assign_positions(gadget, set);
@@ -136,9 +108,6 @@ ObservableSet build_observables_with_probes(
     const std::vector<std::string>& probe_names,
     const ProbeModelOptions& options) {
   ObservableSet set;
-  const std::vector<circuit::ConeDigest> wire_digests =
-      circuit::wire_structure_digests(gadget);
-  set.varmap = circuit::varmap_digest(gadget, unfolded.vars);
 
   std::vector<std::vector<WireId>> cones;
   if (options.glitch_robust) cones = circuit::glitch_cones(gadget.netlist);
@@ -148,7 +117,6 @@ ObservableSet build_observables_with_probes(
     for (std::size_t j = 0; j < gadget.spec.outputs[g].shares.size(); ++j) {
       Observable o = make_output(gadget, unfolded, static_cast<int>(g),
                                  static_cast<int>(j));
-      set.digests.push_back(observable_digest(o, wire_digests, nullptr));
       set.items.push_back(std::move(o));
     }
   }
@@ -159,7 +127,6 @@ ObservableSet build_observables_with_probes(
     if (w == kNoWire)
       throw std::invalid_argument("no wire named '" + name + "'");
     Observable o = make_probe(gadget, unfolded, w, cone_ptr);
-    set.digests.push_back(observable_digest(o, wire_digests, cone_ptr));
     set.items.push_back(std::move(o));
   }
   assign_positions(gadget, set);

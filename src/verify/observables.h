@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/cone_hash.h"
 #include "circuit/spec.h"
 #include "circuit/unfold.h"
 #include "dd/bdd.h"
@@ -39,12 +38,6 @@ struct Observable {
 struct ObservableSet {
   std::vector<Observable> items;  // outputs first, then probes
   std::size_t num_outputs = 0;
-
-  /// Structural cone digest per item (circuit/cone_hash.h), parallel to
-  /// `items`, plus the varmap role fingerprint the digests are relative to.
-  /// Basis carries both into its ConeIndex for incremental re-verification.
-  std::vector<circuit::ConeDigest> digests;
-  circuit::ConeDigest varmap;
 
   std::size_t size() const { return items.size(); }
 };
