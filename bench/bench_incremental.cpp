@@ -11,9 +11,11 @@
 // summary (every cone digest matches, so `swap_rechecked` is 0); the
 // complement, seeded by the same summary (the dirty cones are `rechecked`,
 // the rest `replayed`); and the complement unchanged (every combination
-// replays).  The wall-clock columns are machine-specific; the
-// combination/cone counters are exact and machine-independent, which is
-// what CI diffs against the committed BENCH_incremental.json baseline.
+// replays).  `summary_bytes` is the size of the SANISUM object the seed
+// run wrote.  The wall-clock columns are machine-specific; the
+// combination/cone counters and the summary size are exact and
+// machine-independent, which is what CI diffs against the committed
+// BENCH_incremental.json baseline.
 //
 // --json [PATH] writes the rows as machine-readable JSON (default PATH:
 // BENCH_incremental.json).  The committed baseline at the repo root was
@@ -49,6 +51,7 @@ struct Row {
   std::uint64_t replayed = 0;            // clean combinations replayed
   std::uint64_t resub_rechecked = 0;     // unchanged resubmission (expect 0)
   std::uint64_t swap_rechecked = 0;      // after the swap (expect 0)
+  std::uint64_t summary_bytes = 0;       // the seed run's summary object
   // Machine-specific timings (informational).
   double cold_seconds = 0.0;
   double warm_seconds = 0.0;
@@ -102,6 +105,9 @@ Row run_row(const std::string& name, double timeout) {
   TempStore dir("warm_" + name);
   store::ArtifactStore store({dir.path.string(), 0});
   store::verify_with_store(g, opt, store);
+  if (const auto head =
+          store.family_head(store::summary_family_key(g, opt)))
+    row.summary_bytes = store.get(*head).value_or("").size();
   row.swap_rechecked = store::verify_with_store(swapped, opt, store)
                            .stats.incremental.combinations_rechecked;
   {
@@ -137,6 +143,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
        << ", \"replayed\": " << r.replayed
        << ", \"resub_rechecked\": " << r.resub_rechecked
        << ", \"swap_rechecked\": " << r.swap_rechecked
+       << ", \"summary_bytes\": " << r.summary_bytes
        << ", \"cold_seconds\": " << r.cold_seconds
        << ", \"warm_seconds\": " << r.warm_seconds << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";

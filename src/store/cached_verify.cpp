@@ -83,7 +83,7 @@ std::shared_ptr<verify::Basis> build_stored_basis(
 namespace {
 
 /// The incremental scan around verify_basis: seed a plan from the family
-/// head's summary (if any survives the semantic guards), collect a fresh
+/// head's summary (if any survives the semantic guards), take the run's
 /// summary, and repoint the head — every step best-effort.
 verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
                                      const verify::VerifyOptions& options,
@@ -102,19 +102,11 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
 
   // A Basis without a cone index can neither seed nor produce a summary —
   // plain scan, zero stats.
-  const bool collect = basis->cones.available;
   const int n = static_cast<int>(basis->size());
-  verify::SummaryCollector collector(n, options.order);
-  verify::DepTable deps;
-  verify::UnionVerdict union_verdict;
-
+  std::optional<verify::ConeSummary> summary;
   verify::IncrementalContext ctx;
   if (plan) ctx.plan = &*plan;
-  if (collect) {
-    ctx.collector = &collector;
-    ctx.deps_out = &deps;
-    ctx.union_out = &union_verdict;
-  }
+  if (basis->cones.available) ctx.summary_out = &summary;
   if (outcome) outcome->summary_hit = plan.has_value();
 
   // The basis must outlive the scan here (the plan and the summary both
@@ -126,35 +118,26 @@ verify::VerifyResult run_incremental(const circuit::Gadget& gadget,
   result.stats.incremental.cones_total = static_cast<std::uint64_t>(n);
   if (plan) result.stats.incremental.cones_reused = plan->cones_reused();
 
-  // Nothing to write: every cone kept its index and every verdict was
-  // replayed from the head's summary, so the summary this run would write
-  // holds the same digests and records nothing that object lacks.  That
-  // covers an unchanged resubmission and a renamed one alike — leave the
-  // summary and the head untouched.
-  const bool unchanged =
-      plan && plan->layout_preserving() &&
-      plan->cones_reused() == static_cast<std::uint64_t>(n) &&
-      !result.timed_out &&
-      result.stats.incremental.combinations_rechecked == 0;
-  if (collect && !unchanged) {
-    const verify::ConeSummary summary =
-        verify::make_summary(*basis, options, std::move(collector),
-                             std::move(deps), union_verdict);
+  // No summary (beyond a Basis without a cone index): every cone kept its
+  // index and every verdict was replayed from the head's summary, which
+  // already holds everything this run would record.  That covers an
+  // unchanged resubmission and a renamed one alike — leave the summary and
+  // the head untouched.
+  if (summary) {
     // A timed-out run publishes the summary of its completed prefix too —
-    // unchecked ranks stay 0 in the bitmaps and classify as dirty on
-    // replay, so the next attempt resumes past the verdicts this one paid
-    // for.  Guard: never repoint the family head at a summary with less
-    // coverage than the one already there (a short re-run after a long one
-    // must not shrink the cache).
+    // unrecorded ranks are re-checked on replay, so the next attempt
+    // resumes past the verdicts this one paid for.  Guard: never repoint
+    // the family head at a summary with less coverage than the one already
+    // there (a short re-run after a long one must not shrink the cache).
     bool publish = true;
     if (result.timed_out) {
-      const std::uint64_t checked = verify::summary_checked_count(summary);
+      const std::uint64_t checked = verify::summary_checked_count(*summary);
       publish = checked > 0 &&
                 (!prior || verify::summary_checked_count(*prior) < checked);
     }
     if (publish) {
       const bool saved = store.publish_summary(
-          family, summary_object_key(family, key), summary);
+          family, summary_object_key(family, key), *summary);
       if (outcome) outcome->summary_saved = saved;
     }
   }

@@ -93,18 +93,18 @@ struct StoreOutcome {
 /// verify::verify_basis); the basis build itself is not interruptible.
 ///
 /// With options.incremental set, the scan additionally (a) looks up the
-/// family head, loads the prior summary and replays verdicts for clean
-/// combinations (verify/incremental.h) — verdict, witness and deterministic
-/// report stay byte-identical to a cold run — and (b) collects a fresh
-/// summary and repoints the family head at it.  A timed-out run publishes
-/// its checked prefix only when that covers more ranks than the head does
-/// (unchecked ranks classify dirty, but a short run must not displace a
-/// more complete head).  A resubmission whose every cone kept its index
-/// and whose every verdict was replayed from the head's summary — an
-/// unchanged or merely renamed netlist — writes nothing (summary_saved
-/// stays false; the head keeps naming the summary it seeded from).  Both halves
-/// are best-effort: no prior summary, a quarantined one, or a plan
-/// rejection just mean a cold scan.
+/// family head, loads the prior summary and replays the verdicts it holds
+/// for unchanged cones (verify/incremental.h) — verdict, witness and
+/// deterministic report stay byte-identical to a cold run — and (b) writes
+/// the run's own summary and repoints the family head at it.  A timed-out
+/// run publishes its checked prefix only when that covers more ranks than
+/// the head does (unrecorded ranks are re-checked, but a short run must
+/// not displace a more complete head).  A resubmission whose every cone
+/// kept its index and whose every verdict was replayed from the head's
+/// summary — an unchanged or merely renamed netlist — writes nothing
+/// (summary_saved stays false; the head keeps naming the summary it seeded
+/// from).  Both halves are best-effort: no prior summary, a quarantined
+/// one, or a plan rejection just mean a cold scan.
 verify::VerifyResult verify_with_store(const circuit::Gadget& gadget,
                                        const verify::VerifyOptions& options,
                                        ArtifactStore& store,

@@ -591,29 +591,19 @@ std::string serialize_summary(const verify::ConeSummary& summary) {
   payload.u64(summary.digests.size());
   for (const circuit::ConeDigest& d : summary.digests)
     write_digest(payload, d);
-  payload.u64(summary.tables.size());
-  for (const verify::ConeSummary::Table& t : summary.tables) {
-    payload.u8(t.present ? 1 : 0);
-    if (!t.present) continue;
-    payload.u64(t.num_ranks);
-    for (std::uint64_t word : t.checked) payload.u64(word);
-    for (std::uint64_t word : t.passed) payload.u64(word);
-  }
-  payload.u64(summary.failures.size());
-  for (const verify::ConeSummary::Failure& f : summary.failures) {
-    payload.i32(f.k);
-    payload.u64(f.rank);
-    write_mask(payload, f.alpha);
-    payload.str(f.reason);
-  }
   payload.u8(static_cast<std::uint8_t>(summary.union_verdict.state));
   payload.u64(summary.union_verdict.closure_peak_bytes);
-  const std::vector<verify::DepTable::Run>& runs = summary.deps.runs();
-  payload.u64(runs.size());
+  payload.u64(summary.runs.size());
   MaskDictionaryWriter masks;
-  for (const verify::DepTable::Run& run : runs) {
+  for (const verify::ConeSummary::Run& run : summary.runs) {
     payload.i32(run.k);
     payload.u64(run.begin);
+    payload.u64(run.end - run.begin);
+    payload.u8(run.failed ? 1 : 0);
+    if (run.failed) {
+      write_mask(payload, run.alpha);
+      payload.str(run.reason);
+    }
     payload.u64(run.masks.size());
     masks.add(run.masks.data(), run.masks.size());
   }
@@ -640,28 +630,6 @@ std::shared_ptr<const verify::ConeSummary> deserialize_summary(
   summary->varmap = read_digest(r);
   summary->digests.resize(read_count(r, 32));
   for (circuit::ConeDigest& d : summary->digests) d = read_digest(r);
-  summary->tables.resize(read_count(r, 1));
-  if (summary->tables.size() > static_cast<std::size_t>(summary->order))
-    throw SerializationError("summary: table count exceeds order");
-  for (verify::ConeSummary::Table& t : summary->tables) {
-    t.present = r.u8() != 0;
-    if (!t.present) continue;
-    t.num_ranks = r.u64();
-    const std::uint64_t words = (t.num_ranks + 63) / 64;
-    if (words > r.remaining() / 16)
-      throw SerializationError("summary: bitmap exceeds stream size");
-    t.checked.resize(words);
-    for (std::uint64_t& word : t.checked) word = r.u64();
-    t.passed.resize(words);
-    for (std::uint64_t& word : t.passed) word = r.u64();
-  }
-  summary->failures.resize(read_count(r, 32));
-  for (verify::ConeSummary::Failure& f : summary->failures) {
-    f.k = r.i32();
-    f.rank = r.u64();
-    f.alpha = read_mask(r);
-    f.reason = r.str();
-  }
   const std::uint8_t union_state = r.u8();
   if (union_state >
       static_cast<std::uint8_t>(verify::UnionVerdict::State::kFailed))
@@ -669,44 +637,50 @@ std::shared_ptr<const verify::ConeSummary> deserialize_summary(
   summary->union_verdict.state =
       static_cast<verify::UnionVerdict::State>(union_state);
   summary->union_verdict.closure_peak_bytes = r.u64();
-  // Dependency runs: the plan binary-searches them and replays masks by
-  // offset, so everything an offset depends on is checked here.
-  const std::uint64_t num_runs = read_count(r, 20);
+  // Runs: the plan binary-searches them, replays a failure at a run's last
+  // rank and masks by offset, so everything those depend on is checked
+  // here.
   const int old_n = static_cast<int>(summary->digests.size());
-  int prev_k = 0;
-  std::uint64_t prev_end = 0;
-  struct RunHeader {
-    int k;
-    std::uint64_t begin;
-    std::uint64_t count;
-  };
-  std::vector<RunHeader> headers;
-  headers.reserve(num_runs);
+  summary->runs.resize(read_count(r, 29));
+  std::vector<std::uint64_t> mask_counts;
+  mask_counts.reserve(summary->runs.size());
   std::uint64_t total = 0;
-  for (std::uint64_t i = 0; i < num_runs; ++i) {
-    const std::int32_t k = r.i32();
-    if (k < 1 || k > summary->order)
-      throw SerializationError("summary: dependency size out of range");
-    const std::uint64_t begin = r.u64();
+  const verify::ConeSummary::Run* prev = nullptr;
+  for (verify::ConeSummary::Run& run : summary->runs) {
+    run.k = r.i32();
+    if (run.k < 1 || run.k > summary->order)
+      throw SerializationError("summary: run size out of range");
+    run.begin = r.u64();
     const std::uint64_t count = r.u64();
-    const std::uint64_t ranks = binomial(old_n, k);
-    if (count == 0 || count > ranks || begin > ranks - count)
-      throw SerializationError("summary: dependency run outside rank space");
-    if (k < prev_k || (k == prev_k && begin < prev_end))
-      throw SerializationError("summary: dependency runs unsorted or overlap");
-    prev_k = k;
-    prev_end = begin + count;
+    const std::uint64_t ranks = binomial(old_n, run.k);
+    if (count == 0 || count > ranks || run.begin > ranks - count)
+      throw SerializationError("summary: run outside rank space");
+    run.end = run.begin + count;
+    if (prev && (run.k < prev->k ||
+                 (run.k == prev->k && run.begin < prev->end)))
+      throw SerializationError("summary: runs unsorted or overlap");
+    prev = &run;
+    const std::uint8_t failed = r.u8();
+    if (failed > 1) throw SerializationError("summary: bad failure flag");
+    run.failed = failed != 0;
+    if (run.failed) {
+      run.alpha = read_mask(r);
+      run.reason = r.str();
+    }
+    const std::uint64_t masks = r.u64();
+    if (masks != 0 && masks != run.passes())
+      throw SerializationError("summary: mask count is not the run's passes");
     // Every mask costs at least one index byte below.
-    if (count > r.remaining() - total)
-      throw SerializationError("summary: implausible dependency count");
-    headers.push_back({k, begin, count});
-    total += count;
+    if (masks > r.remaining() || total > r.remaining() - masks)
+      throw SerializationError("summary: implausible mask count");
+    mask_counts.push_back(masks);
+    total += masks;
   }
   MaskDictionaryReader masks(r, "summary");
   if (masks.remaining() != total)
-    throw SerializationError("summary: dependency count mismatch");
-  for (const RunHeader& h : headers)
-    summary->deps.add_run(h.k, h.begin, masks.take(h.count));
+    throw SerializationError("summary: mask count mismatch");
+  for (std::size_t i = 0; i < summary->runs.size(); ++i)
+    summary->runs[i].masks = masks.take(mask_counts[i]);
   if (!r.at_end())
     throw SerializationError("summary: trailing bytes after payload");
   return summary;

@@ -24,7 +24,7 @@
 // adds the per-observable support mask to the observable metadata.
 // v3 appends the cone index (verify::Basis::cones): the varmap
 // fingerprint plus one cone digest per observable, feeding the
-// incremental clean/dirty classifier (verify/incremental.h).  v4 records
+// incremental replay plan (verify/incremental.h).  v4 records
 // each observable's canonical wire position (circuit::canonical_wire_order)
 // instead of its name: the artifact key ignores names, so the names a
 // report shows come from the request that loads the Basis, never from the
@@ -66,23 +66,19 @@ inline constexpr char kMagic[8] = {'S', 'A', 'N', 'I', 'B', 'A', 'S', '\x01'};
 
 /// Cone-summary (verify::ConeSummary) format.  Same framing discipline as
 /// the Basis artifact — own magic, own version counter, payload SHA-256 —
-/// but an independent version line: summaries change shape when the verdict
-/// bitmaps or dependency tables do, not when the Basis does.  Bump this on
-/// any ConeSummary layout change; old-version summaries are rejected (a
-/// clean miss — the next run is cold and writes a fresh one), never
-/// migrated.
+/// but an independent version line: summaries change shape when their
+/// runs do, not when the Basis does.  Bump this on any ConeSummary layout
+/// change; old-version summaries are rejected (a clean miss — the next run
+/// is cold and writes a fresh one), never migrated.
 ///
-/// v2 stores the dependency masks as the scan's DepTable runs — (k, first
-/// rank) and one length-prefixed mask array per run, ranks implied — where
-/// v1 stored one (k, rank, V) entry per combination.  v3 stores one
-/// share-space mask per combination instead of one per secret, and drops
-/// the secret count.  v4 records the union verdict of the summary's table
-/// (state and closure peak bytes) after the failures, and writes the
-/// dependency runs as (k, first rank, count) headers followed by one
-/// mask-dictionary sequence (write_mask_dictionary) over every run's masks
-/// in run order.  v5 (current) has v4's layout with function digests in
-/// place of structural ones (see kFormatVersion).
-inline constexpr std::uint32_t kSummaryFormatVersion = 5;
+/// v1–v5 recorded a run's outcome three times: per-size checked/passed
+/// bitmaps, a (k, rank) failure list and the dependency masks as the
+/// scan's per-shard DepTable runs (v4 added the union verdict and the mask
+/// dictionary; v5 switched to function digests).  v6 (current) writes one
+/// run section: per run (k i32, begin u64, count u64, failure flag u8,
+/// alpha and reason when flagged, mask count u64: 0 or the run's passes),
+/// then one mask-dictionary sequence over every run's masks in run order.
+inline constexpr std::uint32_t kSummaryFormatVersion = 6;
 inline constexpr char kSummaryMagic[8] = {'S', 'A', 'N', 'I',
                                           'S', 'U', 'M', '\x01'};
 
@@ -254,10 +250,10 @@ verify::BasisNeeds peek_needs(const std::string& file_image);
 std::string serialize_summary(const verify::ConeSummary& summary);
 
 /// Parses a cone-summary file image.  Checks magic, version and payload
-/// hash, and that the dependency runs are sorted and disjoint, have a size
-/// in [1, order] and lie inside the old rank space C(digests, k); throws
-/// SerializationError on any
-/// mismatch (the store quarantines and reports a miss).
+/// hash, and that the runs are nonempty, sorted and disjoint, have a size
+/// in [1, order], lie inside the old rank space C(digests, k) and carry
+/// either no masks or one per passing rank; throws SerializationError on
+/// any mismatch (the store quarantines and reports a miss).
 std::shared_ptr<const verify::ConeSummary> deserialize_summary(
     const std::string& file_image);
 

@@ -69,31 +69,10 @@ void Driver::prepare() {
 }
 
 std::optional<Driver::CheckFailure> Driver::check_combo(
-    const std::vector<int>& combo, std::uint64_t rank,
-    std::vector<Mask>& deps, ShardClock& clock) {
+    const std::vector<int>& combo, std::vector<Mask>& deps,
+    ShardClock& clock) {
   ++stats_.combinations;
   if (options_.progress) options_.progress->tick();
-  const int k = static_cast<int>(combo.size());
-  if (plan_) {
-    const IncrementalPlan::Classification c =
-        plan_->classify(combo, rank, plan_scratch_);
-    if (c.kind != IncrementalPlan::Kind::kDirty) {
-      ++stats_.incremental.combinations_skipped;
-      clock.stale = true;
-      if (c.kind == IncrementalPlan::Kind::kCleanPass) {
-        if (collector_) collector_->note_pass(k, rank);
-        // Splice the replayed dependency mask in, so the union pass
-        // consumes exactly the table a cold run would have built.
-        if (c.V) deps.push_back(*c.V);
-        return std::nullopt;
-      }
-      CheckFailure failure{c.fail->alpha, c.fail->reason};
-      if (collector_)
-        collector_->note_fail(k, rank, failure.alpha, failure.reason);
-      return failure;
-    }
-    ++stats_.incremental.combinations_rechecked;
-  }
   // Chained timestamps: one clock read after the pushes, one after the
   // check, which also starts the next combination's convolution interval.
   if (clock.stale) {
@@ -119,31 +98,7 @@ std::optional<Driver::CheckFailure> Driver::check_combo(
           &metrics.histogram("verify.check_ns.k" + std::to_string(depth));
     rank_hist_[depth]->record(static_cast<std::uint64_t>(checked - pushed));
   }
-  if (collector_) {
-    if (failure)
-      collector_->note_fail(k, rank, failure->alpha, failure->reason);
-    else
-      collector_->note_pass(k, rank);
-  }
   return failure;
-}
-
-std::uint64_t Driver::replay_passes(const std::vector<int>& combo,
-                                    std::uint64_t rank, std::uint64_t limit,
-                                    std::vector<Mask>& deps) {
-  const Mask* masks = nullptr;
-  const std::uint64_t n =
-      plan_->clean_pass_run(combo, rank, limit, &masks, plan_scratch_);
-  if (n == 0) return 0;
-  stats_.combinations += n;
-  stats_.incremental.combinations_skipped += n;
-  if (options_.progress) options_.progress->tick(n);
-  if (collector_)
-    collector_->note_pass_run(static_cast<int>(combo.size()), rank, n);
-  // The run's masks are the table a cold run would have built for these
-  // ranks, in rank order.
-  if (masks) deps.insert(deps.end(), masks, masks + n);
-  return n;
 }
 
 std::optional<Driver::CheckFailure> Driver::check_path(
@@ -202,7 +157,6 @@ void Driver::run_shard_partial(
   if (shard.k >= 1 && shard.k <= N && shard.begin < shard.end) {
     if (records_deps_) part.deps.reserve(shard.size());
     std::vector<int> combo = unrank_combination(N, shard.k, shard.begin);
-    const bool ranges = plan_ && plan_->layout_preserving();
     ShardClock clock;
     clock.last = obs::Clock::now_ns();
     const std::int64_t start = clock.last;
@@ -221,26 +175,49 @@ void Driver::run_shard_partial(
         cancel_->acknowledge();
         break;
       }
-      // Range replay: a run of clean passes is appended in bulk.  Once the
-      // token is cancelled every combination is weighed one at a time, so
-      // the shard stops exactly where it stops without a plan.
-      if (ranges && !cancel_->cancelled()) {
-        if (const std::uint64_t n =
-                replay_passes(combo, r, shard.end, part.deps)) {
-          clock.stale = true;
-          r += n;
-          if (r < shard.end) combo = unrank_combination(N, shard.k, r);
-          continue;
+      // The plan's one decision per step: check, replay a failure, or
+      // replay a run of passes in bulk (counters, progress and their
+      // dependency masks).  Once the token is cancelled every combination
+      // is weighed one at a time, so the shard stops exactly where it stops
+      // without a plan.
+      const IncrementalPlan::Step step =
+          plan_ ? plan_->step(combo, r,
+                              cancel_->cancelled() ? r + 1 : shard.end,
+                              plan_scratch_)
+                : IncrementalPlan::Step{};
+      if (step.kind == IncrementalPlan::Step::Kind::kCheck) {
+        if (plan_) ++stats_.incremental.combinations_rechecked;
+        if (auto failure = check_combo(combo, part.deps, clock)) {
+          part.has_failure = true;
+          part.fail_rank = r;
+          part.fail_alpha = failure->alpha;
+          part.fail_reason = std::move(failure->reason);
+          break;
         }
+        if (++r < shard.end && !next_combination(combo, N)) break;
+        continue;
       }
-      if (auto failure = check_combo(combo, r, part.deps, clock)) {
+      const std::uint64_t n =
+          step.kind == IncrementalPlan::Step::Kind::kPasses ? step.n : 1;
+      stats_.combinations += n;
+      stats_.incremental.combinations_skipped += n;
+      if (options_.progress) options_.progress->tick(n);
+      clock.stale = true;
+      if (step.kind == IncrementalPlan::Step::Kind::kFailure) {
         part.has_failure = true;
         part.fail_rank = r;
-        part.fail_alpha = failure->alpha;
-        part.fail_reason = std::move(failure->reason);
+        part.fail_alpha = step.run->alpha;
+        part.fail_reason = step.run->reason;
         break;
       }
-      if (++r < shard.end && !next_combination(combo, N)) break;
+      if (step.masks)
+        part.deps.insert(part.deps.end(), step.masks, step.masks + n);
+      r += n;
+      if (r >= shard.end) break;
+      if (n > 1)
+        combo = unrank_combination(N, shard.k, r);
+      else if (!next_combination(combo, N))
+        break;
     }
     // The gap after the last check (the loop's exit) is convolution time
     // like every other gap after a check.

@@ -53,16 +53,10 @@ class Driver {
          sched::CancelToken& cancel);
   ~Driver();
 
-  /// Arms the diff-aware scan: combinations `plan` classifies as clean are
-  /// replayed instead of checked (null plan = cold scan), and every
-  /// per-combination outcome is recorded into `collector` (null = no
-  /// recording).  Either may be set independently; call before
+  /// Arms the diff-aware scan: the combinations `plan` vouches for are
+  /// replayed instead of checked (null plan = cold scan); call before
   /// run_shard_partial().
-  void set_incremental(const IncrementalPlan* plan,
-                       SummaryCollector* collector) {
-    plan_ = plan;
-    collector_ = collector;
-  }
+  void set_plan(const IncrementalPlan* plan) { plan_ = plan; }
 
   /// How a shard ended short of its planned end.
   struct ShardOutcome {
@@ -127,28 +121,14 @@ class Driver {
   /// on first use.
   void prepare();
 
-  /// Checks one combination, of lexicographic rank `rank` among its size
-  /// class, with the diff-aware classification in front: clean
-  /// combinations replay their recorded verdict without touching the
-  /// backend; dirty ones sync the prefix stack and check for real.  A
-  /// passing combination's dependency mask is appended to `deps`
-  /// (union-checking notions only).  Ticks the progress meter, records the
-  /// outcome into the collector, charges `clock` and (when a metrics
-  /// export was requested) samples the check latency into the per-rank
-  /// histogram.
+  /// Checks one combination for real: syncs the prefix stack and runs the
+  /// backend check.  A passing combination's dependency mask is appended
+  /// to `deps` (union-checking notions only).  Ticks the progress meter,
+  /// charges `clock` and (when a metrics export was requested) samples the
+  /// check latency into the per-rank histogram.
   std::optional<CheckFailure> check_combo(const std::vector<int>& combo,
-                                         std::uint64_t rank,
                                          std::vector<Mask>& deps,
                                          ShardClock& clock);
-
-  /// Range replay on a layout-preserving plan: replays the run of clean
-  /// passes starting at `combo` (rank `rank`, at most up to `limit`) in
-  /// bulk — counters, progress, collector bitmaps and the run's dependency
-  /// masks appended to `deps` — and returns its length (0: classify
-  /// `combo` one at a time).
-  std::uint64_t replay_passes(const std::vector<int>& combo,
-                              std::uint64_t rank, std::uint64_t limit,
-                              std::vector<Mask>& deps);
 
   /// The backend check of path_ under rows_.back(); its dependency mask on
   /// a pass.
@@ -181,7 +161,6 @@ class Driver {
   // out of the enumeration loop.
   std::vector<obs::Histogram*> rank_hist_;
   const IncrementalPlan* plan_ = nullptr;
-  SummaryCollector* collector_ = nullptr;
   std::vector<int> plan_scratch_;
   spectral::ArenaStats arena_stats_;
   VerifyStats stats_;

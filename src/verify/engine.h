@@ -87,10 +87,10 @@ struct IncrementalContext;
 /// executor's own token (plain CLI behavior).
 ///
 /// `ctx` threads the diff-aware incremental hooks through to the Drivers:
-/// replay against ctx->plan, record outcomes into ctx->collector, and hand
-/// the union-check dependency table to ctx->deps_out (see
-/// verify/incremental.h).  The artifact store's verify_with_store is the
-/// production caller; nullptr (or an all-null ctx) is a cold run.
+/// replay against ctx->plan, and hand the run's cone summary to
+/// ctx->summary_out (see verify/incremental.h).  The artifact store's
+/// verify_with_store is the production caller; nullptr (or an all-null
+/// ctx) is a cold run.
 VerifyResult verify_basis(std::shared_ptr<const Basis> basis,
                           const VerifyOptions& options,
                           sched::CancelToken* cancel = nullptr,

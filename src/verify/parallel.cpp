@@ -98,23 +98,13 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
   const std::vector<sched::Shard> shards =
       sched::plan_shards(N, options.order, jobs, largest, plan_options);
 
-  // Per-worker outcome recorders for the fresh summary (merged below);
-  // every worker shares the one immutable plan without synchronization.
-  std::vector<std::unique_ptr<SummaryCollector>> collectors;
-  if (ictx && ictx->collector) {
-    collectors.resize(static_cast<std::size_t>(jobs));
-    for (auto& c : collectors)
-      c = std::make_unique<SummaryCollector>(N, options.order);
-  }
   // Each worker builds its Driver on its own thread (the ADD engines thaw
-  // the frozen forest there — the only per-worker setup).
-  auto make_driver = [&](int worker) {
+  // the frozen forest there — the only per-worker setup); every worker
+  // shares the one immutable plan without synchronization.
+  const IncrementalPlan* plan = ictx ? ictx->plan : nullptr;
+  auto make_driver = [&](int) {
     auto driver = std::make_unique<Driver>(basis, options, cancel);
-    if (ictx)
-      driver->set_incremental(
-          ictx->plan, collectors.empty()
-                          ? nullptr
-                          : collectors[static_cast<std::size_t>(worker)].get());
+    driver->set_plan(plan);
     return driver;
   };
 
@@ -172,7 +162,6 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
   const std::vector<std::unique_ptr<Driver>> drivers =
       run_claim_loops(jobs, shards, flow, make_driver);
   if (options.progress) options.progress->stop();
-  for (const auto& c : collectors) ictx->collector->merge_from(*c);
 
   // Every combination replayed (none re-checked) from a summary whose
   // table passed at this order, every cone reused: the merged table is
@@ -180,15 +169,22 @@ VerifyResult run_shards(std::shared_ptr<const Basis> basis,
   std::uint64_t rechecked = 0;
   for (const auto& d : drivers)
     if (d) rechecked += d->stats().incremental.combinations_rechecked;
-  if (ictx && ictx->plan && rechecked == 0)
-    if (const UnionVerdict* v =
-            ictx->plan->replayable_union_verdict(options.order))
+  if (plan && rechecked == 0)
+    if (const UnionVerdict* v = plan->replayable_union_verdict(options.order))
       assembler.replay_union_verdict(*v);
 
   VerifyResult result = assembler.finalize(&cancel);
-  if (ictx && ictx->deps_out) *ictx->deps_out = assembler.take_deps();
-  if (ictx && ictx->union_out) *ictx->union_out = assembler.union_verdict();
   result.stats.incremental.union_replayed = assembler.union_replayed();
+  // The run's summary is what the assembler folded — unless every cone kept
+  // its index and every verdict came from the plan's summary, which then
+  // already holds everything this one would (an unchanged or renamed
+  // resubmission writes nothing).
+  const bool replayed_all = plan && plan->layout_preserving() &&
+                            plan->cones_reused() ==
+                                static_cast<std::uint64_t>(N) &&
+                            rechecked == 0 && !result.timed_out;
+  if (ictx && ictx->summary_out && !replayed_all)
+    *ictx->summary_out = make_summary(*basis, options, std::move(assembler));
 
   // The runtime fields only the workers know.
   VerifyStats& stats = result.stats;

@@ -86,10 +86,10 @@ std::vector<std::unique_ptr<Driver>> run_claim_loops(
 /// token the run uses, and an external cancel() stops the run as timed out.
 /// `ctx` threads the diff-aware incremental hooks (verify/incremental.h)
 /// through: every worker's Driver replays against ctx->plan (immutable,
-/// shared without locks) and records outcomes into a private collector,
-/// merged into ctx->collector afterwards; the assembler's dependency table
-/// is handed to ctx->deps_out.  Clean combinations are skipped inside their
-/// shard, so the rank space and the merge order stay those of a cold run.
+/// shared without locks), and the summary of what the assembler folded
+/// goes to ctx->summary_out.  Replayed combinations are skipped inside
+/// their shard, so the rank space and the merge order stay those of a cold
+/// run.
 ///
 /// The report is ReportAssembler::finalize()'s, plus the runtime fields
 /// only the workers know: thaw seconds, dd.*, arena.* and the incremental

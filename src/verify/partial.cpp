@@ -142,7 +142,9 @@ void ReportAssembler::add(PartialReport part) {
   const int N = static_cast<int>(basis_->size());
   combinations_ += part.combinations;
   if (part.covered_end > part.begin)
-    covered_.push_back({part.k, part.begin, part.covered_end});
+    covered_.push_back({part.k, part.begin, part.covered_end,
+                        part.has_failure, part.fail_alpha, part.fail_reason,
+                        {}});
   coefficients_ += part.coefficients;
   region_cache_.hits += part.region_cache.hits;
   region_cache_.misses += part.region_cache.misses;
@@ -239,7 +241,7 @@ VerifyResult ReportAssembler::finalize(sched::CancelToken* cancel) {
     // Shards are disjoint, so the checked combinations ordered before F
     // are the covered ranges' overlaps with the bound prefixes.
     std::uint64_t checked_before = 0;
-    for (const Covered& c : covered_) {
+    for (const CheckedRun& c : covered_) {
       const std::uint64_t end =
           std::min(c.end, bound[static_cast<std::size_t>(c.k)]);
       if (end > c.begin) checked_before += end - c.begin;

@@ -68,6 +68,23 @@ void union_pass(const Basis& basis, const Checker& checker,
                 const DepTable& deps, sched::CancelToken* cancel,
                 VerifyResult& result);
 
+/// Size-k ranks [begin, end), checked in rank order: every rank passed
+/// except, when `failed`, the last one, whose per-row witness is (alpha,
+/// reason).  `masks` holds the passing prefix's dependency masks, one per
+/// rank from `begin`, where a cone summary keeps them (verify/incremental.h);
+/// the assembler keeps them in its DepTable instead.
+struct CheckedRun {
+  int k = 0;
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  bool failed = false;
+  Mask alpha;
+  std::string reason;
+  std::vector<Mask> masks;
+
+  std::uint64_t passes() const { return end - begin - (failed ? 1 : 0); }
+};
+
 /// Outcome of one shard.  Engine-invariant fields (the failure, the
 /// dependency masks, `combinations`) are what the deterministic merge
 /// consumes; the counter/timing fields ride along for the informative
@@ -139,8 +156,10 @@ class ReportAssembler {
   /// The witness of the order-minimal failure, decoded against the basis.
   CounterExample failure_counterexample() const;
 
-  /// Hands the dependency table over (for the incremental summary); call
-  /// after finalize().
+  /// Hand over each folded partial's checked range and failure (in fold
+  /// order, masks empty) and the dependency table, for the incremental
+  /// summary (verify/incremental.h); call after finalize().
+  std::vector<CheckedRun> take_covered() { return std::move(covered_); }
   DepTable take_deps() { return std::move(deps_); }
 
   /// Union-verdict replay: finalize() takes `verdict`, a recorded pass,
@@ -200,13 +219,7 @@ class ReportAssembler {
   VerifyOptions options_;
   std::optional<BasisStats> basis_stats_;
   std::optional<BestFailure> best_;
-  /// Checked rank range [begin, end) of every folded partial's size class.
-  struct Covered {
-    int k;
-    std::uint64_t begin;
-    std::uint64_t end;
-  };
-  std::vector<Covered> covered_;
+  std::vector<CheckedRun> covered_;
   DepTable deps_;
   std::optional<UnionVerdict> replay_union_;
   UnionVerdict union_verdict_;

@@ -35,6 +35,7 @@ class DepTable {
   void add_run(int k, std::uint64_t begin, std::vector<Mask> masks);
 
   const std::vector<Run>& runs() const { return runs_; }
+  std::vector<Run> take_runs() { return std::move(runs_); }
 
   /// Recorded combinations.
   std::size_t size() const { return entries_; }

@@ -3,7 +3,9 @@
 // contract is verdict plus witness: DIRECT must agree with the paper's
 // engines (LIL, MAP, MAPI, FUJITA) on the verdict and the witness
 // observables across the registry, every notion and --jobs {1,2}, and with
-// the brute-force oracle wherever it runs (at most 22 inputs).  DIRECT's
+// the brute-force oracle wherever it runs (at most 22 inputs); under
+// glitch-extended probes (--robust), with MAPI, FUJITA and the oracle
+// wherever a case fits a stated time budget.  DIRECT's
 // witness coordinate is canonical — the smallest violating mask of the
 // first violating row — so it is pinned here too: stable across worker
 // counts and incremental replay, a genuine violating coefficient, and the
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit/cone.h"
 #include "circuit/unfold.h"
 #include "gadgets/registry.h"
 #include "spectral/flat_spectrum.h"
@@ -182,6 +185,100 @@ INSTANTIATE_TEST_SUITE_P(SmallGadgets, OracleAgreement,
                              ::testing::ValuesIn(oracle_gadgets()),
                              ::testing::ValuesIn(kNotions)),
                          param_name);
+
+// ---------------------------------------------------------------------------
+// Robust (glitch-extended) probes: DIRECT vs MAPI, FUJITA and the oracle.
+// ---------------------------------------------------------------------------
+
+// The non---full registry at order 1, and at design order, wherever a
+// case (one engine or the oracle, one notion) fits a 0.6 s budget on one
+// core; the largest cases kept take about 0.57 s (DIRECT on gf16inv-1, whose
+// base build dominates).  Left out, with their one-core times (`sani verify
+// --robust` with a 5 s time limit, or in this test):
+//   * gf16inv-1 order 1: MAPI 1.0 s per notion, the oracle 0.48–1.03 s;
+//   * keccak-2 order 2, MAPI and FUJITA on probing/NI/SNI: 2.2–2.4 s and
+//     4.6 s to over 5 s (PINI stops at its first witness, 0.18 s and
+//     0.32 s, and stays in);
+//   * dom-3 order 3, every engine: DIRECT 1.8–1.9 s and MAPI/FUJITA over
+//     5 s on probing/NI/SNI; PINI DIRECT 0.15 s, MAPI 1.1 s, FUJITA 0.76 s;
+//   * LIL and MAP throughout: robust LIL keccak-2 NI ran over 4 minutes.
+bool robust_case_fits(const std::string& name, int order, Notion notion,
+                      EngineKind engine) {
+  if (order == 1) return !(name == "gf16inv-1" && engine == EngineKind::kMAPI);
+  if (name == "dom-3") return false;
+  if (name == "keccak-2")
+    return engine == EngineKind::kDIRECT || notion == Notion::kPINI;
+  return true;
+}
+
+// The oracle tabulates the joint distribution of every member of a
+// combination: it fits while the `order` widest glitch cones hold at most
+// 16 wires and 2^#inputs stays small (and gf16inv-1 is over the budget).
+bool robust_oracle_fits(const std::string& name, const circuit::Gadget& g,
+                        int order) {
+  const std::size_t inputs = g.netlist.stats().num_inputs;
+  if (name == "gf16inv-1" || inputs > (order == 1 ? 22u : 11u)) return false;
+  std::vector<std::size_t> widths;
+  for (const auto& cone : circuit::glitch_cones(g.netlist))
+    widths.push_back(cone.size());
+  std::sort(widths.rbegin(), widths.rend());
+  std::size_t widest = 0;
+  for (int i = 0; i < order && i < static_cast<int>(widths.size()); ++i)
+    widest += widths[static_cast<std::size_t>(i)];
+  return widest <= 16;
+}
+
+std::vector<std::string> non_full_gadgets() {
+  std::vector<std::string> names;
+  for (const std::string& name : gadgets::all_names())
+    if (design_order_feasible(name)) names.push_back(name);
+  return names;
+}
+
+class RobustAgreement : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RobustAgreement, DirectMatchesMapiFujitaAndTheOracle) {
+  const std::string& name = GetParam();
+  const circuit::Gadget g = gadgets::by_name(name);
+  std::vector<int> orders{1};
+  const int design = gadgets::security_level(name);
+  if (design > 1) orders.push_back(design);
+
+  for (int order : orders) {
+    const bool oracle_fits = robust_oracle_fits(name, g, order);
+    for (Notion notion : kNotions) {
+      if (!robust_case_fits(name, order, notion, EngineKind::kDIRECT))
+        continue;
+      const std::string where = name + " " + notion_name(notion) +
+                                " order " + std::to_string(order) + " robust";
+      VerifyOptions opt;
+      opt.notion = notion;
+      opt.order = order;
+      opt.probes.glitch_robust = true;
+      opt.engine = EngineKind::kDIRECT;
+      const VerifyResult direct = verify(g, opt);
+      ASSERT_FALSE(direct.timed_out) << where;
+      for (EngineKind engine : {EngineKind::kMAPI, EngineKind::kFUJITA}) {
+        if (!robust_case_fits(name, order, notion, engine)) continue;
+        opt.engine = engine;
+        EXPECT_EQ(fingerprint(verify(g, opt)), fingerprint(direct))
+            << where << " vs " << engine_name(engine);
+      }
+      if (oracle_fits) {
+        EXPECT_EQ(verify_bruteforce(g, opt).secure, direct.secure)
+            << where << " vs the oracle";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, RobustAgreement, ::testing::ValuesIn(non_full_gadgets()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 // ---------------------------------------------------------------------------
 // DIRECT's witness coordinate.

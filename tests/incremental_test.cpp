@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -27,9 +28,11 @@
 #include "circuit/ilang.h"
 #include "circuit/unfold.h"
 #include "gadgets/registry.h"
+#include "sched/shard.h"
 #include "store/cached_verify.h"
 #include "store/serial.h"
 #include "store/store.h"
+#include "util/combinations.h"
 #include "verify/basis.h"
 #include "verify/engine.h"
 #include "verify/incremental.h"
@@ -498,15 +501,18 @@ TEST_F(PlanGuardTest, RejectsSemanticMismatches) {
   }
   {
     // A higher-order run IS seedable: sizes the summary covers replay,
-    // sizes beyond its order have no table and classify dirty.
+    // sizes beyond its order have no run and are checked.
     verify::VerifyOptions o = opt_;
     o.order = opt_.order + 1;
     const auto plan = verify::IncrementalPlan::build(*basis_, summary_, o);
     ASSERT_TRUE(plan.has_value());
     std::vector<int> scratch;
-    const std::vector<int> big(static_cast<std::size_t>(o.order), 0);
-    EXPECT_EQ(plan->classify(big, 0, scratch).kind,
-              verify::IncrementalPlan::Kind::kDirty);
+    const std::vector<int> small = {0};
+    const std::vector<int> big = {0, 1};
+    EXPECT_EQ(plan->step(small, 0, 1, scratch).kind,
+              verify::IncrementalPlan::Step::Kind::kPasses);
+    EXPECT_EQ(plan->step(big, 0, 1, scratch).kind,
+              verify::IncrementalPlan::Step::Kind::kCheck);
   }
 }
 
@@ -531,22 +537,31 @@ TEST_F(PlanGuardTest, RejectsBasisWithoutConeIndex) {
 // Summary serialization
 // ---------------------------------------------------------------------------
 
+/// Seeds `store` with one incremental run of `g` and returns the image of
+/// the summary its family head names ("" when none).
+std::string seeded_image(const circuit::Gadget& g,
+                         const verify::VerifyOptions& opt,
+                         ArtifactStore& store) {
+  verify_with_store(g, opt, store, nullptr);
+  const auto head = store.family_head(summary_family_key(g, opt));
+  if (!head) return "";
+  return store.get(*head).value_or("");
+}
+
 TEST(SummarySerial, RoundTripPreservesEveryField) {
   const circuit::Gadget g = gadgets::by_name("ti-1");
   verify::VerifyOptions opt;
-  opt.notion = verify::Notion::kSNI;  // insecure: summary carries failures
+  opt.notion = verify::Notion::kSNI;  // insecure: a run ends in a failure
   opt.order = 1;
   opt.incremental = true;
 
   TempDir dir("serial");
   ArtifactStore store({dir.str(), 0});
-  verify_with_store(g, opt, store, nullptr);
-  const auto head = store.family_head(summary_family_key(g, opt));
-  ASSERT_TRUE(head.has_value());
   const std::shared_ptr<const verify::ConeSummary> s =
-      store.load_summary(*head);
+      deserialize_summary(seeded_image(g, opt, store));
   ASSERT_NE(s, nullptr);
-  EXPECT_FALSE(s->failures.empty());
+  ASSERT_FALSE(s->runs.empty());
+  EXPECT_TRUE(s->runs.back().failed);
 
   const std::string image = serialize_summary(*s);
   // Canonical bytes: re-serializing is bit-identical.
@@ -562,35 +577,27 @@ TEST(SummarySerial, RoundTripPreservesEveryField) {
   EXPECT_EQ(back->order, s->order);
   EXPECT_EQ(back->varmap, s->varmap);
   EXPECT_EQ(back->digests, s->digests);
-  ASSERT_EQ(back->tables.size(), s->tables.size());
-  for (std::size_t k = 0; k < s->tables.size(); ++k) {
-    EXPECT_EQ(back->tables[k].present, s->tables[k].present);
-    EXPECT_EQ(back->tables[k].num_ranks, s->tables[k].num_ranks);
-    EXPECT_EQ(back->tables[k].checked, s->tables[k].checked);
-    EXPECT_EQ(back->tables[k].passed, s->tables[k].passed);
-  }
-  ASSERT_EQ(back->failures.size(), s->failures.size());
-  for (std::size_t i = 0; i < s->failures.size(); ++i) {
-    EXPECT_EQ(back->failures[i].k, s->failures[i].k);
-    EXPECT_EQ(back->failures[i].rank, s->failures[i].rank);
-    EXPECT_TRUE(back->failures[i].alpha == s->failures[i].alpha);
-    EXPECT_EQ(back->failures[i].reason, s->failures[i].reason);
-  }
-  EXPECT_EQ(back->deps.size(), s->deps.size());
-  ASSERT_EQ(back->deps.runs().size(), s->deps.runs().size());
-  for (std::size_t i = 0; i < s->deps.runs().size(); ++i) {
-    const verify::DepTable::Run& a = back->deps.runs()[i];
-    const verify::DepTable::Run& b = s->deps.runs()[i];
-    EXPECT_EQ(a.k, b.k);
-    EXPECT_EQ(a.begin, b.begin);
+  EXPECT_EQ(back->union_verdict.state, s->union_verdict.state);
+  EXPECT_EQ(back->union_verdict.closure_peak_bytes,
+            s->union_verdict.closure_peak_bytes);
+  ASSERT_EQ(back->runs.size(), s->runs.size());
+  for (std::size_t i = 0; i < s->runs.size(); ++i) {
+    const verify::ConeSummary::Run& a = back->runs[i];
+    const verify::ConeSummary::Run& b = s->runs[i];
+    EXPECT_EQ(a.k, b.k) << i;
+    EXPECT_EQ(a.begin, b.begin) << i;
+    EXPECT_EQ(a.end, b.end) << i;
+    EXPECT_EQ(a.failed, b.failed) << i;
+    EXPECT_TRUE(a.alpha == b.alpha) << i;
+    EXPECT_EQ(a.reason, b.reason) << i;
     EXPECT_TRUE(a.masks == b.masks) << i;
   }
 }
 
 TEST(SummarySerial, RoundTripKeepsOneMaskPerCombination) {
   // A secure order-2 scan with several secrets: every passing combination's
-  // one share-space mask lands in the v4 runs and survives the round trip
-  // mask for mask.
+  // one share-space mask lands in the runs, one run per size class, and
+  // survives the round trip mask for mask.
   const circuit::Gadget g = gadgets::by_name("dom-2");
   verify::VerifyOptions opt;
   opt.order = 2;
@@ -607,95 +614,111 @@ TEST(SummarySerial, RoundTripKeepsOneMaskPerCombination) {
   ASSERT_GE(image->size(), 12u);
   EXPECT_EQ(image->compare(0, 8, std::string(kSummaryMagic, 8)), 0);
   EXPECT_EQ(static_cast<std::uint8_t>((*image)[8]), kSummaryFormatVersion);
-  EXPECT_EQ(kSummaryFormatVersion, 5u);
+  EXPECT_EQ(kSummaryFormatVersion, 6u);
 
   const std::shared_ptr<const verify::ConeSummary> s =
       deserialize_summary(*image);
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->deps.size(), r.stats.combinations);
-  ASSERT_FALSE(s->deps.runs().empty());
+  ASSERT_EQ(s->runs.size(), 2u);
+  std::uint64_t masks = 0;
+  for (const verify::ConeSummary::Run& run : s->runs) {
+    EXPECT_FALSE(run.failed);
+    EXPECT_EQ(run.masks.size(), run.end - run.begin);
+    masks += run.masks.size();
+  }
+  EXPECT_EQ(masks, r.stats.combinations);
   EXPECT_EQ(serialize_summary(*s), *image);
 }
 
-// The payload of `image`, the current encoding of `s`, without its trailing
-// dependency section (run count, then k, begin and count of each run, then
-// the mask-dictionary sequence over every run's masks).
-std::string payload_without_deps(const std::string& image,
-                                 const verify::ConeSummary& s) {
-  MaskDictionaryWriter masks;
-  for (const verify::DepTable::Run& run : s.deps.runs())
-    masks.add(run.masks.data(), run.masks.size());
-  ByteWriter coded;
-  masks.write(coded);
-  const std::size_t deps =
-      8 + s.deps.runs().size() * (4 + 8 + 8) + coded.bytes().size();
-  std::string payload = image.substr(52);
-  payload.resize(payload.size() - deps);
-  return payload;
-}
-
-// The same payload as v3 laid it out: no union verdict (u8 state, u64
-// closure peak bytes) after the failures.
-std::string v3_payload_without_deps(const std::string& image,
-                                    const verify::ConeSummary& s) {
-  std::string payload = payload_without_deps(image, s);
-  payload.resize(payload.size() - 9);
-  return payload;
-}
-
-// The same payload in the v1/v2 header layout, which carried the secret
-// count after the order.
-std::string old_payload_without_deps(const std::string& image,
-                                     const verify::ConeSummary& s,
-                                     std::uint32_t num_secrets) {
-  std::string payload = v3_payload_without_deps(image, s);
-  ByteWriter count;
-  count.u32(num_secrets);
-  payload.insert(8, count.bytes());
-  return payload;
-}
-
-// Rewrites a current summary image in an old layout: v1 stores one (k,
-// rank, width, masks) entry per combination and v2 one (k, begin, count,
-// mask count, masks) record per run, both with one mask per secret; v3 one
-// (k, begin, count, masks) record per run with one share-space mask per
-// combination, uncoded; v4 today's layout over structural cone digests.
-// Every other payload byte is identical, so this is what the old writer
-// produced for the same scan.
-std::string downgrade_summary(const std::string& image,
-                              const verify::ConeSummary& s,
+// `s` in the layout an old writer produced: per-size checked and passed
+// bitmaps and a (k, rank) failure list ahead of the dependency masks.  v4
+// and v5 (v5's layout, v4's digests structural) put the union verdict
+// next, then (k, begin, count) run headers and one mask dictionary over
+// the runs' masks; v3 had no union verdict and stored each run's masks
+// uncoded; v2 stored S masks per combination behind a u32 secret count
+// after the order; v1 one (k, rank, S, masks) entry per combination.
+std::string old_summary_image(const verify::ConeSummary& s,
                               const std::vector<Mask>& secret_vars,
                               std::uint32_t version) {
-  if (version == 4) return frame(kSummaryMagic, version, image.substr(52));
   const std::size_t S = secret_vars.size();
-  ByteWriter deps;
-  deps.u64(version == 1 ? s.deps.size() : s.deps.runs().size());
-  for (const verify::DepTable::Run& run : s.deps.runs()) {
-    if (version >= 2) {
-      deps.i32(run.k);
-      deps.u64(run.begin);
-      deps.u64(run.masks.size());
+  const int n = static_cast<int>(s.digests.size());
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(s.notion));
+  w.u8(s.glitch_robust ? 1 : 0);
+  w.u8(s.joint_share_count ? 1 : 0);
+  w.u8(s.union_check ? 1 : 0);
+  w.i32(s.order);
+  if (version <= 2) w.u32(static_cast<std::uint32_t>(S));
+  const auto digest = [&](const circuit::ConeDigest& d) {
+    for (const std::uint8_t b : d.bytes) w.u8(b);
+  };
+  digest(s.varmap);
+  w.u64(s.digests.size());
+  for (const circuit::ConeDigest& d : s.digests) digest(d);
+  w.u64(static_cast<std::uint64_t>(s.order));
+  for (int k = 1; k <= s.order; ++k) {
+    const std::uint64_t ranks = binomial(n, k);
+    std::vector<std::uint64_t> checked((ranks + 63) / 64), passed(checked);
+    for (const verify::ConeSummary::Run& run : s.runs) {
+      if (run.k != k) continue;
+      for (std::uint64_t r = run.begin; r < run.end; ++r) {
+        checked[r / 64] |= std::uint64_t{1} << (r % 64);
+        if (!run.failed || r + 1 < run.end)
+          passed[r / 64] |= std::uint64_t{1} << (r % 64);
+      }
     }
-    if (version == 3) {
-      deps.masks(run.masks.data(), run.masks.size());
+    w.u8(1);
+    w.u64(ranks);
+    for (const std::uint64_t word : checked) w.u64(word);
+    for (const std::uint64_t word : passed) w.u64(word);
+  }
+  std::vector<const verify::ConeSummary::Run*> failed, deps;
+  std::uint64_t entries = 0;
+  for (const verify::ConeSummary::Run& run : s.runs) {
+    if (run.failed) failed.push_back(&run);
+    if (!run.masks.empty()) deps.push_back(&run);
+    entries += run.masks.size();
+  }
+  w.u64(failed.size());
+  for (const verify::ConeSummary::Run* run : failed) {
+    w.i32(run->k);
+    w.u64(run->end - 1);
+    write_mask(w, run->alpha);
+    w.str(run->reason);
+  }
+  if (version >= 4) {
+    w.u8(static_cast<std::uint8_t>(s.union_verdict.state));
+    w.u64(s.union_verdict.closure_peak_bytes);
+  }
+  w.u64(version == 1 ? entries : deps.size());
+  MaskDictionaryWriter coded;
+  for (const verify::ConeSummary::Run* run : deps) {
+    if (version >= 2) {
+      w.i32(run->k);
+      w.u64(run->begin);
+      w.u64(run->masks.size());
+    }
+    if (version >= 4) {
+      coded.add(run->masks.data(), run->masks.size());
       continue;
     }
-    if (version == 2) deps.u64(run.masks.size() * S);
-    for (std::uint64_t i = 0; i < run.masks.size(); ++i) {
+    if (version == 3) {
+      w.masks(run->masks.data(), run->masks.size());
+      continue;
+    }
+    if (version == 2) w.u64(run->masks.size() * S);
+    for (std::uint64_t i = 0; i < run->masks.size(); ++i) {
       if (version == 1) {
-        deps.i32(run.k);
-        deps.u64(run.begin + i);
-        deps.u64(S);
+        w.i32(run->k);
+        w.u64(run->begin + i);
+        w.u64(S);
       }
       for (const Mask& group : secret_vars)
-        write_mask(deps, run.masks[i] & group);
+        write_mask(w, run->masks[i] & group);
     }
   }
-  const std::string head =
-      version == 3 ? v3_payload_without_deps(image, s)
-                   : old_payload_without_deps(image, s,
-                                              static_cast<std::uint32_t>(S));
-  return frame(kSummaryMagic, version, head + deps.bytes());
+  if (version >= 4) coded.write(w);
+  return frame(kSummaryMagic, version, w.bytes());
 }
 
 TEST(Store, OldSummaryFormatsLoadAsQuarantinedMisses) {
@@ -705,22 +728,19 @@ TEST(Store, OldSummaryFormatsLoadAsQuarantinedMisses) {
   opt.incremental = true;
   TempDir dir("v1_summary");
   ArtifactStore store({dir.str(), 0});
-  verify_with_store(g, opt, store, nullptr);
-  const auto head = store.family_head(summary_family_key(g, opt));
-  ASSERT_TRUE(head.has_value());
   const std::shared_ptr<const verify::ConeSummary> s =
-      store.load_summary(*head);
+      deserialize_summary(seeded_image(g, opt, store));
   ASSERT_NE(s, nullptr);
-  ASSERT_FALSE(s->deps.runs().empty());
+  ASSERT_FALSE(s->runs.empty());
   const std::vector<Mask> secret_vars =
       build_basis_for(g, opt)->vars.secret_vars;
 
   // Every old format: v1 (one entry per combination), v2 (runs of one mask
   // per secret), v3 (runs of one uncoded mask per combination, no union
-  // verdict) and v4 (today's layout, structural cone digests).
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
-    const std::string old =
-        downgrade_summary(*store.get(*head), *s, secret_vars, version);
+  // verdict), v4 (structural cone digests) and v5 (bitmaps, failure list
+  // and per-shard dependency runs).
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
+    const std::string old = old_summary_image(*s, secret_vars, version);
     const std::string key(64, static_cast<char>('a' + version));
     ASSERT_TRUE(store.put(key, old));
     const ArtifactStore::Stats before = store.stats();
@@ -737,6 +757,7 @@ TEST(Store, OldSummaryFormatsLoadAsQuarantinedMisses) {
 }
 
 TEST(SummarySerial, CorruptSummaryQuarantinesAsAMiss) {
+
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
   opt.order = 1;
@@ -802,47 +823,56 @@ TEST(SummarySerial, RejectsAlienFraming) {
   EXPECT_THROW(deserialize_basis(*image), SerializationError);
 }
 
-// One dependency run header as the encoder lays it out; `masks` masks are
-// coded for it, whatever `count` says.
+// One run record as the encoder lays it out (a failed record carries a
+// zero alpha and the reason "f"); `masks` is the record's mask count.
 struct RawRun {
   std::int32_t k;
   std::uint64_t begin;
   std::uint64_t count;
-  std::size_t masks;
+  std::uint8_t failed;
+  std::uint64_t masks;
 };
 
-// `image` with its trailing dependency section replaced by the headers of
-// `runs` and `coded` (a mask-dictionary sequence), re-framed.
-std::string with_coded_deps(const std::string& image,
+// `image`, the current encoding of `s`, with its run section replaced by
+// `runs` and `coded` (a mask-dictionary sequence), re-framed: hash-valid,
+// so only the decoder's checks stand between the runs and the plan.
+std::string with_coded_runs(const std::string& image,
                             const verify::ConeSummary& s,
                             const std::vector<RawRun>& runs,
                             const std::string& coded) {
-  ByteWriter deps;
-  deps.u64(runs.size());
+  // Guards (4 flags, order), varmap and digests, union verdict.
+  const std::size_t head = 8 + 32 + 8 + 32 * s.digests.size() + 9;
+  ByteWriter w;
+  w.u64(runs.size());
   for (const RawRun& run : runs) {
-    deps.i32(run.k);
-    deps.u64(run.begin);
-    deps.u64(run.count);
+    w.i32(run.k);
+    w.u64(run.begin);
+    w.u64(run.count);
+    w.u8(run.failed);
+    if (run.failed == 1) {
+      write_mask(w, Mask{});
+      w.str("f");
+    }
+    w.u64(run.masks);
   }
-  deps.append(coded);
+  w.append(coded);
   return frame(kSummaryMagic, kSummaryFormatVersion,
-               payload_without_deps(image, s) + deps.bytes());
+               image.substr(52, head) + w.bytes());
 }
 
-// `image` with its trailing dependency section replaced by `runs` (zero
-// masks), re-framed: hash-valid, so only the decoder's checks stand between
-// the table and the plan.
-std::string with_dep_runs(const std::string& image,
-                          const verify::ConeSummary& s,
-                          const std::vector<RawRun>& runs) {
+// The same with zero masks coded, as many as the records count plus
+// `extra`.
+std::string with_runs(const std::string& image, const verify::ConeSummary& s,
+                      const std::vector<RawRun>& runs,
+                      std::int64_t extra = 0) {
+  std::int64_t total = extra;
+  for (const RawRun& run : runs) total += static_cast<std::int64_t>(run.masks);
+  const std::vector<Mask> zeros(static_cast<std::size_t>(total));
   MaskDictionaryWriter masks;
-  for (const RawRun& run : runs) {
-    const std::vector<Mask> zeros(run.masks);
-    masks.add(zeros.data(), zeros.size());
-  }
+  masks.add(zeros.data(), zeros.size());
   ByteWriter coded;
   masks.write(coded);
-  return with_coded_deps(image, s, runs, coded.bytes());
+  return with_coded_runs(image, s, runs, coded.bytes());
 }
 
 TEST(SummarySerial, RejectsHostileMaskDictionaries) {
@@ -855,14 +885,11 @@ TEST(SummarySerial, RejectsHostileMaskDictionaries) {
   opt.incremental = true;
   TempDir dir("hostile_dict");
   ArtifactStore store({dir.str(), 0});
-  verify_with_store(g, opt, store, nullptr);
-  const auto head = store.family_head(summary_family_key(g, opt));
-  ASSERT_TRUE(head.has_value());
+  const std::string image = seeded_image(g, opt, store);
   const std::shared_ptr<const verify::ConeSummary> s =
-      store.load_summary(*head);
+      deserialize_summary(image);
   ASSERT_NE(s, nullptr);
-  const std::string image = *store.get(*head);
-  const std::vector<RawRun> runs = {{1, 0, 2, 2}};
+  const std::vector<RawRun> runs = {{1, 0, 2, 0, 2}};
   const auto coded = [](std::uint64_t count, std::uint64_t distinct,
                         std::uint64_t masks,
                         const std::vector<std::uint64_t>& indices) {
@@ -875,8 +902,9 @@ TEST(SummarySerial, RejectsHostileMaskDictionaries) {
   };
   // Well formed: two masks, one dictionary entry.
   EXPECT_EQ(deserialize_summary(
-                with_coded_deps(image, *s, runs, coded(2, 1, 1, {0, 0})))
-                ->deps.size(),
+                with_coded_runs(image, *s, runs, coded(2, 1, 1, {0, 0})))
+                ->runs.at(0)
+                .masks.size(),
             2u);
   const struct {
     const char* what;
@@ -889,63 +917,122 @@ TEST(SummarySerial, RejectsHostileMaskDictionaries) {
   };
   for (const auto& h : hostile)
     EXPECT_THROW(deserialize_summary(
-                     with_coded_deps(image, *s, runs, h.bytes)),
+                     with_coded_runs(image, *s, runs, h.bytes)),
                  SerializationError)
         << h.what;
 }
 
 TEST(SummarySerial, RejectsDependencyRunsOfTheWrongShape) {
-  // Runs the plan would binary-search or index wrongly are hash-valid
-  // (frame() wraps whatever it is given), so the reader refuses them: out of
-  // order, overlapping, empty, fewer masks than the count (the stream ends
-  // early) or more (trailing bytes), past the old rank space C(n_old, k),
-  // or a size outside [1, order].  The store quarantines each as a miss.
+  // Runs the plan would binary-search, replay or index wrongly are
+  // hash-valid (frame() wraps whatever it is given), so the reader refuses
+  // them: out of order, overlapping, empty (with or without a failure
+  // flag), past the old rank space C(n_old, k), a size outside [1, order],
+  // a failure flag other than 0 or 1, a mask count neither 0 nor the run's
+  // passes, or fewer or more coded masks than the records count.  The
+  // store quarantines each as a miss.
   const circuit::Gadget g = gadgets::by_name("dom-1");
   verify::VerifyOptions opt;
   opt.order = 1;
   opt.incremental = true;
   TempDir dir("hostile");
   ArtifactStore store({dir.str(), 0});
-  verify_with_store(g, opt, store, nullptr);
-  const auto head = store.family_head(summary_family_key(g, opt));
-  ASSERT_TRUE(head.has_value());
+  const std::string image = seeded_image(g, opt, store);
   const std::shared_ptr<const verify::ConeSummary> s =
-      store.load_summary(*head);
+      deserialize_summary(image);
   ASSERT_NE(s, nullptr);
-  ASSERT_FALSE(s->deps.runs().empty());
-  const std::string image = *store.get(*head);
   const std::uint64_t n_old = s->digests.size();
-  ASSERT_GE(n_old, 3u);
+  ASSERT_GE(n_old, 4u);
 
-  // Adjacent runs and a run ending exactly at C(n_old, 1) are well formed.
+  // Adjacent runs, a run ending exactly at C(n_old, 1), a failed run with
+  // and without the masks of its passes, and a run without masks are well
+  // formed.
   for (const std::vector<RawRun>& ok :
-       {std::vector<RawRun>{{1, 0, 1, 1}, {1, 1, 2, 2}},
-        std::vector<RawRun>{{1, n_old - 2, 2, 2}}}) {
-    const auto back = deserialize_summary(with_dep_runs(image, *s, ok));
-    std::uint64_t entries = 0;
-    for (const RawRun& run : ok) entries += run.count;
-    EXPECT_EQ(back->deps.size(), entries);
+       {std::vector<RawRun>{{1, 0, 1, 0, 1}, {1, 1, 2, 0, 2}},
+        std::vector<RawRun>{{1, n_old - 2, 2, 0, 2}},
+        std::vector<RawRun>{{1, 0, 3, 1, 2}, {1, 3, 1, 1, 0}},
+        std::vector<RawRun>{{1, 0, 3, 0, 0}}}) {
+    const auto back = deserialize_summary(with_runs(image, *s, ok));
+    ASSERT_EQ(back->runs.size(), ok.size());
+    for (std::size_t i = 0; i < ok.size(); ++i) {
+      EXPECT_EQ(back->runs[i].end, ok[i].begin + ok[i].count);
+      EXPECT_EQ(back->runs[i].failed, ok[i].failed == 1);
+      EXPECT_EQ(back->runs[i].masks.size(), ok[i].masks);
+    }
   }
 
-  const std::vector<std::vector<RawRun>> hostile = {
-      {{1, 2, 1, 1}, {1, 0, 1, 1}},           // unsorted
-      {{1, 0, 2, 2}, {1, 1, 1, 1}},           // overlapping
-      {{1, 0, 0, 0}},                         // empty
-      {{1, 0, 2, 1}},                         // short mask array
-      {{1, 0, 2, 3}},                         // long mask array
-      {{1, n_old - 1, 2, 2}},                 // past C(n_old, 1)
-      {{0, 0, 1, 1}},                         // k below 1
-      {{s->order + 1, 0, 1, 1}},              // k above the order
+  const struct {
+    const char* what;
+    std::vector<RawRun> runs;
+    std::int64_t extra;
+  } hostile[] = {
+      {"unsorted", {{1, 2, 1, 0, 1}, {1, 0, 1, 0, 1}}, 0},
+      {"overlapping", {{1, 0, 2, 0, 2}, {1, 1, 1, 0, 1}}, 0},
+      {"empty", {{1, 0, 0, 0, 0}}, 0},
+      {"failure flag on an empty run", {{1, 0, 0, 1, 0}}, 0},
+      {"past C(n_old, 1)", {{1, n_old - 1, 2, 0, 2}}, 0},
+      {"k below 1", {{0, 0, 1, 0, 1}}, 0},
+      {"k above the order", {{s->order + 1, 0, 1, 0, 1}}, 0},
+      {"failure flag 2", {{1, 0, 2, 2, 1}}, 0},
+      {"masks short of the passes", {{1, 0, 3, 0, 2}}, 0},
+      {"masks past the passes", {{1, 0, 2, 0, 3}}, 0},
+      {"a mask for the failure", {{1, 0, 2, 1, 2}}, 0},
+      {"fewer coded masks", {{1, 0, 2, 0, 2}}, -1},
+      {"more coded masks", {{1, 0, 2, 0, 2}}, 1},
   };
-  for (std::size_t i = 0; i < hostile.size(); ++i) {
-    const std::string bad = with_dep_runs(image, *s, hostile[i]);
-    EXPECT_THROW(deserialize_summary(bad), SerializationError) << i;
+  for (std::size_t i = 0; i < std::size(hostile); ++i) {
+    const std::string bad =
+        with_runs(image, *s, hostile[i].runs, hostile[i].extra);
+    EXPECT_THROW(deserialize_summary(bad), SerializationError)
+        << hostile[i].what;
     const std::string key(64, "0123456789abcdef"[i]);
     ASSERT_TRUE(store.put(key, bad));
     const std::uint64_t before = store.stats().quarantined;
-    EXPECT_EQ(store.load_summary(key), nullptr) << i;
-    EXPECT_EQ(store.stats().quarantined, before + 1) << i;
+    EXPECT_EQ(store.load_summary(key), nullptr) << hostile[i].what;
+    EXPECT_EQ(store.stats().quarantined, before + 1) << hostile[i].what;
   }
+}
+
+TEST(SummarySerial, MutatedPayloadsParseOrThrow) {
+  // Seeded bit flips and truncations of a keccak-2 summary's payload,
+  // re-framed so that the hash check passes and the payload parser sees
+  // every mutation: each image must parse or throw SerializationError,
+  // never crash or read out of bounds (the suite also runs under ASan and
+  // UBSan).
+  const circuit::Gadget g = gadgets::by_name("keccak-2");
+  verify::VerifyOptions opt;
+  opt.order = 2;
+  opt.incremental = true;
+  TempDir dir("mutated");
+  ArtifactStore store({dir.str(), 0});
+  const std::string image = seeded_image(g, opt, store);
+  ASSERT_GT(image.size(), 52u);
+  const std::string payload = image.substr(52);
+  std::uint64_t parsed = 0, rejected = 0;
+  const auto attempt = [&](const std::string& mutated) {
+    try {
+      deserialize_summary(frame(kSummaryMagic, kSummaryFormatVersion, mutated));
+      ++parsed;
+    } catch (const SerializationError&) {
+      ++rejected;
+    }
+  };
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 3000; ++i) {
+    std::string mutated = payload;
+    const int flips = 1 + static_cast<int>(rng() % 3);
+    for (int f = 0; f < flips; ++f) {
+      const std::size_t bit = rng() % (mutated.size() * 8);
+      mutated[bit / 8] = static_cast<char>(mutated[bit / 8] ^ (1 << (bit % 8)));
+    }
+    attempt(mutated);
+  }
+  for (int i = 0; i < 500; ++i) attempt(payload.substr(0, rng() % payload.size()));
+  // Every cut through the head and the first run records.
+  for (std::size_t len = 0; len < std::min<std::size_t>(payload.size(), 512);
+       ++len)
+    attempt(payload.substr(0, len));
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1334,6 +1421,116 @@ TEST(Incremental, RangeReplayStopsAtUnmatchedCones) {
       EXPECT_EQ(head_summary(edited, opt, store), cold.summary);
     }
   }
+}
+
+TEST(Incremental, SummariesAreCanonicalAcrossShardPlans) {
+  // A summary is a function of the scan's outcome, not of its shard plan:
+  // a secure scan's runs coalesce into one per size class, so every worker
+  // count and shard size writes the same bytes.  A replay against it then
+  // credits each shard of any plan in one bulk step.
+  struct ShardPlan {
+    int jobs;
+    std::uint64_t shard_size;
+  };
+  const ShardPlan plans[] = {{1, 0}, {2, 0}, {4, 0}, {1, 64}};
+  for (const auto& [name, order] :
+       {std::pair<std::string, int>{"keccak-2", 2}, {"dom-3", 3}}) {
+    SCOPED_TRACE(name);
+    const circuit::Gadget g = gadgets::by_name(name);
+    verify::VerifyOptions opt;
+    opt.order = order;
+    opt.incremental = true;
+    std::vector<std::string> images;
+    for (const ShardPlan& p : plans) {
+      opt.jobs = p.jobs;
+      opt.shard_size = p.shard_size;
+      TempDir dir("canonical");
+      ArtifactStore store({dir.str(), 0});
+      images.push_back(seeded_image(g, opt, store));
+      ASSERT_FALSE(images.back().empty());
+    }
+    for (std::size_t i = 1; i < images.size(); ++i)
+      EXPECT_EQ(images[i], images[0])
+          << "jobs " << plans[i].jobs << ", shard size "
+          << plans[i].shard_size;
+
+    const std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
+    const std::optional<verify::IncrementalPlan> plan =
+        verify::IncrementalPlan::build(*basis, deserialize_summary(images[0]),
+                                       opt);
+    ASSERT_TRUE(plan.has_value());
+    const int N = static_cast<int>(basis->size());
+    std::vector<int> scratch;
+    for (const ShardPlan& p : plans) {
+      sched::ShardPlanOptions po;
+      po.fixed_size = p.shard_size;
+      for (const sched::Shard& shard :
+           sched::plan_shards(N, order, p.jobs, false, po)) {
+        const verify::IncrementalPlan::Step step =
+            plan->step(unrank_combination(N, shard.k, shard.begin),
+                       shard.begin, shard.end, scratch);
+        EXPECT_EQ(step.kind, verify::IncrementalPlan::Step::Kind::kPasses);
+        EXPECT_EQ(step.n, shard.size())
+            << "k " << shard.k << ", begin " << shard.begin;
+        EXPECT_NE(step.masks, nullptr);
+      }
+    }
+  }
+}
+
+TEST(Incremental, SummaryRunsCoalesceOnlyAfterAPass) {
+  // Five folded partials of one size class, out of order: two passing
+  // shards either side of one that failed at its last rank, one cut short
+  // by a deadline, and one after the gap it leaves.  A run continues into
+  // the next only when it ended without a failure, so the summary holds
+  // [0, 8) failing at 7, [8, 14) and [16, 20), each with the masks of its
+  // passes.
+  const circuit::Gadget g = gadgets::by_name("keccak-1");
+  verify::VerifyOptions opt;
+  opt.order = 1;
+  const std::shared_ptr<const verify::Basis> basis = build_basis_for(g, opt);
+  ASSERT_GE(basis->size(), 20u);
+  verify::ReportAssembler assembler(basis, opt);
+  const auto part = [](std::uint64_t begin, std::uint64_t end,
+                       std::uint64_t covered_end, bool failed) {
+    verify::PartialReport p;
+    p.k = 1;
+    p.begin = begin;
+    p.end = end;
+    p.covered_end = covered_end;
+    p.combinations = covered_end - begin;
+    p.has_failure = failed;
+    p.fail_rank = covered_end - 1;
+    p.fail_reason = "f";
+    for (std::uint64_t r = begin; r < covered_end - (failed ? 1 : 0); ++r)
+      p.deps.push_back(Mask::bit(static_cast<int>(r)));
+    return p;
+  };
+  assembler.add(part(16, 20, 20, false));
+  assembler.add(part(4, 8, 8, true));
+  assembler.add(part(12, 16, 14, false));
+  assembler.add(part(0, 4, 4, false));
+  assembler.add(part(8, 12, 12, false));
+  const verify::ConeSummary s =
+      verify::make_summary(*basis, opt, std::move(assembler));
+  struct Want {
+    std::uint64_t begin, end;
+    bool failed;
+  };
+  const Want want[] = {{0, 8, true}, {8, 14, false}, {16, 20, false}};
+  ASSERT_EQ(s.runs.size(), std::size(want));
+  for (std::size_t i = 0; i < s.runs.size(); ++i) {
+    const verify::ConeSummary::Run& run = s.runs[i];
+    EXPECT_EQ(run.begin, want[i].begin) << i;
+    EXPECT_EQ(run.end, want[i].end) << i;
+    EXPECT_EQ(run.failed, want[i].failed) << i;
+    ASSERT_EQ(run.masks.size(), run.passes()) << i;
+    for (std::uint64_t r = 0; r < run.passes(); ++r)
+      EXPECT_TRUE(run.masks[r] == Mask::bit(static_cast<int>(run.begin + r)))
+          << i << " rank " << run.begin + r;
+  }
+  EXPECT_EQ(s.runs[0].reason, "f");
+  EXPECT_EQ(verify::summary_checked_count(s), 18u);
 }
 
 /// bruteforce_test's MuxGadgetSeparatesRowAndSetChecks gadget: every row
